@@ -31,6 +31,7 @@ __all__ = [
 SUPPORTED_MODULI = frozenset({3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 19, 21, 25, 27, 32})
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
@@ -66,22 +67,9 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return _poly_trim(out)
 
 
-def _poly_rem_monic(a: list[int], d: list[int]) -> list[int]:
-    """Remainder of a by d, d monic with integer coefficients; exact over Z."""
-    assert d and d[-1] == 1
-    r = list(a)
-    dd = len(d) - 1
-    while len(r) > dd:
-        c = r[-1]
-        if c:
-            off = len(r) - 1 - dd
-            for j in range(dd):
-                r[off + j] -= c * d[j]
-        r.pop()
-    return _poly_trim(r)
-
-
 def _poly_divmod_monic(a: list[int], d: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by d, d monic with integer coefficients;
+    exact over Z."""
     assert d and d[-1] == 1
     r = list(a)
     dd = len(d) - 1
@@ -118,56 +106,6 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# rational polynomial xgcd, used only for inversion
-
-
-def _fpoly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fpoly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b):
-        c = r[-1] * inv_lead
-        off = len(r) - len(b)
-        q[off] = c
-        for j in range(len(b)):
-            r[off + j] -= c * b[j]
-        del r[-1]
-        _fpoly_trim(r)
-        if not r:
-            break
-    return _fpoly_trim(q), r
-
-
-def _fpoly_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """(g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-
-    def sub_mul(x, q, y):
-        # x - q*y
-        out = list(x) + [Fraction(0)] * max(0, len(q) + len(y) - 1 - len(x))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, yj in enumerate(y):
-                    out[i + j] -= qi * yj
-        return _fpoly_trim(out)
-
-    while r1:
-        q, r = _fpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub_mul(s0, q, s1)
-        t0, t1 = t1, sub_mul(t0, q, t1)
-    return r0, s0, t0
-
-
-# ---------------------------------------------------------------------------
 
 
 class Cyclo:
@@ -182,7 +120,7 @@ class Cyclo:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         phi = euler_phi(m)
-        coeffs = _poly_rem_monic([int(c) for c in num], list(cyclotomic_poly(m)))
+        _, coeffs = _poly_divmod_monic([int(c) for c in num], list(cyclotomic_poly(m)))
         coeffs += [0] * (phi - len(coeffs))
         den = int(den)
         if den < 0:
@@ -250,10 +188,8 @@ class Cyclo:
         return self == self.conj()
 
     def is_unit(self) -> bool:
-        """True iff the element and its inverse are both integral."""
-        if self.is_zero() or self.den != 1:
-            return False
-        return self.inverse().den == 1
+        """True iff the element is integral with norm +-1."""
+        return self.den == 1 and abs(self.norm()) == 1
 
     # arithmetic -------------------------------------------------------
 
@@ -300,18 +236,11 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
+        """x^-1 = prod_{u != 1} sigma_u(x) / N(x)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # (A/den)^-1 = den * A^-1 with A the integer numerator polynomial
-        a = _fpoly_trim([Fraction(c) for c in self.num])
-        phi_m = [Fraction(c) for c in cyclotomic_poly(self.m)]
-        g, s, _ = _fpoly_xgcd(a, phi_m)
-        assert len(g) == 1, "lift not coprime to the cyclotomic polynomial"
-        inv = [c / g[0] for c in s]
-        d = 1
-        for c in inv:
-            d = d * c.denominator // gcd(d, c.denominator)
-        return Cyclo(self.m, [int(c * d) * self.den for c in inv], d)
+        norm, others = self._norm_and_other_conjugates()
+        return others * (1 / norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -382,11 +311,16 @@ class Cyclo:
 
     def norm(self) -> Fraction:
         """N_{Q(zeta_m)/Q}."""
-        acc = Cyclo.one(self.m)
-        for u in units_mod(self.m):
-            acc = acc * self.galois(u)
-        assert acc.is_rational(), "norm failed to land in Q"
-        return acc.as_fraction()
+        return self._norm_and_other_conjugates()[0]
+
+    def _norm_and_other_conjugates(self) -> tuple[Fraction, "Cyclo"]:
+        """(N(x), prod_{u != 1} sigma_u(x)), u over the units of Z/mZ."""
+        others = Cyclo.one(self.m)
+        for u in units_mod(self.m)[1:]:
+            others = others * self.galois(u)
+        full = self * others
+        assert full.is_rational(), "norm failed to land in Q"
+        return full.as_fraction(), others
 
     def norm_to_real(self) -> "Cyclo":
         """x * conj(x), an element of the maximal real subfield."""
@@ -427,7 +361,7 @@ def _trace_vector(m: int) -> tuple[int, ...]:
         acc = [0] * m
         for u in units_mod(m):
             acc[(a * u) % m] += 1
-        red = _poly_rem_monic(acc, list(cyclotomic_poly(m)))
+        _, red = _poly_divmod_monic(acc, list(cyclotomic_poly(m)))
         red += [0] * (phi - len(red))
         assert all(c == 0 for c in red[1:]), "monomial trace not rational"
         out.append(red[0] if red else 0)

@@ -4,6 +4,7 @@ construction of beta for a CM-type, and the three polarization conditions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Sequence, Union
 
@@ -70,6 +71,7 @@ class DifferentGenerator:
         assert self.element == -self.element.conj()
 
 
+@lru_cache(maxsize=None)
 def beta0(m: int) -> DifferentGenerator:
     """Different generator by closed form.  Cases, in match order: odd
     prime; 2^k; 3^k; product of two distinct odd primes."""
@@ -104,6 +106,7 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
+@lru_cache(maxsize=None)
 def reference_different_generator(m: int) -> Cyclo:
     """beta0 as an element over modulus m, built from the odd part when
     m = 2 * (odd): the field and its different are unchanged there and no
@@ -113,6 +116,7 @@ def reference_different_generator(m: int) -> Cyclo:
     return beta0(m).element
 
 
+@lru_cache(maxsize=None)
 def unit_generators(m: int) -> tuple[Cyclo, ...]:
     """Generators of a finite-index, sign-surjectivity-preserving subgroup
     of the units of the real subfield F_0: -1 plus cyclotomic units.

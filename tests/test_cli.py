@@ -4,8 +4,11 @@ corpus verification output."""
 from __future__ import annotations
 
 import copy
+import decimal
 import json
 
+import cyclopel.cli
+import cyclopel.peldatum
 from cyclopel.cli import (
     EXIT_GENERIC,
     EXIT_INVALID_DATUM,
@@ -39,6 +42,29 @@ def test_exit_codes(capsys):
     assert run(["--m", "9", "--inertia", "3,5,5,5"]) == EXIT_NONMAXIMAL_ORDER == 5
     assert "NonMaximalOrder" in capsys.readouterr().err
     assert run(["--m", "6", "--inertia", "2,3,3,4"]) == EXIT_UNSUPPORTED_MODULUS == 4
+    capsys.readouterr()
+
+
+def test_family_degenerates_once(monkeypatch, capsys):
+    calls = []
+    original = cyclopel.peldatum.degenerate
+
+    def counted(datum):
+        calls.append(datum)
+        return original(datum)
+
+    monkeypatch.setattr(cyclopel.cli, "degenerate", counted)
+    monkeypatch.setattr(cyclopel.peldatum, "degenerate", counted)
+    assert run(["--m", "5", "--inertia", "1,3,3,3"]) == EXIT_OK
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_json_report_keeps_decimal_context(capsys):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        assert run(["--m", "5", "--inertia", "1,3,3,3", "--json"]) == EXIT_OK
+        assert decimal.getcontext().prec == 28
     capsys.readouterr()
 
 

@@ -193,6 +193,28 @@ def test_is_unit_examples():
     assert u2.is_integral
 
 
+def test_norm_matches_sympy_resultant():
+    # N(A/den) = Res(Phi_m, A) / den^phi(m); Phi_m is monic of even degree,
+    # so the resultant is the product of A over the roots of Phi_m
+    rng = random.Random(23)
+    for m in sorted(SUPPORTED_MODULI):
+        phi_m = sympy.Poly(sympy.cyclotomic_poly(m, X), X)
+        for _ in range(4):
+            x = random_element(rng, m)
+            if x.is_zero():
+                continue
+            num = sympy.Poly(list(reversed(x.num)), X)
+            want = Fraction(int(sympy.resultant(phi_m, num)), x.den ** euler_phi(m))
+            assert x.norm() == want
+
+
+def test_one_minus_root_is_unit_exactly_off_prime_powers():
+    # 1 - zeta_m has norm p when m is a power of the prime p, and is a unit
+    # otherwise
+    units = {m for m in SUPPORTED_MODULI if (1 - Cyclo.zeta(m)).is_unit()}
+    assert units == {6, 10, 21}
+
+
 def test_relative_trace_of_one():
     assert relative_trace(Cyclo.one(21)) == Cyclo.from_int(7, 2)
 
