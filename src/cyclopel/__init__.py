@@ -11,6 +11,7 @@ from .errors import (
     CyclopelError,
     DisconnectedCover,
     Indeterminate,
+    InvariantViolation,
     NonCompactType,
     NonIntegralForm,
     NonMaximalOrder,
@@ -66,6 +67,7 @@ __all__ = [
     "FamilyResult",
     "HermitianDatum",
     "Indeterminate",
+    "InvariantViolation",
     "MonodromyDatum",
     "NonCompactType",
     "NonIntegralForm",

@@ -23,6 +23,7 @@ __all__ = [
     "real_embedding_reps",
     "relative_split",
     "relative_trace",
+    "trace_table",
     "units_mod",
 ]
 
@@ -306,7 +307,7 @@ class Cyclo:
 
     def trace(self) -> Fraction:
         """tr_{Q(zeta_m)/Q}."""
-        tv = _trace_vector(self.m)
+        tv = trace_table(self.m)
         return Fraction(sum(c * t for c, t in zip(self.num, tv)), self.den)
 
     def norm(self) -> Fraction:
@@ -353,17 +354,18 @@ class Cyclo:
 
 
 @lru_cache(maxsize=None)
-def _trace_vector(m: int) -> tuple[int, ...]:
-    """trace of each power-basis monomial zeta^a, 0 <= a < phi(m)."""
+def trace_table(m: int) -> tuple[int, ...]:
+    """tr(zeta^j) for every residue j mod m; the first phi(m) entries are
+    the traces of the power-basis monomials."""
     phi = euler_phi(m)
     out = []
-    for a in range(phi):
+    for j in range(m):
         acc = [0] * m
         for u in units_mod(m):
-            acc[(a * u) % m] += 1
+            acc[(j * u) % m] += 1
         _, red = _poly_divmod_monic(acc, list(cyclotomic_poly(m)))
         red += [0] * (phi - len(red))
-        assert all(c == 0 for c in red[1:]), "monomial trace not rational"
+        assert all(c == 0 for c in red[1:]), f"tr(zeta^{j}) not rational"
         out.append(red[0] if red else 0)
     return tuple(out)
 

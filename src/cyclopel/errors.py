@@ -17,6 +17,7 @@ __all__ = [
     "Indeterminate",
     "PrecisionExhausted",
     "NonIntegralForm",
+    "InvariantViolation",
 ]
 
 
@@ -81,3 +82,9 @@ class PrecisionExhausted(CyclopelError):
 
 class NonIntegralForm(CyclopelError):
     """A Gram matrix entry that must be a rational integer is not."""
+
+
+class InvariantViolation(CyclopelError, AssertionError):
+    """An internal invariant of a computed result failed, e.g. a Gram
+    determinant that is not a unit.  Raised explicitly rather than by
+    assert, so the check also runs under python -O."""

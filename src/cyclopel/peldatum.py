@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -19,10 +20,17 @@ from .cyclotomic import (
     euler_phi,
     parse_element,
     relative_split,
+    trace_table,
     units_mod,
 )
 from .embeddings import DEFAULT_PRECISION, certified_sign_im
-from .errors import CyclopelError, Indeterminate, NonIntegralForm, UnsupportedModulus
+from .errors import (
+    CyclopelError,
+    Indeterminate,
+    InvariantViolation,
+    NonIntegralForm,
+    UnsupportedModulus,
+)
 from .monodromy import (
     DegenerationTree,
     MonodromyDatum,
@@ -38,6 +46,7 @@ from .polarization import (
     beta_for_type,
     equivalent_beta,
     reference_different_generator,
+    reference_different_inverse,
     verify_conditions,
 )
 
@@ -53,6 +62,7 @@ __all__ = [
     "HermitianDatum",
     "RelativePipelineResult",
     "assemble",
+    "cellwise_determinant",
     "entry_cm_type",
     "equivalent_datum",
     "form_signature",
@@ -123,43 +133,72 @@ def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
 
 # ---------------------------------------------------------------------------
 # Gram matrix of the trace pairing
+#
+# The form is diagonal, so the Gram matrix is block-diagonal with one
+# phi(d) x phi(d) Toeplitz cell per entry xi over Q(zeta_d), and its
+# determinant is the product of the cell determinants.
+
+
+def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
+    """Cell of the entry xi: the (a, b) entry is tr(xi zeta^(a-b)) =
+    sum_i c_i tr(zeta^(i+a-b)) / den over the coefficients c_i of xi, read
+    off the trace table of the modulus.  Raises NonIntegralForm when a
+    value is not a rational integer and InvariantViolation when the cell
+    is not skew."""
+    m, d = xi.m, euler_phi(xi.m)
+    table = trace_table(m)
+    tr: dict[int, int] = {}
+    for k in range(-(d - 1), d):
+        num = sum(c * table[(i + k) % m] for i, c in enumerate(xi.num))
+        if num % xi.den:
+            raise NonIntegralForm(
+                f"tr(xi * zeta^{k}) = {Fraction(num, xi.den)} is not integral for entry "
+                f"{element_str(xi)} at modulus {m}"
+            )
+        tr[k] = num // xi.den
+    if any(tr[k] != -tr[-k] for k in range(d)):
+        raise InvariantViolation(
+            f"pairing is not skew on the cell of entry {element_str(xi)} at modulus {m}"
+        )
+    return tuple(tuple(tr[a - b] for b in range(d)) for a in range(d))
 
 
 def gram_matrix(h: HermitianDatum) -> tuple[tuple[int, ...], ...]:
     """Gram matrix of E(x, y) = tr(x B conj(y)) on the Z-basis given by
     zeta^a-multiples of the coordinate vectors, in block order: the
-    (a, b) entry of the cell for entry xi is tr(xi zeta^(a-b)).  Raises
-    NonIntegralForm when any pairing value is not a rational integer."""
-    cells: list[list[list[int]]] = []
-    for block in h.blocks:
-        d = euler_phi(block.modulus)
-        zeta = Cyclo.zeta(block.modulus)
-        for xi in block.entries:
-            # tr(xi * zeta^k) for the k = a - b values actually used
-            tr: dict[int, int] = {}
-            for k in range(-(d - 1), d):
-                val = (xi * zeta**(k % block.modulus)).trace()
-                if val.denominator != 1:
-                    raise NonIntegralForm(
-                        f"tr(xi * zeta^{k}) = {val} is not integral for entry "
-                        f"{element_str(xi)} at modulus {block.modulus}"
-                    )
-                tr[k] = int(val)
-            cells.append([[tr[a - b] for b in range(d)] for a in range(d)])
-
-    n = sum(len(c) for c in cells)
-    gram = [[0] * n for _ in range(n)]
-    offset = 0
+    (a, b) entry of the cell for entry xi is tr(xi zeta^(a-b)), and every
+    entry outside the cells is zero.  Raises NonIntegralForm when any
+    pairing value is not a rational integer."""
+    cells = [_gram_cell(xi) for block in h.blocks for xi in block.entries]
+    n = sum(len(cell) for cell in cells)
+    gram: list[tuple[int, ...]] = []
     for cell in cells:
-        d = len(cell)
-        for a in range(d):
-            for b in range(d):
-                gram[offset + a][offset + b] = cell[a][b]
-        offset += d
-    for i in range(n):
-        for j in range(n):
-            assert gram[i][j] == -gram[j][i], "pairing is not skew"
-    return tuple(tuple(row) for row in gram)
+        left, right = (0,) * len(gram), (0,) * (n - len(gram) - len(cell))
+        gram.extend(left + row + right for row in cell)
+    return tuple(gram)
+
+
+def cellwise_determinant(gram: Sequence[Sequence[int]], sizes: Sequence[int]) -> int:
+    """Determinant of a block-diagonal matrix with diagonal cells of the
+    given sizes: the product of the cell determinants, each distinct cell
+    eliminated once.  Raises InvariantViolation when an entry outside the
+    cells is nonzero."""
+    if sum(sizes) != len(gram):
+        raise ValueError(f"cell sizes {list(sizes)} do not cover a {len(gram)}-row matrix")
+    dets: dict[tuple[tuple[int, ...], ...], int] = {}
+    det = 1
+    offset = 0
+    for d in sizes:
+        end = offset + d
+        rows = gram[offset:end]
+        if any(any(row[:offset]) or any(row[end:]) for row in rows):
+            raise InvariantViolation(f"matrix is not block-diagonal at rows {offset}..{end - 1}")
+        cell = tuple(tuple(row[offset:end]) for row in rows)
+        if cell not in dets:
+            dets[cell] = gram_determinant(cell)
+        det *= dets[cell]
+        offset = end
+    return det
 
 
 def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
@@ -252,10 +291,14 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
     entries = tuple(c.point.xi() for c in components)
     hermitian = HermitianDatum(datum.m, (Block(datum.m, entries),))
     gram = gram_matrix(hermitian)
-    det = gram_determinant(gram)
-    assert abs(det) == 1, f"Gram determinant {det} is not a unit"
+    det = cellwise_determinant(gram, (euler_phi(datum.m),) * len(entries))
+    if abs(det) != 1:
+        raise InvariantViolation(f"Gram determinant {det} is not a unit")
     form_sig = form_signature(hermitian, start_prec)
-    assert form_sig == sig, "assembled form does not reproduce the signature"
+    if form_sig != sig:
+        raise InvariantViolation(
+            f"assembled form has signature {form_sig.values}, not the monodromy signature {sig.values}"
+        )
     simple = all(c.simplicity.simple for c in components)
     certainty = (
         CERTAINTY_SIMPLE
@@ -538,10 +581,10 @@ def verify_fixture(
             )
         h = _fixture_datum(fixture)
         for block in h.blocks:
-            ref = reference_different_generator(block.modulus)
+            ref_inv = reference_different_inverse(block.modulus)
             for j, xi in enumerate(block.entries):
                 beta = xi.inverse()
-                ratio = beta / ref
+                ratio = beta * ref_inv
                 if not (ratio.is_integral and ratio.is_unit()):
                     failures.append(
                         f"condition (1): entry {j} at modulus {block.modulus} "

@@ -17,7 +17,7 @@ from .embeddings import (
     is_totally_positive,
     sign_vector,
 )
-from .errors import Indeterminate, Unsatisfiable, UnsupportedModulus
+from .errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 
 __all__ = [
     "BETA_FOR_TYPE_MODULI",
@@ -31,6 +31,7 @@ __all__ = [
     "equivalent_beta",
     "has_independent_signs",
     "reference_different_generator",
+    "reference_different_inverse",
     "sign_matrix",
     "solve_sign_pattern",
     "unit_generators",
@@ -114,6 +115,12 @@ def reference_different_generator(m: int) -> Cyclo:
     if m % 4 == 2:
         return beta0(m // 2).element.to_modulus(m)
     return beta0(m).element
+
+
+@lru_cache(maxsize=None)
+def reference_different_inverse(m: int) -> Cyclo:
+    """1 / reference_different_generator(m), inverted once per modulus."""
+    return reference_different_generator(m).inverse()
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +241,7 @@ def verify_conditions(
     certified."""
     if beta.m != phi.m:
         raise ValueError("beta and Phi live over different moduli")
-    ref = reference_different_generator(beta.m)
-    ratio = beta / ref
+    ratio = beta * reference_different_inverse(beta.m)
     generates = ratio.is_integral and ratio.is_unit()
     anti = beta == -beta.conj()
     signs = all(certified_sign_im(beta, n, start_prec) == -1 for n in sorted(phi.members))
@@ -255,10 +261,12 @@ class PolarizedCMPoint:
         return self.beta.inverse()
 
 
+@lru_cache(maxsize=None)
 def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> PolarizedCMPoint:
     """Construct beta satisfying all three conditions for Phi by solving
     for the unit sign pattern: Im(sigma_n(u * beta0)) must be negative
-    exactly at the representatives lying in Phi."""
+    exactly at the representatives lying in Phi.  Memoized per (Phi,
+    start_prec); the result is immutable."""
     m = phi.m
     if m not in BETA_FOR_TYPE_MODULI:
         raise UnsupportedModulus(
@@ -275,7 +283,10 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
         raise u0
     beta = u0 * b0
     report = verify_conditions(beta, phi, start_prec)
-    assert report.all_pass(), "constructed beta fails its own conditions"
+    if not report.all_pass():
+        raise InvariantViolation(
+            f"constructed beta fails its own conditions for the CM-type {phi.sorted_members()} mod {m}"
+        )
     return PolarizedCMPoint(phi, u0, beta, report)
 
 

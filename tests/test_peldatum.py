@@ -6,21 +6,37 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 
+import cyclopel
 from cyclopel.cmfield import CMType
 from cyclopel.cyclotomic import (
+    SUPPORTED_MODULI,
     Cyclo,
     element_str,
+    euler_phi,
     parse_element,
     relative_trace,
+    trace_table,
     units_mod,
 )
-from cyclopel.errors import Indeterminate, NonIntegralForm, UnsupportedModulus
+from cyclopel.errors import (
+    Indeterminate,
+    InvariantViolation,
+    NonIntegralForm,
+    UnsupportedModulus,
+)
 from cyclopel.monodromy import signature, validate
 from cyclopel.peldatum import (
     CERTAINTY_FORM_UNIQUENESS,
@@ -28,6 +44,7 @@ from cyclopel.peldatum import (
     Block,
     HermitianDatum,
     assemble,
+    cellwise_determinant,
     default_corpus_path,
     entry_cm_type,
     equivalent_datum,
@@ -38,6 +55,7 @@ from cyclopel.peldatum import (
     m17_pipeline,
     twice_prime_bridge,
     verify_fixture,
+    _fixture_datum,
 )
 from cyclopel.polarization import beta0, reference_different_generator
 
@@ -169,6 +187,113 @@ def test_gram_determinant_oracle():
         n = rng.randint(1, 6)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert gram_determinant(mat) == gauss_det(mat)
+
+
+def test_trace_table_matches_ramanujan_sums():
+    # tr(zeta_m^j) = c_m(j) = sum over d | gcd(j, m) of mu(m/d) * d
+    for m in sorted(SUPPORTED_MODULI):
+        table = trace_table(m)
+        assert len(table) == m
+        for j in range(m):
+            g = gcd(j, m)
+            ramanujan = sum(int(sympy.mobius(m // d)) * d for d in sympy.divisors(g))
+            assert table[j] == ramanujan, (m, j)
+
+
+def test_gram_cell_matches_cyclo_products():
+    rng = random.Random(109)
+    for m in sorted(SUPPORTED_MODULI):
+        zeta = Cyclo.zeta(m)
+        for den in (1, 1, 2, 3, m):
+            x = Cyclo(m, [rng.randint(-3, 3) for _ in range(m)], den)
+            xi = x - x.conj()
+            if xi.is_zero():
+                continue
+            d = len(xi.num)
+            old = {k: (xi * zeta ** (k % m)).trace() for k in range(-(d - 1), d)}
+            h = HermitianDatum(m, (Block(m, (xi,)),))
+            if any(v.denominator != 1 for v in old.values()):
+                with pytest.raises(NonIntegralForm):
+                    gram_matrix(h)
+                continue
+            g = gram_matrix(h)
+            assert g == tuple(tuple(int(old[a - b]) for b in range(d)) for a in range(d))
+
+
+def test_cellwise_determinant_matches_dense_bareiss():
+    data = [_fixture_datum(f) for f in load_corpus(default_corpus_path())]
+    assert any(len(h.blocks) > 1 for h in data)
+    for n in (6, 12):
+        r = assemble(validate(19, (1,) * (n - 1) + (-(n - 1) % 19,)))
+        assert r.gram_det == gram_determinant(r.gram)
+        data.append(r.hermitian)
+    for h in data:
+        g = gram_matrix(h)
+        sizes = [euler_phi(b.modulus) for b in h.blocks for _ in b.entries]
+        assert cellwise_determinant(g, sizes) == gram_determinant(g)
+
+
+def test_cellwise_determinant_rejects_off_cell_entries():
+    g = ((0, 1, 5, 0), (-1, 0, 0, 0), (-5, 0, 0, 1), (0, 0, -1, 0))
+    assert gram_determinant(g) == 1
+    with pytest.raises(InvariantViolation):
+        cellwise_determinant(g, (2, 2))
+    assert cellwise_determinant(g, (4,)) == 1
+    with pytest.raises(ValueError):
+        cellwise_determinant(g, (2,))
+
+
+# check -> (patch that forces it to fail, fragment of its message)
+_BROKEN_INVARIANTS = {
+    "cell skew": ("P.trace_table = lambda m: (5,) + (0,) * (m - 1)", "is not skew"),
+    "determinant": ("P.gram_determinant = lambda cell: 2", "is not a unit"),
+    "form signature": (
+        "P.form_signature = lambda h, prec: Signature(h.m, (0,) * h.m)",
+        "not the monodromy signature",
+    ),
+    "beta conditions": (
+        "Q.verify_conditions = lambda beta, phi, prec: Q.ConditionReport(True, True, False)",
+        "fails its own conditions",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_BROKEN_INVARIANTS))
+def test_invariant_checks_survive_optimize(check):
+    patch, fragment = _BROKEN_INVARIANTS[check]
+    code = textwrap.dedent(
+        """
+        import sys
+        import cyclopel.peldatum as P
+        import cyclopel.polarization as Q
+        from cyclopel.errors import CyclopelError, InvariantViolation
+        from cyclopel.monodromy import Signature, validate
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        {patch}
+        try:
+            P.assemble(validate(5, (1, 3, 3, 3)))
+        except InvariantViolation as exc:
+            print(isinstance(exc, CyclopelError), isinstance(exc, AssertionError))
+            print(exc)
+            sys.exit(0)
+        sys.exit("assemble returned")
+        """
+    ).format(patch=patch)
+    src = str(Path(cyclopel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kinds, message = proc.stdout.splitlines()
+    assert kinds == "True True"
+    assert fragment in message
 
 
 def test_form_signature_values():

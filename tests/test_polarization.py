@@ -22,6 +22,7 @@ from cyclopel.polarization import (
     equivalent_beta,
     has_independent_signs,
     reference_different_generator,
+    reference_different_inverse,
     sign_matrix,
     solve_sign_pattern,
     unit_generators,
@@ -85,6 +86,13 @@ def test_reference_generator_covers_twice_odd():
     assert reference_different_generator(6) == beta0(3).element.to_modulus(6)
     assert reference_different_generator(10) == beta0(5).element.to_modulus(10)
     assert reference_different_generator(7) == beta0(7).element
+
+
+def test_reference_inverse_is_cached_per_modulus():
+    for m in BETA0_MODULI + (6, 10):
+        inv = reference_different_inverse(m)
+        assert inv * reference_different_generator(m) == 1
+        assert reference_different_inverse(m) is inv
 
 
 def test_unit_generators_shapes():
@@ -254,6 +262,13 @@ def test_beta_for_type_random_moduli():
             members = frozenset(rng.choice(tuple(sorted(p))) for p in pairs)
             point = beta_for_type(CMType(m, members))
             assert point.conditions.all_pass()
+
+
+def test_beta_for_type_is_memoized_per_type_and_precision():
+    phi = CMType(7, frozenset({1, 2, 4}))
+    point = beta_for_type(phi)
+    assert beta_for_type(CMType(7, frozenset({4, 2, 1}))) is point
+    assert beta_for_type(phi, 128) == point
 
 
 def test_beta_galois_compatibility():
