@@ -14,6 +14,7 @@ import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cyclotomic import Cyclo, element_str
@@ -58,15 +59,23 @@ def _decimal_str(q: Fraction) -> str:
         return str(Decimal(int(q.numerator)) / Decimal(int(q.denominator)))
 
 
+@lru_cache(maxsize=4096)
+def _rendered(x: Cyclo, precision: int) -> tuple[str, str, str]:
+    """(exact, re, im) strings of x; reports repeat betas and entries, so
+    each (element, precision) is rendered once."""
+    box = embed(x, 1, precision)
+    return (
+        element_str(x),
+        _decimal_str((box.re_lo + box.re_hi) / 2),
+        _decimal_str((box.im_lo + box.im_hi) / 2),
+    )
+
+
 def _element_json(x: Cyclo, precision: int) -> dict:
     """Exact string plus a decimal rendering of the identity embedding;
     only the exact string is meaningful for comparison."""
-    box = embed(x, 1, precision)
-    return {
-        "exact": element_str(x),
-        "re": _decimal_str((box.re_lo + box.re_hi) / 2),
-        "im": _decimal_str((box.im_lo + box.im_hi) / 2),
-    }
+    exact, re, im = _rendered(x, precision)
+    return {"exact": exact, "re": re, "im": im}
 
 
 def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> dict:

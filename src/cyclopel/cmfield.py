@@ -8,7 +8,7 @@ from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import units_mod
-from .errors import SignatureNotBinary
+from .errors import InvariantViolation, SignatureNotBinary
 from .monodromy import MonodromyDatum, signature
 
 __all__ = [
@@ -31,11 +31,11 @@ class CMType:
 
     def __post_init__(self):
         units = set(units_mod(self.m))
-        assert self.members <= units, "CM-type members must be units mod m"
+        if not self.members <= units:
+            raise InvariantViolation("CM-type members must be units mod m")
         for n in units:
-            assert (n in self.members) != ((self.m - n) in self.members), (
-                f"CM-type must contain exactly one of {n}, {self.m - n}"
-            )
+            if (n in self.members) == ((self.m - n) in self.members):
+                raise InvariantViolation(f"CM-type must contain exactly one of {n}, {self.m - n}")
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))

@@ -1,8 +1,14 @@
 """Certified complex embeddings of cyclotomic elements.
 
-sigma_n sends zeta_m to exp(2 pi i n / m).  Enclosures are rectangles with
-exact dyadic endpoints computed through mpmath's outward-rounded interval
-arithmetic; signs are certified by exact zero tests plus precision doubling.
+sigma_n sends zeta_m to exp(2 pi i n / m).  Signs are certified in integer
+fixed point: for each (m, prec) a table holds integer bounds
+lo <= 2^prec cos(2 pi k / m) <= hi, and the same for sin, at every residue
+k, so den * 2^prec * Im(sigma_n(x)) (or Re) lies in an exact integer
+interval.  A sign is certified when that interval excludes 0; otherwise the
+precision doubles.  Zero is decided exactly.  embed() encloses sigma_n(x) in
+a rectangle with exact dyadic endpoints, for decimal rendering.  Interval
+evaluation runs in private mpmath contexts of fixed precision, so the
+shared mpmath.iv precision is never written.
 """
 
 from __future__ import annotations
@@ -10,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, floor, gcd
 
-from mpmath import iv
+from mpmath.ctx_iv import MPIntervalContext
 
 from .cyclotomic import Cyclo, real_embedding_reps
 from .errors import NotRealElement, NotUnit, PrecisionExhausted
@@ -74,44 +80,101 @@ class ComplexInterval:
     def contains_point(self, re: Fraction, im: Fraction = Fraction(0)) -> bool:
         return self.re_lo <= re <= self.re_hi and self.im_lo <= im <= self.im_hi
 
-    def im_sign(self) -> int | None:
-        """Certified sign of the imaginary part, None if undecided."""
-        if self.im_hi < 0:
-            return -1
-        if self.im_lo > 0:
-            return 1
-        return None
-
-    def re_sign(self) -> int | None:
-        if self.re_hi < 0:
-            return -1
-        if self.re_lo > 0:
-            return 1
-        return None
-
 
 SignVector = tuple[int, ...]
 
 
+# Extra bits of the enclosure each trig table is rounded from.
+_TRIG_GUARD_BITS = 16
+
+
+@lru_cache(maxsize=32)
+def _interval_context(prec: int) -> MPIntervalContext:
+    """A private mpmath interval context at a fixed working precision.
+    It is never changed after construction, so concurrent callers at
+    different precisions cannot disturb each other."""
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    return ctx
+
+
+def _scaled_bounds(enclosure, prec: int) -> tuple[int, int]:
+    """Integers lo <= 2^prec * v <= hi for every v in an mpmath interval."""
+    lo, hi = enclosure._mpi_
+    scale = 1 << prec
+    return floor(_mpf_to_fraction(lo) * scale), ceil(_mpf_to_fraction(hi) * scale)
+
+
+@lru_cache(maxsize=256)
+def _trig_table(m: int, prec: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(cos, sin): for every residue k mod m, integer bounds (lo, hi) with
+    lo <= 2^prec cos(2 pi k / m) <= hi, and the same for sin, rounded
+    outward from an enclosure at prec + _TRIG_GUARD_BITS bits.  Residues
+    above m/2 are mirrored: cos(2 pi (m-k) / m) = cos(2 pi k / m) and
+    sin(2 pi (m-k) / m) = -sin(2 pi k / m)."""
+    ctx = _interval_context(prec + _TRIG_GUARD_BITS)
+    cos, sin = [], []
+    for k in range(m // 2 + 1):
+        t = (ctx.pi * (2 * k)) / m
+        cos.append(_scaled_bounds(ctx.cos(t), prec))
+        sin.append(_scaled_bounds(ctx.sin(t), prec))
+    for k in range(m // 2 + 1, m):
+        lo, hi = sin[m - k]
+        cos.append(cos[m - k])
+        sin.append((-hi, -lo))
+    return tuple(cos), tuple(sin)
+
+
+def _fixed_point_sign(x: Cyclo, n: int, start_prec: int, part: int) -> int:
+    """Certified sign of Re (part 0) or Im (part 1) of sigma_n(x), known to
+    be nonzero: den * 2^prec times it lies in the integer interval
+    sum_i c_i [lo, hi] over the table entries at residues i * n, with the
+    bounds swapped where c_i < 0.  The precision doubles until the
+    interval excludes 0."""
+    m = x.m
+    if gcd(n, m) != 1:
+        raise ValueError(f"sigma_{n} is not an embedding of Q(zeta_{m})")
+    prec = max(8, start_prec)
+    while prec <= PRECISION_CAP:
+        bounds = _trig_table(m, prec)[part]
+        lo = hi = 0
+        for i, c in enumerate(x.num):
+            if c > 0:
+                b_lo, b_hi = bounds[(i * n) % m]
+                lo += c * b_lo
+                hi += c * b_hi
+            elif c < 0:
+                b_lo, b_hi = bounds[(i * n) % m]
+                lo += c * b_hi
+                hi += c * b_lo
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+    part_name = "Im" if part else "Re"
+    raise PrecisionExhausted(
+        f"sign of {part_name}(sigma_{n}) undecided at {PRECISION_CAP} bits; "
+        "the exact zero test already ruled out zero, so this is a bug"
+    )
+
+
 def embed(x: Cyclo, n: int, prec: int = DEFAULT_PRECISION) -> ComplexInterval:
-    """Enclosure of sigma_n(x) at the given working precision (bits)."""
+    """Enclosure of sigma_n(x) at the given working precision (bits), for
+    rendering; signs are certified by certified_sign_im/certified_sign_real."""
     if gcd(n, x.m) != 1:
         raise ValueError(f"sigma_{n} is not an embedding of Q(zeta_{x.m})")
     if x.is_rational():
         q = x.as_fraction()
         return ComplexInterval(q, q, Fraction(0), Fraction(0))
-    saved = iv.prec
-    iv.prec = prec
-    try:
-        t = (iv.pi * (2 * (n % x.m))) / x.m
-        root = iv.mpc(iv.cos(t), iv.sin(t))
-        acc = iv.mpc(0)
-        for c in reversed(x.num):
-            acc = acc * root + c
-        acc /= x.den
-        re, im = acc.real._mpi_, acc.imag._mpi_
-    finally:
-        iv.prec = saved
+    ctx = _interval_context(prec)
+    t = (ctx.pi * (2 * (n % x.m))) / x.m
+    root = ctx.mpc(ctx.cos(t), ctx.sin(t))
+    acc = ctx.mpc(0)
+    for c in reversed(x.num):
+        acc = acc * root + c
+    acc /= x.den
+    re, im = acc.real._mpi_, acc.imag._mpi_
     return ComplexInterval(
         _mpf_to_fraction(re[0]),
         _mpf_to_fraction(re[1]),
@@ -126,20 +189,11 @@ def certified_sign_im(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -> 
 
     Zero is decided exactly: sigma_n(x) is real iff x equals its own
     conjugate (conjugation commutes with every sigma_n).  Nonzero signs are
-    certified by interval refinement.
+    certified in fixed point with precision doubling.
     """
     if x == x.conj():
         return 0
-    prec = max(8, start_prec)
-    while prec <= PRECISION_CAP:
-        s = embed(x, n, prec).im_sign()
-        if s is not None:
-            return s
-        prec *= 2
-    raise PrecisionExhausted(
-        f"sign of Im(sigma_{n}) undecided at {PRECISION_CAP} bits; "
-        "exact zero test already ruled out zero, so this is a bug"
-    )
+    return _fixed_point_sign(x, n, start_prec, 1)
 
 
 def certified_sign_real(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -> int:
@@ -148,16 +202,7 @@ def certified_sign_real(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -
         raise NotRealElement("element is not fixed by conjugation")
     if x.is_zero():
         return 0
-    prec = max(8, start_prec)
-    while prec <= PRECISION_CAP:
-        s = embed(x, n, prec).re_sign()
-        if s is not None:
-            return s
-        prec *= 2
-    raise PrecisionExhausted(
-        f"sign of tau_{n} undecided at {PRECISION_CAP} bits for a provably "
-        "nonzero real element, so this is a bug"
-    )
+    return _fixed_point_sign(x, n, start_prec, 0)
 
 
 @lru_cache(maxsize=65536)

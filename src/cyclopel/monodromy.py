@@ -4,12 +4,12 @@ signature, Galois action, degeneration into trees of 3-point covers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import SUPPORTED_MODULI, units_mod
 from .errors import (
     DisconnectedCover,
+    InvariantViolation,
     NonCompactType,
     NonMaximalOrder,
     UnbalancedInertia,
@@ -85,7 +85,10 @@ class Signature:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.values) == self.m and self.values[0] == 0
+        if not (len(self.values) == self.m and self.values[0] == 0):
+            raise InvariantViolation(
+                f"signature needs {self.m} values starting with f(0) = 0, got {self.values}"
+            )
 
     def __getitem__(self, n: int) -> int:
         return self.values[n % self.m]
@@ -98,18 +101,16 @@ class Signature:
         return frozenset(n for n in units_mod(self.m) if self.values[n] == 1)
 
 
-def _frac(q: Fraction) -> Fraction:
-    return q - (q.numerator // q.denominator)
-
-
 def signature(datum: MonodromyDatum) -> Signature:
-    """Eigenspace dimensions by the fractional-part formula, exact."""
+    """Eigenspace dimensions by the fractional-part formula
+    f(n) = sum_i <-n a(i) / m> - 1, in integers: m <x / m> = x mod m."""
     m, a = datum.m, datum.a
     vals = [0]
     for n in range(1, m):
-        s = sum(_frac(Fraction(-n * x, m)) for x in a)
-        assert s.denominator == 1, "signature value not integral"
-        vals.append(int(s) - 1)
+        s = sum((-n * x) % m for x in a)
+        if s % m:
+            raise InvariantViolation(f"signature value {s}/{m} at n = {n} is not integral")
+        vals.append(s // m - 1)
     return Signature(m, tuple(vals))
 
 

@@ -19,6 +19,7 @@ from .cyclotomic import (
     element_str,
     euler_phi,
     parse_element,
+    real_embedding_reps,
     relative_split,
     trace_table,
     units_mod,
@@ -95,11 +96,15 @@ class Block:
     entries: tuple[Cyclo, ...]
 
     def __post_init__(self):
-        assert self.entries, "empty block"
+        if not self.entries:
+            raise InvariantViolation("empty block")
         for xi in self.entries:
-            assert xi.m == self.modulus, "entry lives over the wrong modulus"
-            assert not xi.is_zero()
-            assert xi == -xi.conj(), "entry is not purely imaginary"
+            if xi.m != self.modulus:
+                raise InvariantViolation("entry lives over the wrong modulus")
+            if xi.is_zero():
+                raise InvariantViolation("entry is zero")
+            if xi != -xi.conj():
+                raise InvariantViolation("entry is not purely imaginary")
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,14 @@ class HermitianDatum:
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        assert self.blocks, "no blocks"
+        if not self.blocks:
+            raise InvariantViolation("no blocks")
         mods = [b.modulus for b in self.blocks]
-        assert mods == sorted(set(mods)), "blocks must have distinct ascending moduli"
+        if mods != sorted(set(mods)):
+            raise InvariantViolation("blocks must have distinct ascending moduli")
         for d in mods:
-            assert self.m % d == 0, f"block modulus {d} does not divide {self.m}"
+            if self.m % d:
+                raise InvariantViolation(f"block modulus {d} does not divide {self.m}")
 
     def dimension(self) -> int:
         """Z-rank of the lattice = 2 * genus."""
@@ -124,11 +132,18 @@ class HermitianDatum:
 
 def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
     """CM-type carried by a diagonal entry: n with Im(sigma_n(1/xi)) < 0,
-    equivalently Im(sigma_n(xi)) > 0."""
-    members = frozenset(
-        n for n in units_mod(xi.m) if certified_sign_im(xi, n, start_prec) == 1
-    )
-    return CMType(xi.m, members)
+    equivalently Im(sigma_n(xi)) > 0.  Signs are certified at one n per
+    conjugate pair: sigma_(m-n) is the complex conjugate of sigma_n, so
+    sign(Im sigma_(m-n)(xi)) = -sign(Im sigma_n(xi))."""
+    m = xi.m
+    members = set()
+    for n in real_embedding_reps(m):
+        s = certified_sign_im(xi, n, start_prec)
+        if s == 1:
+            members.add(n)
+        elif s == -1:
+            members.add(m - n)
+    return CMType(m, frozenset(members))
 
 
 # ---------------------------------------------------------------------------

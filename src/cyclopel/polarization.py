@@ -3,7 +3,7 @@ construction of beta for a CM-type, and the three polarization conditions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from typing import Sequence, Union
@@ -68,8 +68,12 @@ class DifferentGenerator:
     element: Cyclo
 
     def __post_init__(self):
-        assert self.element.is_integral
-        assert self.element == -self.element.conj()
+        if not self.element.is_integral:
+            raise InvariantViolation(f"different generator for m = {self.m} is not integral")
+        if self.element != -self.element.conj():
+            raise InvariantViolation(
+                f"different generator for m = {self.m} is not purely imaginary"
+            )
 
 
 @lru_cache(maxsize=None)
@@ -256,9 +260,14 @@ class PolarizedCMPoint:
     u0: Cyclo
     beta: Cyclo
     conditions: ConditionReport
+    _xi: Cyclo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_xi", self.beta.inverse())
 
     def xi(self) -> Cyclo:
-        return self.beta.inverse()
+        """The Hermitian-form entry 1/beta, inverted once per point."""
+        return self._xi
 
 
 @lru_cache(maxsize=None)

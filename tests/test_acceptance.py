@@ -6,13 +6,18 @@ invariant suites."""
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cyclopel
 from cyclopel.cmfield import CMType, cm_type_from_triple, is_simple
 from cyclopel.cyclotomic import Cyclo, parse_element, real_embedding_reps, units_mod
 from cyclopel.embeddings import embed, sign_vector
@@ -308,3 +313,22 @@ def test_property_assemble_galois_stability(d, k):
     r2 = assemble(galois_act(i, d))
     assert equivalent_datum(r1.hermitian, r2.hermitian, allow_galois=True)
     assert r2.signature == galois_act_signature(i, r1.signature)
+
+
+def test_validation_survives_optimize():
+    # python -O strips assert statements; every validation check in the
+    # library raises explicitly, so these suites pass unchanged under -O
+    tests = Path(__file__).resolve().parent
+    src = str(Path(cyclopel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    files = ["test_peldatum.py", "test_cmfield.py", "test_monodromy.py", "test_polarization.py"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(str(tests / f) for f in files)],
+        cwd=tests.parent,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-2000:]

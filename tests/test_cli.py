@@ -8,6 +8,7 @@ import decimal
 import json
 
 import cyclopel.cli
+import cyclopel.monodromy
 import cyclopel.peldatum
 from cyclopel.cli import (
     EXIT_GENERIC,
@@ -58,6 +59,26 @@ def test_family_degenerates_once(monkeypatch, capsys):
     assert run(["--m", "5", "--inertia", "1,3,3,3"]) == EXIT_OK
     assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_report_renders_each_element_once(monkeypatch):
+    # four components over two CM-types: each beta and entry repeats
+    result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(3, (1,) * 6))
+    rendered = []
+    original = cyclopel.cli.embed
+
+    def counted(x, n, prec):
+        rendered.append(x)
+        return original(x, n, prec)
+
+    monkeypatch.setattr(cyclopel.cli, "embed", counted)
+    cyclopel.cli._rendered.cache_clear()
+    report = cyclopel.cli.build_report(result, DEFAULT_PRECISION, 0)
+    distinct = {c.point.beta for c in result.components} | set(result.hermitian.blocks[0].entries)
+    assert len(report["components"]) == len(report["matrix_entries"]) == 4
+    assert len(rendered) == len(set(rendered)) == len(distinct) < 8
+    betas = [c["beta"] for c in report["components"]]
+    assert len({id(b) for b in betas}) == len(betas)
 
 
 def test_json_report_keeps_decimal_context(capsys):

@@ -4,13 +4,21 @@ decisions for real and imaginary parts."""
 from __future__ import annotations
 
 import random
+import re
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclopel.cyclotomic import Cyclo, euler_phi, units_mod, real_embedding_reps
+import cyclopel
+from cyclopel.cyclotomic import SUPPORTED_MODULI, Cyclo, euler_phi, units_mod, real_embedding_reps
 from cyclopel.embeddings import (
+    _trig_table,
     certified_sign_im,
     certified_sign_real,
     embed,
@@ -196,3 +204,100 @@ def test_sign_vector_length_matches_real_embedding_count():
     for m in (5, 7, 8, 21):
         assert len(sign_vector(Cyclo.from_int(m, -1))) == len(real_embedding_reps(m))
         assert len(real_embedding_reps(m)) == euler_phi(m) // 2
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+@st.composite
+def sign_cases(draw):
+    """(x, r, n, start_prec): x an element, r a real one, n a unit.  Half
+    the cases cancel: with theta = 2 pi n / m and b = 2^bits,
+    a = -round(2 b cos theta), Im sigma_n(a zeta + b zeta^2) =
+    sin(theta) (a + 2 b cos theta) and sigma_n(a + b (zeta + 1/zeta)) =
+    a + 2 b cos theta are tiny next to the coefficients, so low start
+    precisions must double."""
+    m = draw(st.sampled_from(sorted(SUPPORTED_MODULI)))
+    n = draw(st.sampled_from(units_mod(m)))
+    den = draw(st.integers(1, 6))
+    bits = draw(st.sampled_from((0, 30, 90)))
+    if bits:
+        b = 1 << bits
+        with mpmath.workdps(bits + 40):
+            a = -int(mpmath.nint(2 * b * mpmath.cos(2 * mpmath.pi * n / m)))
+        x = Cyclo(m, [0, a, b], den)
+        r = Cyclo(m, [a], den) + b * (Cyclo.zeta(m) + Cyclo.zeta(m, -1)) / den
+    else:
+        x = Cyclo(m, [draw(st.integers(-9, 9)) for _ in range(euler_phi(m))], den)
+        r = x + x.conj()
+    return x, r, n, draw(st.sampled_from((8, 16, 64, 256)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sign_cases())
+def test_fixed_point_signs_match_high_precision_evaluation(case):
+    x, r, n, start_prec = case
+    v = mp_value(x, n, dps=200).imag
+    expected = 0 if x == x.conj() else _sign(v)
+    if expected:
+        assert abs(v) > mpmath.mpf(10) ** -150
+    assert certified_sign_im(x, n, start_prec) == expected
+    w = mp_value(r, n, dps=200).real
+    expected = 0 if r.is_zero() else _sign(w)
+    if expected:
+        assert abs(w) > mpmath.mpf(10) ** -150
+    assert certified_sign_real(r, n, start_prec) == expected
+
+
+@pytest.mark.parametrize("prec", [64, 1024])
+def test_trig_table_brackets_cos_and_sin(prec):
+    for m in sorted(SUPPORTED_MODULI):
+        cos, sin = _trig_table(m, prec)
+        assert len(cos) == len(sin) == m
+        with mpmath.workprec(prec + 128):
+            for k in range(m):
+                t = 2 * mpmath.pi * k / m
+                for (lo, hi), v in ((cos[k], mpmath.cos(t)), (sin[k], mpmath.sin(t))):
+                    assert lo <= v * 2**prec <= hi
+                    assert hi - lo <= 2
+
+
+def test_embed_is_thread_safe_and_leaves_mpmath_precision_alone():
+    z = Cyclo.zeta(19)
+    x = (z**3 - z**16) / (z**2 - z**17) + Fraction(1, 3)
+    precs = (64, 1024, 64, 1024)
+    serial = {p: embed(x, 5, p) for p in set(precs)}
+    assert serial[64] != serial[1024]
+    before = mpmath.iv.prec
+    results: list[list] = [[] for _ in precs]
+    barrier = threading.Barrier(len(precs))
+
+    def work(k):
+        barrier.wait(timeout=30)
+        for _ in range(40):
+            results[k].append(embed(x, 5, precs[k]))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(precs))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for k, p in enumerate(precs):
+        assert len(results[k]) == 40
+        assert all(box == serial[p] for box in results[k])
+    assert mpmath.iv.prec == before
+
+
+def test_source_never_sets_shared_interval_precision():
+    pattern = re.compile(r"\biv\.(prec|dps)\s*=|\biv\.work(prec|dps)\b")
+    sources = sorted(Path(cyclopel.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert not pattern.search(path.read_text(encoding="utf-8")), path.name

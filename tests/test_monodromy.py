@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from math import gcd
+from fractions import Fraction
+from math import floor, gcd
+from types import SimpleNamespace
 
 import pytest
 
+from cyclopel.cyclotomic import SUPPORTED_MODULI
 from cyclopel.errors import (
     DisconnectedCover,
+    InvariantViolation,
     NonCompactType,
     NonMaximalOrder,
     UnbalancedInertia,
@@ -19,6 +23,7 @@ from cyclopel.errors import (
 )
 from cyclopel.monodromy import (
     MonodromyDatum,
+    Signature,
     cm_algebra_check,
     degenerate,
     galois_act,
@@ -93,6 +98,34 @@ def test_signature_four_point_case():
     sig = signature(validate(5, (1, 3, 3, 3)))
     assert sig.values == (0, 1, 2, 0, 1)
     assert sig.values[0] == 0
+
+
+def _fraction_signature(m, a):
+    """The fractional-part formula f(n) = sum_i <-n a(i) / m> - 1 in
+    Fractions, as a reference for the integer one."""
+    vals = [0]
+    for n in range(1, m):
+        s = sum(Fraction(-n * x, m) - floor(Fraction(-n * x, m)) for x in a)
+        assert s.denominator == 1
+        vals.append(int(s) - 1)
+    return tuple(vals)
+
+
+def test_signature_matches_fraction_formula():
+    rng = random.Random(61)
+    for m in sorted(SUPPORTED_MODULI):
+        for _ in range(25):
+            d = random_datum(rng, moduli=(m,), max_n=9)
+            assert signature(d).values == _fraction_signature(d.m, d.a)
+    with pytest.raises(InvariantViolation):
+        signature(SimpleNamespace(m=5, a=(1, 1, 1)))
+
+
+def test_signature_rejects_malformed_values():
+    with pytest.raises(InvariantViolation):
+        Signature(5, (0, 1, 1, 1))
+    with pytest.raises(InvariantViolation):
+        Signature(5, (1, 0, 1, 1, 0))
 
 
 def test_signature_total_is_genus():

@@ -12,11 +12,12 @@ import sympy
 from cyclopel.cmfield import CMType, galois_act_cm
 from cyclopel.cyclotomic import Cyclo, parse_element, real_embedding_reps, units_mod
 from cyclopel.embeddings import sign_vector
-from cyclopel.errors import Indeterminate, Unsatisfiable, UnsupportedModulus
+from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 from cyclopel.polarization import (
     ALMOST_INDEPENDENT_MODULI,
     BETA_FOR_TYPE_MODULI,
     INDEPENDENT_SIGNS_MODULI,
+    DifferentGenerator,
     beta0,
     beta_for_type,
     equivalent_beta,
@@ -34,6 +35,14 @@ BETA0_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 21, 27, 32)
 
 def pe(m, s):
     return parse_element(s, m)
+
+
+def test_different_generator_rejects_bad_elements():
+    z = Cyclo.zeta(5)
+    with pytest.raises(InvariantViolation):
+        DifferentGenerator(5, "odd-prime", (z - z**4) / 2)
+    with pytest.raises(InvariantViolation):
+        DifferentGenerator(5, "odd-prime", z + z**4)
 
 
 def test_beta0_cases_and_values():
@@ -186,6 +195,21 @@ def test_beta_for_type_m3():
     assert point.beta == pe(3, "2*z + 1")
     assert point.conditions.all_pass()
     assert point.xi() == point.beta.inverse()
+
+
+def test_point_inverts_beta_once(monkeypatch):
+    point = beta_for_type(CMType(7, frozenset({1, 2, 4})))
+    calls = []
+    original = Cyclo.inverse
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cyclo, "inverse", counted)
+    assert point.xi() is point.xi()
+    assert point.xi() * point.beta == 1
+    assert calls == []
 
 
 def test_beta_for_type_m5_table():
