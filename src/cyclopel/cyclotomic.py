@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import NotUnit, UnsupportedModulus
+from .errors import InvariantViolation, NotUnit, UnsupportedModulus
 
 __all__ = [
     "SUPPORTED_MODULI",
@@ -320,7 +320,8 @@ class Cyclo:
         for u in units_mod(self.m)[1:]:
             others = others * self.galois(u)
         full = self * others
-        assert full.is_rational(), "norm failed to land in Q"
+        if not full.is_rational():
+            raise InvariantViolation("norm failed to land in Q")
         return full.as_fraction(), others
 
     def norm_to_real(self) -> "Cyclo":

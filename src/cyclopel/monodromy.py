@@ -72,7 +72,8 @@ def genus(datum: MonodromyDatum) -> int:
     """Genus of the (smooth) cover curve."""
     m, a = datum.m, datum.a
     tot = (datum.N - 2) * m - sum(gcd(x, m) for x in a)
-    assert tot % 2 == 0
+    if tot % 2:
+        raise InvariantViolation(f"Riemann-Hurwitz count {tot} is odd")
     return 1 + tot // 2
 
 

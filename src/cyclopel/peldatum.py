@@ -6,9 +6,10 @@ distinguished point over Q(zeta_21)."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -63,7 +64,6 @@ __all__ = [
     "HermitianDatum",
     "RelativePipelineResult",
     "assemble",
-    "cellwise_determinant",
     "entry_cm_type",
     "equivalent_datum",
     "form_signature",
@@ -150,8 +150,9 @@ def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
 # Gram matrix of the trace pairing
 #
 # The form is diagonal, so the Gram matrix is block-diagonal with one
-# phi(d) x phi(d) Toeplitz cell per entry xi over Q(zeta_d), and its
-# determinant is the product of the cell determinants.
+# phi(d) x phi(d) Toeplitz cell per entry xi over Q(zeta_d).  Each cell is
+# built once per distinct entry, and the determinant is the product of the
+# cell determinants, each raised to the multiplicity of its entry.
 
 
 def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
@@ -178,42 +179,35 @@ def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(tr[a - b] for b in range(d)) for a in range(d))
 
 
+def _entry_counts(h: HermitianDatum) -> Counter[Cyclo]:
+    """Multiplicity of each distinct entry of h, in order of appearance."""
+    return Counter(xi for block in h.blocks for xi in block.entries)
+
+
+def _cells(h: HermitianDatum) -> dict[Cyclo, tuple[tuple[int, ...], ...]]:
+    """Cell of each distinct entry of h."""
+    return {xi: _gram_cell(xi) for xi in _entry_counts(h)}
+
+
+def _block_diagonal(h: HermitianDatum, cells: dict) -> tuple[tuple[int, ...], ...]:
+    """Lay the cell of every entry of h out on the diagonal, in block
+    order, with zeros elsewhere."""
+    order = [cells[xi] for block in h.blocks for xi in block.entries]
+    n = sum(len(cell) for cell in order)
+    gram: list[tuple[int, ...]] = []
+    for cell in order:
+        left, right = (0,) * len(gram), (0,) * (n - len(gram) - len(cell))
+        gram.extend(left + row + right for row in cell)
+    return tuple(gram)
+
+
 def gram_matrix(h: HermitianDatum) -> tuple[tuple[int, ...], ...]:
     """Gram matrix of E(x, y) = tr(x B conj(y)) on the Z-basis given by
     zeta^a-multiples of the coordinate vectors, in block order: the
     (a, b) entry of the cell for entry xi is tr(xi zeta^(a-b)), and every
     entry outside the cells is zero.  Raises NonIntegralForm when any
     pairing value is not a rational integer."""
-    cells = [_gram_cell(xi) for block in h.blocks for xi in block.entries]
-    n = sum(len(cell) for cell in cells)
-    gram: list[tuple[int, ...]] = []
-    for cell in cells:
-        left, right = (0,) * len(gram), (0,) * (n - len(gram) - len(cell))
-        gram.extend(left + row + right for row in cell)
-    return tuple(gram)
-
-
-def cellwise_determinant(gram: Sequence[Sequence[int]], sizes: Sequence[int]) -> int:
-    """Determinant of a block-diagonal matrix with diagonal cells of the
-    given sizes: the product of the cell determinants, each distinct cell
-    eliminated once.  Raises InvariantViolation when an entry outside the
-    cells is nonzero."""
-    if sum(sizes) != len(gram):
-        raise ValueError(f"cell sizes {list(sizes)} do not cover a {len(gram)}-row matrix")
-    dets: dict[tuple[tuple[int, ...], ...], int] = {}
-    det = 1
-    offset = 0
-    for d in sizes:
-        end = offset + d
-        rows = gram[offset:end]
-        if any(any(row[:offset]) or any(row[end:]) for row in rows):
-            raise InvariantViolation(f"matrix is not block-diagonal at rows {offset}..{end - 1}")
-        cell = tuple(tuple(row[offset:end]) for row in rows)
-        if cell not in dets:
-            dets[cell] = gram_determinant(cell)
-        det *= dets[cell]
-        offset = end
-    return det
+    return _block_diagonal(h, _cells(h))
 
 
 def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
@@ -244,18 +238,12 @@ def form_signature(h: HermitianDatum, start_prec: int = DEFAULT_PRECISION) -> Si
     lands in the block whose modulus is the exact order m/gcd(n, m) of
     zeta^n, at local index n mod that modulus; each entry contributes 1
     exactly when its CM-type contains the local index."""
-    by_mod = {b.modulus: b for b in h.blocks}
-    types: dict[int, list[CMType]] = {
-        b.modulus: [entry_cm_type(xi, start_prec) for xi in b.entries] for b in h.blocks
-    }
+    counts = _entry_counts(h)
+    types = {xi: entry_cm_type(xi, start_prec) for xi in counts}
     values = [0] * h.m
     for n in range(1, h.m):
         d = h.m // gcd(n, h.m)
-        block = by_mod.get(d)
-        if block is None:
-            continue
-        k = n % d
-        values[n] = sum(1 for phi in types[d] if k in phi)
+        values[n] = sum(c for xi, c in counts.items() if xi.m == d and n % d in types[xi])
     return Signature(h.m, tuple(values))
 
 
@@ -305,8 +293,8 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
         )
     entries = tuple(c.point.xi() for c in components)
     hermitian = HermitianDatum(datum.m, (Block(datum.m, entries),))
-    gram = gram_matrix(hermitian)
-    det = cellwise_determinant(gram, (euler_phi(datum.m),) * len(entries))
+    cells = _cells(hermitian)
+    det = prod(gram_determinant(cells[xi]) ** k for xi, k in _entry_counts(hermitian).items())
     if abs(det) != 1:
         raise InvariantViolation(f"Gram determinant {det} is not a unit")
     form_sig = form_signature(hermitian, start_prec)
@@ -327,7 +315,7 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
         tree,
         tuple(components),
         hermitian,
-        gram,
+        _block_diagonal(hermitian, cells),
         det,
         form_sig,
         certainty,
@@ -436,7 +424,8 @@ def twice_prime_bridge(
     lifted = CMType(m2, frozenset(j for j in units_mod(m2) if j % m0 in phi.members))
     beta2 = beta.to_modulus(m2)
     report = verify_conditions(beta2, lifted, start_prec)
-    assert report.all_pass(), "conditions do not survive the rewriting"
+    if not report.all_pass():
+        raise InvariantViolation("conditions do not survive the rewriting")
     return BridgeResult(lifted, beta2, report)
 
 
@@ -578,10 +567,11 @@ def verify_fixture(
 ) -> FixtureOutcome:
     """Check one fixture record: the monodromy datum is valid and has the
     expected signature; every entry's beta = 1/xi generates the different
-    (condition 1) and is purely imaginary (condition 2); the certified
-    embedding signs reproduce the expected signature (condition 3); the
-    Gram matrix is integral and skew; and, when the modulus supports full
-    assembly, the assembled datum is equivalent to the fixture's."""
+    (condition 1; condition 2, beta purely imaginary, holds because Block
+    accepts only purely imaginary entries); the certified embedding signs
+    reproduce the expected signature (condition 3); every Gram cell is
+    integral and skew; and, when the modulus supports full assembly, the
+    assembled datum is equivalent to the fixture's."""
     name = str(fixture.get("name", "?"))
     failures: list[str] = []
     try:
@@ -605,11 +595,6 @@ def verify_fixture(
                         f"condition (1): entry {j} at modulus {block.modulus} "
                         "does not generate the different"
                     )
-                if beta != -beta.conj():
-                    failures.append(
-                        f"condition (2): entry {j} at modulus {block.modulus} "
-                        "is not purely imaginary"
-                    )
         fs = form_signature(h, start_prec)
         if fs.values != expected:
             off = [n for n in range(h.m) if fs.values[n] != expected[n]]
@@ -618,7 +603,7 @@ def verify_fixture(
                 f"{fs.values}, disagreeing with the expected one at n = {off}"
             )
         try:
-            gram_matrix(h)
+            _cells(h)
         except NonIntegralForm as exc:
             failures.append(f"Gram integrality: {exc}")
         if datum.m in ASSEMBLE_MODULI:

@@ -156,7 +156,8 @@ def unit_generators(m: int) -> tuple[Cyclo, ...]:
     else:
         gens = [g.to_modulus(m) for g in unit_generators(m // 2)]
     for g in gens:
-        assert g.is_real() and g.is_unit(), "generator is not a real unit"
+        if not (g.is_real() and g.is_unit()):
+            raise InvariantViolation("generator is not a real unit")
     return tuple(gens)
 
 
@@ -168,7 +169,8 @@ def sign_matrix(m: int, start_prec: int = DEFAULT_PRECISION) -> tuple[SignVector
 def _signs_to_bits(signs: SignVector) -> int:
     bits = 0
     for j, s in enumerate(signs):
-        assert s in (-1, 1)
+        if s not in (-1, 1):
+            raise InvariantViolation(f"sign {s} is not +-1")
         if s < 0:
             bits |= 1 << j
     return bits
@@ -217,7 +219,8 @@ def solve_sign_pattern(
             pbits, pcombo = pivots[col]
             tbits ^= pbits
             combo ^= pcombo
-    assert tbits == 0
+    if tbits:
+        raise InvariantViolation("elimination left part of the target sign pattern")
     u = Cyclo.one(m)
     for i, g in enumerate(gens):
         if combo & (1 << i):
@@ -284,7 +287,8 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
     b0 = beta0(m).element
     reps = real_embedding_reps(m)
     s0 = tuple(certified_sign_im(b0, n, start_prec) for n in reps)
-    assert all(s != 0 for s in s0)
+    if 0 in s0:
+        raise InvariantViolation(f"beta0 has an embedding sign 0 mod {m}")
     want = tuple(-1 if n in phi else 1 for n in reps)
     target = tuple(w * s for w, s in zip(want, s0))
     u0 = solve_sign_pattern(target, unit_generators(m), start_prec)

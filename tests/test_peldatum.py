@@ -25,7 +25,6 @@ from cyclopel.cyclotomic import (
     SUPPORTED_MODULI,
     Cyclo,
     element_str,
-    euler_phi,
     parse_element,
     relative_trace,
     trace_table,
@@ -33,18 +32,18 @@ from cyclopel.cyclotomic import (
 )
 from cyclopel.errors import (
     Indeterminate,
-    InvariantViolation,
     NonIntegralForm,
     UnsupportedModulus,
 )
 from cyclopel.monodromy import signature, validate
+import cyclopel.peldatum as P
 from cyclopel.peldatum import (
     CERTAINTY_FORM_UNIQUENESS,
     CERTAINTY_SIMPLE,
     Block,
     HermitianDatum,
+    ASSEMBLE_MODULI,
     assemble,
-    cellwise_determinant,
     default_corpus_path,
     entry_cm_type,
     equivalent_datum,
@@ -220,27 +219,30 @@ def test_gram_cell_matches_cyclo_products():
             assert g == tuple(tuple(int(old[a - b]) for b in range(d)) for a in range(d))
 
 
-def test_cellwise_determinant_matches_dense_bareiss():
-    data = [_fixture_datum(f) for f in load_corpus(default_corpus_path())]
-    assert any(len(h.blocks) > 1 for h in data)
-    for n in (6, 12):
-        r = assemble(validate(19, (1,) * (n - 1) + (-(n - 1) % 19,)))
+def test_assembled_determinant_matches_dense_bareiss():
+    fixtures = load_corpus(default_corpus_path())
+    data = [validate(f["m"], f["a"]) for f in fixtures if f["m"] in ASSEMBLE_MODULI]
+    data += [validate(19, (1,) * (n - 1) + (-(n - 1) % 19,)) for n in (6, 12)]
+    for datum in data:
+        r = assemble(datum)
         assert r.gram_det == gram_determinant(r.gram)
-        data.append(r.hermitian)
-    for h in data:
-        g = gram_matrix(h)
-        sizes = [euler_phi(b.modulus) for b in h.blocks for _ in b.entries]
-        assert cellwise_determinant(g, sizes) == gram_determinant(g)
+    # the fixture data, multi-block ones included, are principally polarized
+    hs = [_fixture_datum(f) for f in fixtures]
+    assert any(len(h.blocks) > 1 for h in hs)
+    assert all(abs(gram_determinant(gram_matrix(h))) == 1 for h in hs)
 
 
-def test_cellwise_determinant_rejects_off_cell_entries():
-    g = ((0, 1, 5, 0), (-1, 0, 0, 0), (-5, 0, 0, 1), (0, 0, -1, 0))
-    assert gram_determinant(g) == 1
-    with pytest.raises(InvariantViolation):
-        cellwise_determinant(g, (2, 2))
-    assert cellwise_determinant(g, (4,)) == 1
-    with pytest.raises(ValueError):
-        cellwise_determinant(g, (2,))
+def test_assemble_derives_each_entry_fact_once(monkeypatch):
+    calls = {"_gram_cell": 0, "entry_cm_type": 0, "gram_determinant": 0}
+    for name in calls:
+        def spy(*args, _f=getattr(P, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(P, name, spy)
+    r = assemble(validate(19, (1,) * 23 + (15,)))
+    assert len(r.components) == 22
+    assert len(set(r.hermitian.blocks[0].entries)) == 11
+    assert calls == {"_gram_cell": 11, "entry_cm_type": 11, "gram_determinant": 11}
 
 
 # check -> (patch that forces it to fail, fragment of its message)
@@ -258,14 +260,17 @@ _BROKEN_INVARIANTS = {
 }
 
 
-@pytest.mark.parametrize("check", sorted(_BROKEN_INVARIANTS))
-def test_invariant_checks_survive_optimize(check):
-    patch, fragment = _BROKEN_INVARIANTS[check]
+def _invariant_violation_under_optimize(patch, call):
+    """Run call in a python -O child after patch; return the child's
+    (isinstance CyclopelError, isinstance AssertionError) line and the
+    message of the InvariantViolation it raised."""
     code = textwrap.dedent(
         """
         import sys
         import cyclopel.peldatum as P
         import cyclopel.polarization as Q
+        from cyclopel.cmfield import CMType
+        from cyclopel.cyclotomic import parse_element
         from cyclopel.errors import CyclopelError, InvariantViolation
         from cyclopel.monodromy import Signature, validate
 
@@ -273,14 +278,14 @@ def test_invariant_checks_survive_optimize(check):
             sys.exit("not running under -O")
         {patch}
         try:
-            P.assemble(validate(5, (1, 3, 3, 3)))
+            {call}
         except InvariantViolation as exc:
             print(isinstance(exc, CyclopelError), isinstance(exc, AssertionError))
             print(exc)
             sys.exit(0)
-        sys.exit("assemble returned")
+        sys.exit("the call returned")
         """
-    ).format(patch=patch)
+    ).format(patch=patch, call=call)
     src = str(Path(cyclopel.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -291,9 +296,27 @@ def test_invariant_checks_survive_optimize(check):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    kinds, message = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("check", sorted(_BROKEN_INVARIANTS))
+def test_invariant_checks_survive_optimize(check):
+    patch, fragment = _BROKEN_INVARIANTS[check]
+    kinds, message = _invariant_violation_under_optimize(
+        patch, "P.assemble(validate(5, (1, 3, 3, 3)))"
+    )
     assert kinds == "True True"
     assert fragment in message
+
+
+def test_bridge_check_survives_optimize():
+    kinds, message = _invariant_violation_under_optimize(
+        "P.verify_conditions = lambda beta, phi, prec: "
+        "Q.ConditionReport(True, True, beta.m % 2 == 1)",
+        'P.twice_prime_bridge(CMType(3, frozenset({2})), parse_element("2*z + 1", 3))',
+    )
+    assert kinds == "True True"
+    assert "do not survive the rewriting" in message
 
 
 def test_form_signature_values():
@@ -499,6 +522,14 @@ def test_verify_fixture_detects_bad_generator():
     outcome = verify_fixture(bad)
     assert not outcome.passed
     assert any("condition (1)" in f for f in outcome.failures)
+
+
+def test_verify_fixture_reports_real_entry():
+    fixtures = {f["name"]: f for f in load_corpus(default_corpus_path())}
+    bad = copy.deepcopy(fixtures["m5-1144"])
+    bad["blocks"][0][1][0] = "z + z^4"
+    outcome = verify_fixture(bad)
+    assert outcome.failures == ("InvariantViolation: entry is not purely imaginary",)
 
 
 def test_load_corpus_errors(tmp_path):
