@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import Sequence
 
 from .errors import InvariantViolation, NotUnit, UnsupportedModulus
 
@@ -71,7 +72,8 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 def _poly_divmod_monic(a: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of a by d, d monic with integer coefficients;
     exact over Z."""
-    assert d and d[-1] == 1
+    if not d or d[-1] != 1:
+        raise InvariantViolation(f"divisor {d} is not monic")
     r = list(a)
     dd = len(d) - 1
     q = [0] * max(0, len(r) - dd)
@@ -101,7 +103,8 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     num = [-1] + [0] * (m - 1) + [1]
     for d in _divisors(m)[:-1]:
         q, r = _poly_divmod_monic(num, list(cyclotomic_poly(d)))
-        assert r == [], f"Phi_{d} does not divide x^{m}-1 exactly"
+        if r:
+            raise InvariantViolation(f"Phi_{d} does not divide x^{m}-1 exactly")
         num = q
     return tuple(num)
 
@@ -315,19 +318,36 @@ class Cyclo:
         return self._norm_and_other_conjugates()[0]
 
     def _norm_and_other_conjugates(self) -> tuple[Fraction, "Cyclo"]:
-        """(N(x), prod_{u != 1} sigma_u(x)), u over the units of Z/mZ."""
-        others = Cyclo.one(self.m)
-        for u in units_mod(self.m)[1:]:
-            others = others * self.galois(u)
-        full = self * others
-        if not full.is_rational():
+        """(N(x), prod_{u != 1} sigma_u(x)), u over the units of Z/mZ.
+
+        Built level by level along _galois_chain(m).  At a level (g, n)
+        with input y, the prefix products P(j) = prod_{i<j} sigma_g^i(y)
+        double: P(2j) = P(j) sigma_g^j(P(j)) and P(j+1) = P(j) sigma_g^j(y).
+        The level's other conjugates are sigma_g(P(n-1)); their product
+        with y is the next level's input, and their product over all
+        levels is prod_{u != 1} sigma_u(x)."""
+        m = self.m
+        y, others = self, None
+        for g, n in _galois_chain(m):
+            p, j = y, 1
+            for bit in bin(n - 1)[3:]:
+                p = p * p.galois(pow(g, j, m))
+                j *= 2
+                if bit == "1":
+                    p = p * y.galois(pow(g, j, m))
+                    j += 1
+            level = p.galois(g)
+            others = level if others is None else others * level
+            y = y * level
+        if not y.is_rational():
             raise InvariantViolation("norm failed to land in Q")
-        return full.as_fraction(), others
+        return y.as_fraction(), others
 
     def norm_to_real(self) -> "Cyclo":
         """x * conj(x), an element of the maximal real subfield."""
         out = self * self.conj()
-        assert out.is_real()
+        if not out.is_real():
+            raise InvariantViolation("x * conj(x) is not real")
         return out
 
     # change of modulus --------------------------------------------------
@@ -354,6 +374,52 @@ class Cyclo:
         raise ValueError(f"no supported identification of Q(zeta_{self.m}) inside Q(zeta_{big_m})")
 
 
+def _chain_cost(orders: Sequence[int]) -> tuple[int, int]:
+    """(multiplications, Galois images) _norm_and_other_conjugates makes
+    along a chain with these level orders.  A level of order n takes a
+    multiplication and an image per step of the doubling chain for n - 1
+    (a step per bit below the leading one, one more per further set bit),
+    an image for sigma_g(P(n-1)) and a product into the next level's
+    input; every level but the first also multiplies into the other
+    conjugates."""
+    images = sum((n - 1).bit_length() - 1 + bin(n - 1).count("1") for n in orders)
+    return images + len(orders) - 1, images
+
+
+@lru_cache(maxsize=None)
+def _galois_chain(m: int) -> tuple[tuple[int, int], ...]:
+    """A decomposition of (Z/m)^*: generators g_i, each with the order n_i
+    of g_i modulo the subgroup generated by g_1, ..., g_(i-1), so that the
+    n_i multiply to phi(m).  Among all such chains it takes one with the
+    fewest multiplications, then the fewest Galois images (_chain_cost),
+    then the least generators."""
+    units = units_mod(m)
+
+    @lru_cache(maxsize=None)
+    def best(sub: frozenset) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
+        # (cost, chain) from the subgroup sub up to (Z/m)^*
+        if len(sub) == len(units):
+            return ((0, 0), ())
+        options = []
+        seen = set()
+        for g in units:
+            if g in sub:
+                continue
+            n, power = 1, g
+            while power not in sub:
+                power = power * g % m
+                n += 1
+            bigger = frozenset(h * pow(g, j, m) % m for h in sub for j in range(n))
+            if bigger in seen:
+                continue
+            seen.add(bigger)
+            chain = ((g, n),) + best(bigger)[1]
+            options.append((_chain_cost([k for _, k in chain]), chain))
+        return min(options)
+
+    return best(frozenset({1}))[1]
+
+
 @lru_cache(maxsize=None)
 def trace_table(m: int) -> tuple[int, ...]:
     """tr(zeta^j) for every residue j mod m; the first phi(m) entries are
@@ -366,7 +432,8 @@ def trace_table(m: int) -> tuple[int, ...]:
             acc[(j * u) % m] += 1
         _, red = _poly_divmod_monic(acc, list(cyclotomic_poly(m)))
         red += [0] * (phi - len(red))
-        assert all(c == 0 for c in red[1:]), f"tr(zeta^{j}) not rational"
+        if any(red[1:]):
+            raise InvariantViolation(f"tr(zeta^{j}) not rational")
         out.append(red[0] if red else 0)
     return tuple(out)
 
@@ -396,7 +463,8 @@ def _relative_basis_matrix(m: int) -> tuple[tuple[Fraction, ...], ...]:
     """Columns: zeta_m^i * zeta_3^j (i < phi(m), j < 2) written over the
     power basis of Q(zeta_3m)."""
     big = 3 * m
-    assert gcd(m, 3) == 1 and m % 2 == 1
+    if gcd(m, 3) != 1 or m % 2 != 1:
+        raise InvariantViolation(f"{m} is not odd and coprime to 3")
     phi_small = euler_phi(m)
     cols = []
     for j in range(2):
@@ -406,7 +474,8 @@ def _relative_basis_matrix(m: int) -> tuple[tuple[Fraction, ...], ...]:
             cols.append(col.num)
     # transpose into row-major matrix of size phi(3m) x 2 phi(m)
     n = euler_phi(big)
-    assert len(cols) == n
+    if len(cols) != n:
+        raise InvariantViolation(f"{len(cols)} relative basis vectors for degree {n}")
     return tuple(tuple(Fraction(cols[c][r]) for c in range(n)) for r in range(n))
 
 
@@ -438,7 +507,7 @@ def _relative_conjugator(big: int) -> int:
     for t in units_mod(big):
         if t % m == 1 and t % 3 == 2:
             return t
-    raise AssertionError("no relative conjugator found")
+    raise InvariantViolation("no relative conjugator found")
 
 
 def relative_trace(x: Cyclo) -> Cyclo:

@@ -5,7 +5,8 @@ fixed point: for each (m, prec) a table holds integer bounds
 lo <= 2^prec cos(2 pi k / m) <= hi, and the same for sin, at every residue
 k, so den * 2^prec * Im(sigma_n(x)) (or Re) lies in an exact integer
 interval.  A sign is certified when that interval excludes 0; otherwise the
-precision doubles.  Zero is decided exactly.  embed() encloses sigma_n(x) in
+precision doubles.  Zero is decided exactly, and only when the interval at
+the start precision contains 0.  embed() encloses sigma_n(x) in
 a rectangle with exact dyadic endpoints, for decimal rendering.  Interval
 evaluation runs in private mpmath contexts of fixed precision, so the
 shared mpmath.iv precision is never written.
@@ -17,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd
+from typing import Callable
 
 from mpmath.ctx_iv import MPIntervalContext
 
 from .cyclotomic import Cyclo, real_embedding_reps
-from .errors import NotRealElement, NotUnit, PrecisionExhausted
+from .errors import InvariantViolation, NotRealElement, NotUnit, PrecisionExhausted
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -59,7 +61,8 @@ class ComplexInterval:
     im_hi: Fraction
 
     def __post_init__(self):
-        assert self.re_lo <= self.re_hi and self.im_lo <= self.im_hi
+        if not (self.re_lo <= self.re_hi and self.im_lo <= self.im_hi):
+            raise InvariantViolation("interval endpoints are out of order")
 
     @property
     def re_width(self) -> Fraction:
@@ -125,16 +128,19 @@ def _trig_table(m: int, prec: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(cos), tuple(sin)
 
 
-def _fixed_point_sign(x: Cyclo, n: int, start_prec: int, part: int) -> int:
-    """Certified sign of Re (part 0) or Im (part 1) of sigma_n(x), known to
-    be nonzero: den * 2^prec times it lies in the integer interval
-    sum_i c_i [lo, hi] over the table entries at residues i * n, with the
-    bounds swapped where c_i < 0.  The precision doubles until the
-    interval excludes 0."""
+def _fixed_point_sign(
+    x: Cyclo, n: int, start_prec: int, part: int, is_zero: Callable[[], bool]
+) -> int:
+    """Certified sign of Re (part 0) or Im (part 1) of sigma_n(x): den *
+    2^prec times it lies in the integer interval sum_i c_i [lo, hi] over
+    the table entries at residues i * n, with the bounds swapped where
+    c_i < 0.  The exact zero test is_zero runs only when the
+    start-precision interval contains 0; if it fails, the precision
+    doubles until the interval excludes 0."""
     m = x.m
     if gcd(n, m) != 1:
         raise ValueError(f"sigma_{n} is not an embedding of Q(zeta_{m})")
-    prec = max(8, start_prec)
+    prec = first = max(8, start_prec)
     while prec <= PRECISION_CAP:
         bounds = _trig_table(m, prec)[part]
         lo = hi = 0
@@ -151,6 +157,8 @@ def _fixed_point_sign(x: Cyclo, n: int, start_prec: int, part: int) -> int:
             return 1
         if hi < 0:
             return -1
+        if prec == first and is_zero():
+            return 0
         prec *= 2
     part_name = "Im" if part else "Re"
     raise PrecisionExhausted(
@@ -187,22 +195,19 @@ def embed(x: Cyclo, n: int, prec: int = DEFAULT_PRECISION) -> ComplexInterval:
 def certified_sign_im(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -> int:
     """Sign of Im(sigma_n(x)) in {-1, 0, +1}, certified.
 
-    Zero is decided exactly: sigma_n(x) is real iff x equals its own
-    conjugate (conjugation commutes with every sigma_n).  Nonzero signs are
-    certified in fixed point with precision doubling.
+    Nonzero signs are certified in fixed point with precision doubling.
+    Zero is decided exactly, once the start-precision interval contains 0:
+    sigma_n(x) is real iff x equals its own conjugate (conjugation
+    commutes with every sigma_n).
     """
-    if x == x.conj():
-        return 0
-    return _fixed_point_sign(x, n, start_prec, 1)
+    return _fixed_point_sign(x, n, start_prec, 1, lambda: x == x.conj())
 
 
 def certified_sign_real(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -> int:
     """Sign of the real embedding tau_n of a conjugation-fixed element."""
     if not x.is_real():
         raise NotRealElement("element is not fixed by conjugation")
-    if x.is_zero():
-        return 0
-    return _fixed_point_sign(x, n, start_prec, 0)
+    return _fixed_point_sign(x, n, start_prec, 0, x.is_zero)
 
 
 @lru_cache(maxsize=65536)

@@ -48,7 +48,6 @@ from .polarization import (
     beta_for_type,
     equivalent_beta,
     reference_different_generator,
-    reference_different_inverse,
     verify_conditions,
 )
 
@@ -330,35 +329,30 @@ def _match_entries(
     left: Sequence[Cyclo], right: Sequence[Cyclo], start_prec: int
 ) -> Optional[bool]:
     """Whether some bijection pairs each left entry with an equivalent
-    right entry.  Returns None when undecidable (an Indeterminate pair
-    blocks every matching)."""
-    n = len(left)
-    edge: list[list[Optional[bool]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            try:
-                edge[i][j] = equivalent_beta(left[i], right[j], start_prec)
-            except Indeterminate:
-                edge[i][j] = None
-
-    used = [False] * n
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if not used[j] and edge[i][j]:
-                used[j] = True
-                if place(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    if place(0):
+    right entry.  "The ratio is a totally positive unit" is an equivalence
+    relation, so such a bijection exists exactly when every class holds
+    as many left as right entries; each entry is compared with one
+    representative per class found so far.  Returns None when the classes
+    do not balance and some comparison was undecidable (Indeterminate)."""
+    reps: list[Cyclo] = []
+    balance: list[int] = []
+    undecided = False
+    for side, entries in ((1, left), (-1, right)):
+        for x in entries:
+            for k, rep in enumerate(reps):
+                try:
+                    same = equivalent_beta(x, rep, start_prec)
+                except Indeterminate:
+                    undecided, same = True, False
+                if same:
+                    balance[k] += side
+                    break
+            else:
+                reps.append(x)
+                balance.append(side)
+    if not any(balance):
         return True
-    if any(e is None for row in edge for e in row):
-        return None
-    return False
+    return None if undecided else False
 
 
 def equivalent_datum(
@@ -586,10 +580,10 @@ def verify_fixture(
             )
         h = _fixture_datum(fixture)
         for block in h.blocks:
-            ref_inv = reference_different_inverse(block.modulus)
+            ref = reference_different_generator(block.modulus)
             for j, xi in enumerate(block.entries):
-                beta = xi.inverse()
-                ratio = beta * ref_inv
+                # beta/beta0 is a unit iff its inverse xi * beta0 is one
+                ratio = xi * ref
                 if not (ratio.is_integral and ratio.is_unit()):
                     failures.append(
                         f"condition (1): entry {j} at modulus {block.modulus} "

@@ -14,6 +14,7 @@ from .embeddings import (
     DEFAULT_PRECISION,
     SignVector,
     certified_sign_im,
+    certified_sign_real,
     is_totally_positive,
     sign_vector,
 )
@@ -127,43 +128,100 @@ def reference_different_inverse(m: int) -> Cyclo:
     return reference_different_generator(m).inverse()
 
 
-@lru_cache(maxsize=None)
-def unit_generators(m: int) -> tuple[Cyclo, ...]:
-    """Generators of a finite-index, sign-surjectivity-preserving subgroup
-    of the units of the real subfield F_0: -1 plus cyclotomic units.
+def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
+    """(g, g^-1) for every generator of unit_generators(m), both from
+    closed forms (Washington, Introduction to Cyclotomic Fields, 8.1),
+    with b = a^-1 mod m:
 
-    Odd m: (zeta^a - zeta^-a)/(zeta - zeta^-1), 2 <= a <= (m-1)/2 coprime.
-    m = 0 mod 4: zeta^((1-a)/2) (zeta^a - 1)/(zeta - 1) = sin(pi a/m)/sin(pi/m)
-    for odd a, 1 < a < m/2 coprime (the odd-m quotient form collapses when
-    a and m share no odd structure, e.g. it equals 1 at m=8, a=3).
-    m = 2 mod 4: the odd-part generators, rewritten over modulus m.
-    """
-    minus_one = -Cyclo.one(m)
-    gens = [minus_one]
+    odd m: g_a = (zeta^a - zeta^-a)/(zeta - zeta^-1) = sum_{k<a} zeta^(a-1-2k)
+        and g_a^-1 = sum_{k<b} zeta^(a(b-1-2k)), for 2 <= a <= (m-1)/2;
+    m = 0 mod 4: g_a = zeta^((1-a)/2) (zeta^a - 1)/(zeta - 1)
+        = zeta^((1-a)/2) sum_{k<a} zeta^k and g_a^-1 = zeta^((a-1)/2)
+        sum_{k<b} zeta^(ak), for odd 1 < a < m/2 (the odd-m quotient form
+        collapses when a and m share no odd structure, e.g. it equals 1
+        at m=8, a=3);
+    m = 2 mod 4: the pairs of the odd part, rewritten over modulus m.
+
+    Each a is coprime to m; the first pair is (-1, -1)."""
+    if m % 4 == 2:
+        return [(g.to_modulus(m), h.to_modulus(m)) for g, h in _closed_form_units(m // 2)]
+
+    def power_sum(exponents) -> Cyclo:
+        lift = [0] * m
+        for e in exponents:
+            lift[e % m] += 1
+        return Cyclo(m, lift)
+
+    pairs = [(-Cyclo.one(m), -Cyclo.one(m))]
     if m % 2 == 1:
-        z = Cyclo.zeta(m)
-        base = z - z ** (m - 1)
         for a in range(2, (m - 1) // 2 + 1):
             if gcd(a, m) == 1:
-                gens.append((z**a - z ** (m - a)) / base)
-    elif m % 4 == 0:
-        z = Cyclo.zeta(m)
-        base = z - 1
+                b = pow(a, -1, m)
+                pairs.append(
+                    (
+                        power_sum(a - 1 - 2 * k for k in range(a)),
+                        power_sum(a * (b - 1 - 2 * k) for k in range(b)),
+                    )
+                )
+    else:
         for a in range(3, m // 2, 2):
             if gcd(a, m) == 1:
-                shift = ((1 - a) // 2) % m
-                gens.append(Cyclo.zeta(m, shift) * (z**a - 1) / base)
-    else:
-        gens = [g.to_modulus(m) for g in unit_generators(m // 2)]
-    for g in gens:
-        if not (g.is_real() and g.is_unit()):
-            raise InvariantViolation("generator is not a real unit")
-    return tuple(gens)
+                b = pow(a, -1, m)
+                pairs.append(
+                    (
+                        power_sum((1 - a) // 2 + k for k in range(a)),
+                        power_sum((a - 1) // 2 + a * k for k in range(b)),
+                    )
+                )
+    return pairs
+
+
+@dataclass(frozen=True)
+class _UnitTable:
+    """Per-modulus constants of the unit sign solve: the generators, their
+    inverses, their sign vectors and the GF(2) pivots of the sign rows
+    (column -> (row bits, generator combo))."""
+
+    gens: tuple[Cyclo, ...]
+    inverses: tuple[Cyclo, ...]
+    signs: tuple[SignVector, ...]
+    pivots: dict[int, tuple[int, int]]
+
+
+@lru_cache(maxsize=None)
+def _unit_table(m: int) -> _UnitTable:
+    """Build the unit table of modulus m once.  Each generator g is
+    certified a real unit by g * g^-1 = 1 with both factors integral, so
+    no inversion and no norm is needed; its signs are then certified at
+    the real embeddings."""
+    pairs = _closed_form_units(m)
+    for g, h in pairs:
+        if not (g.is_integral and h.is_integral and g * h == 1 and g.is_real()):
+            raise InvariantViolation(f"generator {g!r} is not a real unit")
+    gens = tuple(g for g, _ in pairs)
+    reps = real_embedding_reps(m)
+    signs = tuple(
+        tuple(certified_sign_real(g, n, DEFAULT_PRECISION) for n in reps) for g in gens
+    )
+    return _UnitTable(
+        gens,
+        tuple(h for _, h in pairs),
+        signs,
+        _pivots([_signs_to_bits(s) for s in signs], len(reps)),
+    )
+
+
+def unit_generators(m: int) -> tuple[Cyclo, ...]:
+    """Generators of a finite-index, sign-surjectivity-preserving subgroup
+    of the units of the real subfield F_0: -1 plus the cyclotomic units of
+    _closed_form_units."""
+    return _unit_table(m).gens
 
 
 def sign_matrix(m: int, start_prec: int = DEFAULT_PRECISION) -> tuple[SignVector, ...]:
-    """Sign vectors of the unit generators, row per generator."""
-    return tuple(sign_vector(g, start_prec) for g in unit_generators(m))
+    """Sign vectors of the unit generators, row per generator.  The signs
+    are certified, so they do not depend on start_prec."""
+    return _unit_table(m).signs
 
 
 def _signs_to_bits(signs: SignVector) -> int:
@@ -174,6 +232,57 @@ def _signs_to_bits(signs: SignVector) -> int:
         if s < 0:
             bits |= 1 << j
     return bits
+
+
+def _pivots(rows: Sequence[int], ncols: int) -> dict[int, tuple[int, int]]:
+    """GF(2) forward elimination of the sign rows (bit j set for a
+    negative sign at column j), pivot by lowest free column: column ->
+    (reduced row bits, combo of generators giving that row)."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, bits in enumerate(rows):
+        combo = 1 << i
+        for col in range(ncols):
+            if not bits & (1 << col):
+                continue
+            if col in pivots:
+                pbits, pcombo = pivots[col]
+                bits ^= pbits
+                combo ^= pcombo
+            else:
+                pivots[col] = (bits, combo)
+                break
+    return pivots
+
+
+def _solve_combo(
+    target: SignVector, pivots: dict[int, tuple[int, int]], m: int
+) -> Union[int, Unsatisfiable]:
+    """Bit mask of the generators whose product has the sign vector
+    target, or Unsatisfiable carrying the cokernel dimension."""
+    ncols = len(target)
+    tbits = _signs_to_bits(target)
+    combo = 0
+    for col in range(ncols):
+        if tbits & (1 << col):
+            if col not in pivots:
+                return Unsatisfiable(
+                    f"sign pattern {target} not realized by units for m = {m}",
+                    cokernel_dim=ncols - len(pivots),
+                )
+            pbits, pcombo = pivots[col]
+            tbits ^= pbits
+            combo ^= pcombo
+    if tbits:
+        raise InvariantViolation("elimination left part of the target sign pattern")
+    return combo
+
+
+def _product(factors: Sequence[Cyclo], combo: int, m: int) -> Cyclo:
+    out = Cyclo.one(m)
+    for i, f in enumerate(factors):
+        if combo & (1 << i):
+            out = out * f
+    return out
 
 
 def solve_sign_pattern(
@@ -191,41 +300,11 @@ def solve_sign_pattern(
     ncols = len(real_embedding_reps(m))
     if len(target) != ncols:
         raise ValueError(f"target has {len(target)} components, expected {ncols}")
-    rows = [(_signs_to_bits(sign_vector(g, start_prec)), 1 << i) for i, g in enumerate(gens)]
-
-    # forward elimination, pivot by lowest free column
-    pivots: dict[int, tuple[int, int]] = {}
-    for bits, combo in rows:
-        for col in range(ncols):
-            if not bits & (1 << col):
-                continue
-            if col in pivots:
-                pbits, pcombo = pivots[col]
-                bits ^= pbits
-                combo ^= pcombo
-            else:
-                pivots[col] = (bits, combo)
-                break
-
-    tbits = _signs_to_bits(target)
-    combo = 0
-    for col in range(ncols):
-        if tbits & (1 << col):
-            if col not in pivots:
-                return Unsatisfiable(
-                    f"sign pattern {target} not realized by units for m = {m}",
-                    cokernel_dim=ncols - len(pivots),
-                )
-            pbits, pcombo = pivots[col]
-            tbits ^= pbits
-            combo ^= pcombo
-    if tbits:
-        raise InvariantViolation("elimination left part of the target sign pattern")
-    u = Cyclo.one(m)
-    for i, g in enumerate(gens):
-        if combo & (1 << i):
-            u = u * g
-    return u
+    rows = [_signs_to_bits(sign_vector(g, start_prec)) for g in gens]
+    combo = _solve_combo(target, _pivots(rows, ncols), m)
+    if isinstance(combo, Unsatisfiable):
+        return combo
+    return _product(gens, combo, m)
 
 
 @dataclass(frozen=True)
@@ -263,13 +342,11 @@ class PolarizedCMPoint:
     u0: Cyclo
     beta: Cyclo
     conditions: ConditionReport
-    _xi: Cyclo = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_xi", self.beta.inverse())
+    _xi: Cyclo = field(repr=False, compare=False)
 
     def xi(self) -> Cyclo:
-        """The Hermitian-form entry 1/beta, inverted once per point."""
+        """The Hermitian-form entry 1/beta, built by beta_for_type without
+        inversion."""
         return self._xi
 
 
@@ -277,8 +354,11 @@ class PolarizedCMPoint:
 def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> PolarizedCMPoint:
     """Construct beta satisfying all three conditions for Phi by solving
     for the unit sign pattern: Im(sigma_n(u * beta0)) must be negative
-    exactly at the representatives lying in Phi.  Memoized per (Phi,
-    start_prec); the result is immutable."""
+    exactly at the representatives lying in Phi.  The solve picks a set of
+    unit generators; u0 is their product, and xi = 1/beta is the product
+    of their closed-form inverses with 1/beta0, certified by beta * xi = 1
+    without any inversion.  Memoized per (Phi, start_prec); the result is
+    immutable."""
     m = phi.m
     if m not in BETA_FOR_TYPE_MODULI:
         raise UnsupportedModulus(
@@ -291,16 +371,23 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
         raise InvariantViolation(f"beta0 has an embedding sign 0 mod {m}")
     want = tuple(-1 if n in phi else 1 for n in reps)
     target = tuple(w * s for w, s in zip(want, s0))
-    u0 = solve_sign_pattern(target, unit_generators(m), start_prec)
-    if isinstance(u0, Unsatisfiable):
-        raise u0
+    table = _unit_table(m)
+    combo = _solve_combo(target, table.pivots, m)
+    if isinstance(combo, Unsatisfiable):
+        raise combo
+    u0 = _product(table.gens, combo, m)
     beta = u0 * b0
+    xi = _product(table.inverses, combo, m) * reference_different_inverse(m)
+    if beta * xi != 1:
+        raise InvariantViolation(
+            f"xi is not 1/beta for the CM-type {phi.sorted_members()} mod {m}"
+        )
     report = verify_conditions(beta, phi, start_prec)
     if not report.all_pass():
         raise InvariantViolation(
             f"constructed beta fails its own conditions for the CM-type {phi.sorted_members()} mod {m}"
         )
-    return PolarizedCMPoint(phi, u0, beta, report)
+    return PolarizedCMPoint(phi, u0, beta, report, xi)
 
 
 def equivalent_beta(beta: Cyclo, other: Cyclo, start_prec: int = DEFAULT_PRECISION) -> bool:

@@ -8,10 +8,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclopel.cyclotomic import (
     SUPPORTED_MODULI,
     Cyclo,
+    _chain_cost,
+    _galois_chain,
     cyclotomic_poly,
     element_str,
     euler_phi,
@@ -206,6 +210,65 @@ def test_norm_matches_sympy_resultant():
             num = sympy.Poly(list(reversed(x.num)), X)
             want = Fraction(int(sympy.resultant(phi_m, num)), x.den ** euler_phi(m))
             assert x.norm() == want
+
+
+def _product_of_other_conjugates(x):
+    """prod_{u != 1} sigma_u(x) as phi(m) - 1 successive products."""
+    out = Cyclo.one(x.m)
+    for u in units_mod(x.m)[1:]:
+        out = out * x.galois(u)
+    return out
+
+
+def nonzero_elements(m):
+    """Nonzero elements of Q(zeta_m) with denominators, dense or sparse."""
+    phi = euler_phi(m)
+    coeffs = st.lists(st.integers(-20, 20), min_size=phi, max_size=phi)
+
+    def build(num, sparse, den):
+        if sparse:
+            num = [c if k % 3 == 0 else 0 for k, c in enumerate(num)]
+        if not any(num):
+            num[0] = 1
+        return Cyclo(m, num, den)
+
+    return st.builds(build, coeffs, st.booleans(), st.integers(1, 12))
+
+
+@pytest.mark.parametrize("m", sorted(SUPPORTED_MODULI))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_galois_chain_norm_and_inverse_match_oracles(m, data):
+    x = data.draw(nonzero_elements(m))
+    others = _product_of_other_conjugates(x)
+    norm = (x * others).as_fraction()
+    assert x._norm_and_other_conjugates() == (norm, others)
+    assert x.norm() == norm
+    assert x.inverse() == others * (1 / norm)
+    assert x * x.inverse() == 1
+    phi_m = sympy.Poly(sympy.cyclotomic_poly(m, X), X)
+    num = sympy.Poly(list(reversed(x.num)), X)
+    assert norm == Fraction(int(sympy.resultant(phi_m, num)), x.den ** euler_phi(m))
+
+
+def test_galois_chain_decomposes_the_unit_group():
+    # each generator has the stated order modulo the earlier ones, the
+    # orders multiply to phi(m), and the chain never needs more
+    # multiplications than one cyclic level (or than phi(m), the count of
+    # the product over all conjugates)
+    for m in sorted(SUPPORTED_MODULI):
+        chain = _galois_chain(m)
+        sub = {1}
+        for g, n in chain:
+            powers = [pow(g, j, m) for j in range(n + 1)]
+            assert all(p not in sub for p in powers[1:n]) and powers[n] in sub
+            sub = {h * p % m for h in sub for p in powers[:n]}
+        assert sub == set(units_mod(m))
+        mults, _ = _chain_cost([n for _, n in chain])
+        assert mults <= _chain_cost([euler_phi(m)])[0] <= euler_phi(m)
+    assert _galois_chain(17) == ((16, 2), (4, 2), (2, 2), (3, 2))
+    assert _chain_cost([2, 2, 2, 2]) == (7, 4)
+    assert _chain_cost([16]) == (7, 7)
 
 
 def test_one_minus_root_is_unit_exactly_off_prime_powers():

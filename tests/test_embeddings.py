@@ -250,6 +250,41 @@ def test_fixed_point_signs_match_high_precision_evaluation(case):
     assert certified_sign_real(r, n, start_prec) == expected
 
 
+def _sign_with_zero_test_first(x, n, start_prec, part):
+    """The former ordering of the certified signs: the exact zero test
+    first, then fixed-point intervals at doubling precision."""
+    if (x == x.conj()) if part else x.is_zero():
+        return 0
+    prec = max(8, start_prec)
+    while True:
+        bounds = _trig_table(x.m, prec)[part]
+        lo = hi = 0
+        for i, c in enumerate(x.num):
+            b_lo, b_hi = bounds[(i * n) % x.m]
+            lo += c * (b_lo if c > 0 else b_hi)
+            hi += c * (b_hi if c > 0 else b_lo)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sign_cases())
+def test_interval_first_signs_match_zero_test_first(case):
+    # real elements must still give 0, near-cancelling ones must double
+    x, r, n, start_prec = case
+    for y in (x, r, x - x.conj(), Cyclo.zero(x.m)):
+        assert certified_sign_im.__wrapped__(y, n, start_prec) == _sign_with_zero_test_first(
+            y, n, start_prec, 1
+        )
+    assert certified_sign_im.__wrapped__(r, n, start_prec) == 0
+    assert certified_sign_real(r, n, start_prec) == _sign_with_zero_test_first(
+        r, n, start_prec, 0
+    )
+
+
 @pytest.mark.parametrize("prec", [64, 1024])
 def test_trig_table_brackets_cos_and_sin(prec):
     for m in sorted(SUPPORTED_MODULI):

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -56,7 +57,13 @@ from cyclopel.peldatum import (
     verify_fixture,
     _fixture_datum,
 )
-from cyclopel.polarization import beta0, reference_different_generator
+from cyclopel.polarization import (
+    beta0,
+    beta_for_type,
+    equivalent_beta,
+    reference_different_generator,
+    unit_generators,
+)
 
 
 def pe(s, m):
@@ -245,6 +252,24 @@ def test_assemble_derives_each_entry_fact_once(monkeypatch):
     assert calls == {"_gram_cell": 11, "entry_cm_type": 11, "gram_determinant": 11}
 
 
+def test_warm_assemble_makes_no_inversion(monkeypatch):
+    # per-modulus constants come from an earlier m = 19 family; every CM-type
+    # of the measured family is then solved afresh
+    assemble(validate(19, (1, 1, 8, 9)))
+    beta_for_type.cache_clear()
+    calls = []
+    original = Cyclo.inverse
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cyclo, "inverse", counted)
+    r = assemble(validate(19, (1,) * 23 + (15,)))
+    assert len(r.components) == 22
+    assert calls == []
+
+
 # check -> (patch that forces it to fail, fragment of its message)
 _BROKEN_INVARIANTS = {
     "cell skew": ("P.trace_table = lambda m: (5,) + (0,) * (m - 1)", "is not skew"),
@@ -256,6 +281,11 @@ _BROKEN_INVARIANTS = {
     "beta conditions": (
         "Q.verify_conditions = lambda beta, phi, prec: Q.ConditionReport(True, True, False)",
         "fails its own conditions",
+    ),
+    "xi is 1/beta": ("Q.reference_different_inverse = lambda m: Q.Cyclo.one(m)", "xi is not 1/beta"),
+    "unit generators": (
+        "Q._closed_form_units = lambda m: [(Q.Cyclo.one(m) * 2, Q.Cyclo.one(m))]",
+        "is not a real unit",
     ),
 }
 
@@ -305,6 +335,33 @@ def test_invariant_checks_survive_optimize(check):
     kinds, message = _invariant_violation_under_optimize(
         patch, "P.assemble(validate(5, (1, 3, 3, 3)))"
     )
+    assert kinds == "True True"
+    assert fragment in message
+
+
+@pytest.mark.parametrize(
+    "patch, call, fragment",
+    [
+        (
+            "from cyclopel.cyclotomic import _poly_divmod_monic",
+            "_poly_divmod_monic([1, 2, 3], [1, 2])",
+            "is not monic",
+        ),
+        (
+            "from cyclopel.embeddings import ComplexInterval",
+            "ComplexInterval(1, 0, 0, 0)",
+            "out of order",
+        ),
+        (
+            "from cyclopel.cyclotomic import _relative_conjugator",
+            "_relative_conjugator(3)",
+            "no relative conjugator",
+        ),
+    ],
+    ids=["non-monic divisor", "inverted interval", "relative conjugator"],
+)
+def test_arithmetic_checks_survive_optimize(patch, call, fragment):
+    kinds, message = _invariant_violation_under_optimize(patch, call)
     assert kinds == "True True"
     assert fragment in message
 
@@ -410,6 +467,72 @@ def test_equivalent_datum_indeterminate_m21():
     assert equivalent_datum(h1, h1)
     with pytest.raises(Indeterminate):
         equivalent_datum(h1, h2)
+
+
+def _match_by_backtracking(left, right, start_prec=64):
+    """The former _match_entries: search for a perfect matching on the
+    pairs equivalent_beta accepts; None when none exists and some pair was
+    Indeterminate."""
+    n = len(left)
+    edge = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            try:
+                edge[i][j] = equivalent_beta(left[i], right[j], start_prec)
+            except Indeterminate:
+                edge[i][j] = None
+    used = [False] * n
+
+    def place(i):
+        if i == n:
+            return True
+        for j in range(n):
+            if not used[j] and edge[i][j]:
+                used[j] = True
+                if place(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    if place(0):
+        return True
+    if any(e is None for row in edge for e in row):
+        return None
+    return False
+
+
+def _entry_pool(m):
+    """Entries of a few classes: beta0^-1 times totally positive units
+    (squares), and its negative and a non-square unit multiple."""
+    xi = beta0(m).element.inverse()
+    u = unit_generators(m)[1]
+    return [xi, u * u * xi, -xi, -(u * u) * xi, u * xi, 2 * xi]
+
+
+@pytest.mark.parametrize("m", [5, 7, 21])
+def test_match_entries_agrees_with_backtracking(m):
+    rng = random.Random(3 * m)
+    pool = _entry_pool(m)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        left = [rng.choice(pool) for _ in range(n)]
+        right = rng.sample(left, n) if rng.random() < 0.4 else [rng.choice(pool) for _ in range(n)]
+        assert P._match_entries(left, right, 64) == _match_by_backtracking(left, right), (
+            left,
+            right,
+        )
+
+
+def test_match_entries_is_not_factorial():
+    # 13 equal entries plus one entry of another class on each side: the
+    # backtracking search took about 6.5 times longer per added entry
+    xi = XI5_1
+    left = [xi] * 13 + [-xi]
+    right = [xi] * 13 + [2 * xi]
+    t0 = time.perf_counter()
+    assert P._match_entries(left, right, 64) is False
+    assert P._match_entries(left, list(reversed(left)), 64) is True
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_m17_pipeline_closed_forms():

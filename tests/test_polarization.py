@@ -5,15 +5,23 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 import sympy
 
 from cyclopel.cmfield import CMType, galois_act_cm
-from cyclopel.cyclotomic import Cyclo, parse_element, real_embedding_reps, units_mod
+from cyclopel.cyclotomic import (
+    SUPPORTED_MODULI,
+    Cyclo,
+    parse_element,
+    real_embedding_reps,
+    units_mod,
+)
 from cyclopel.embeddings import sign_vector
 from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 from cyclopel.polarization import (
+    _unit_table,
     ALMOST_INDEPENDENT_MODULI,
     BETA_FOR_TYPE_MODULI,
     INDEPENDENT_SIGNS_MODULI,
@@ -114,6 +122,36 @@ def test_unit_generators_shapes():
             assert g.is_real() and g.is_unit() and g.is_integral
 
 
+def _quotient_generators(m):
+    """The unit generators as quotients of cyclotomic numbers, by division."""
+    if m % 4 == 2:
+        return [g.to_modulus(m) for g in _quotient_generators(m // 2)]
+    z = Cyclo.zeta(m)
+    gens = [-Cyclo.one(m)]
+    if m % 2 == 1:
+        for a in range(2, (m - 1) // 2 + 1):
+            if gcd(a, m) == 1:
+                gens.append((z**a - z ** (m - a)) / (z - z ** (m - 1)))
+    else:
+        for a in range(3, m // 2, 2):
+            if gcd(a, m) == 1:
+                gens.append(Cyclo.zeta(m, (1 - a) // 2) * (z**a - 1) / (z - 1))
+    return gens
+
+
+@pytest.mark.parametrize(
+    "m", sorted(BETA_FOR_TYPE_MODULI | {m for m in SUPPORTED_MODULI if m % 4 == 2})
+)
+def test_closed_form_generator_inverses(m):
+    table = _unit_table(m)
+    assert list(table.gens) == _quotient_generators(m)
+    assert len(table.inverses) == len(table.gens)
+    for g, h in zip(table.gens, table.inverses):
+        assert g.is_integral and h.is_integral
+        assert g * h == 1
+        assert h == g.inverse()
+
+
 def test_sign_matrix_shape():
     rows = sign_matrix(7)
     assert len(rows) == 3
@@ -195,6 +233,16 @@ def test_beta_for_type_m3():
     assert point.beta == pe(3, "2*z + 1")
     assert point.conditions.all_pass()
     assert point.xi() == point.beta.inverse()
+
+
+@pytest.mark.parametrize("m", [5, 7, 11, 13])
+def test_point_xi_is_inverse_of_beta_for_every_type(m):
+    reps = real_embedding_reps(m)
+    for choice in itertools.product((False, True), repeat=len(reps)):
+        members = frozenset(m - n if flip else n for n, flip in zip(reps, choice))
+        point = beta_for_type(CMType(m, members))
+        assert point.xi() == point.beta.inverse()
+        assert point.xi() * point.beta == 1
 
 
 def test_point_inverts_beta_once(monkeypatch):
