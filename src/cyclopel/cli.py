@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cyclotomic import Cyclo, element_str
-from .embeddings import DEFAULT_PRECISION, embed
+from .embeddings import DEFAULT_PRECISION, PRECISION_CAP, embed
 from .errors import (
     CyclopelError,
     DisconnectedCover,
@@ -266,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision < 8:
-        parser.error("--precision must be at least 8 bits")
+    if not 8 <= args.precision <= PRECISION_CAP:
+        parser.error(f"--precision must be between 8 and {PRECISION_CAP} bits")
     if args.corpus is not None:
         if args.m is not None or args.inertia is not None:
             parser.error("--corpus cannot be combined with --m/--inertia")

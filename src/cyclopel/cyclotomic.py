@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
 
 from .errors import InvariantViolation, NotUnit, UnsupportedModulus
 
@@ -374,50 +373,29 @@ class Cyclo:
         raise ValueError(f"no supported identification of Q(zeta_{self.m}) inside Q(zeta_{big_m})")
 
 
-def _chain_cost(orders: Sequence[int]) -> tuple[int, int]:
-    """(multiplications, Galois images) _norm_and_other_conjugates makes
-    along a chain with these level orders.  A level of order n takes a
-    multiplication and an image per step of the doubling chain for n - 1
-    (a step per bit below the leading one, one more per further set bit),
-    an image for sigma_g(P(n-1)) and a product into the next level's
-    input; every level but the first also multiplies into the other
-    conjugates."""
-    images = sum((n - 1).bit_length() - 1 + bin(n - 1).count("1") for n in orders)
-    return images + len(orders) - 1, images
-
-
 @lru_cache(maxsize=None)
 def _galois_chain(m: int) -> tuple[tuple[int, int], ...]:
     """A decomposition of (Z/m)^*: generators g_i, each with the order n_i
     of g_i modulo the subgroup generated by g_1, ..., g_(i-1), so that the
-    n_i multiply to phi(m).  Among all such chains it takes one with the
-    fewest multiplications, then the fewest Galois images (_chain_cost),
-    then the least generators."""
+    n_i multiply to phi(m).  Each level takes the least unit of largest
+    order modulo the subgroup built so far; on every supported modulus
+    this needs as few multiplications in _norm_and_other_conjugates as
+    any chain."""
     units = units_mod(m)
-
-    @lru_cache(maxsize=None)
-    def best(sub: frozenset) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
-        # (cost, chain) from the subgroup sub up to (Z/m)^*
-        if len(sub) == len(units):
-            return ((0, 0), ())
-        options = []
-        seen = set()
+    sub, chain = {1}, []
+    while len(sub) < len(units):
+        best = (0, 0)
         for g in units:
-            if g in sub:
-                continue
             n, power = 1, g
             while power not in sub:
                 power = power * g % m
                 n += 1
-            bigger = frozenset(h * pow(g, j, m) % m for h in sub for j in range(n))
-            if bigger in seen:
-                continue
-            seen.add(bigger)
-            chain = ((g, n),) + best(bigger)[1]
-            options.append((_chain_cost([k for _, k in chain]), chain))
-        return min(options)
-
-    return best(frozenset({1}))[1]
+            if n > best[1]:
+                best = (g, n)
+        g, n = best
+        chain.append(best)
+        sub = {h * pow(g, j, m) % m for h in sub for j in range(n)}
+    return tuple(chain)
 
 
 @lru_cache(maxsize=None)
@@ -442,62 +420,27 @@ def trace_table(m: int) -> tuple[int, ...]:
 # relative structure of Q(zeta_3m) / Q(zeta_m), m odd and coprime to 3
 
 
-def _solve_linear_fractions(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve the square system mat * x = rhs by Gaussian elimination."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-@lru_cache(maxsize=None)
-def _relative_basis_matrix(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Columns: zeta_m^i * zeta_3^j (i < phi(m), j < 2) written over the
-    power basis of Q(zeta_3m)."""
-    big = 3 * m
-    if gcd(m, 3) != 1 or m % 2 != 1:
-        raise InvariantViolation(f"{m} is not odd and coprime to 3")
-    phi_small = euler_phi(m)
-    cols = []
-    for j in range(2):
-        for i in range(phi_small):
-            e = (3 * i + m * j) % big
-            col = Cyclo.zeta(big, e)
-            cols.append(col.num)
-    # transpose into row-major matrix of size phi(3m) x 2 phi(m)
-    n = euler_phi(big)
-    if len(cols) != n:
-        raise InvariantViolation(f"{len(cols)} relative basis vectors for degree {n}")
-    return tuple(tuple(Fraction(cols[c][r]) for c in range(n)) for r in range(n))
-
-
 def relative_split(x: Cyclo) -> tuple[Cyclo, Cyclo]:
     """For x in Q(zeta_3m) (m odd, coprime to 3) return (x1, x2) over
-    Q(zeta_m) with x = x1 + x2 * zeta_3."""
+    Q(zeta_m) with x = x1 + x2 * zeta_3.  Each zeta_3m^k is
+    zeta_3^(k m^-1 mod 3) * zeta_m^(k 3^-1 mod m), and zeta_3^2 folds
+    into -1 - zeta_3."""
     big = x.m
     if big % 3 != 0 or (big // 3) % 3 == 0 or big % 2 == 0:
         raise ValueError(f"modulus {big} is not 3*m with m odd and coprime to 3")
     m = big // 3
-    mat = [list(row) for row in _relative_basis_matrix(m)]
-    rhs = [Fraction(c, x.den) for c in x.num]
-    sol = _solve_linear_fractions(mat, rhs)
-    phi_small = euler_phi(m)
-
-    def pack(chunk):
-        den = 1
-        for q in chunk:
-            den = den * q.denominator // gcd(den, q.denominator)
-        return Cyclo(m, [int(q * den) for q in chunk], den)
-
-    return pack(sol[:phi_small]), pack(sol[phi_small:])
+    inv_m, inv_3 = pow(m, -1, 3), pow(3, -1, m)
+    x1, x2 = [0] * m, [0] * m
+    for k, c in enumerate(x.num):
+        a, b = k * inv_m % 3, k * inv_3 % m
+        if a == 0:
+            x1[b] += c
+        elif a == 1:
+            x2[b] += c
+        else:
+            x1[b] -= c
+            x2[b] -= c
+    return Cyclo(m, x1, x.den), Cyclo(m, x2, x.den)
 
 
 def _relative_conjugator(big: int) -> int:

@@ -140,6 +140,8 @@ def _fixed_point_sign(
     m = x.m
     if gcd(n, m) != 1:
         raise ValueError(f"sigma_{n} is not an embedding of Q(zeta_{m})")
+    if start_prec > PRECISION_CAP:
+        raise ValueError(f"start precision {start_prec} exceeds the cap of {PRECISION_CAP} bits")
     prec = first = max(8, start_prec)
     while prec <= PRECISION_CAP:
         bounds = _trig_table(m, prec)[part]

@@ -442,10 +442,17 @@ class RelativePipelineResult:
     twisted_matrix: tuple[tuple[Cyclo, ...], ...]
 
 
+def _require(ok: bool, what: str) -> None:
+    """Raise InvariantViolation(what) unless ok; unlike assert, this also
+    runs under python -O."""
+    if not ok:
+        raise InvariantViolation(what)
+
+
 def _assert_skew_hermitian(mat: tuple[tuple[Cyclo, ...], ...]) -> None:
     for j, row in enumerate(mat):
         for k, x in enumerate(row):
-            assert x.conj() == -mat[k][j], "matrix is not skew-Hermitian"
+            _require(x.conj() == -mat[k][j], "matrix is not skew-Hermitian")
 
 
 def m17_pipeline(start_prec: int = DEFAULT_PRECISION) -> RelativePipelineResult:
@@ -463,22 +470,23 @@ def m17_pipeline(start_prec: int = DEFAULT_PRECISION) -> RelativePipelineResult:
 
     triple = validate(21, (7, 3, 11))
     phi = cm_type_from_triple(triple)
-    assert phi.sorted_members() == (1, 2, 4, 8, 10, 16)
+    _require(phi.sorted_members() == (1, 2, 4, 8, 10, 16), "CM-type of (21; 7,3,11) is wrong")
     simplicity = is_simple(phi)
-    assert simplicity.simple
+    _require(simplicity.simple, "CM-type of (21; 7,3,11) is not simple")
 
     beta3 = 7 / (z21**6 - z21**15)
     alpha = (z21**7 - z21**14) * (z21**2 - z21**19)
-    assert alpha == (z21**9 + z21**12) - (z21**5 + z21**16)
+    _require(alpha == (z21**9 + z21**12) - (z21**5 + z21**16), "alpha differs from its expansion")
     pol = -(beta3 * alpha)
-    assert -pol == 21 * (z21**2 - z21**19) / ((z21**14 - z21**7) * (z21**6 - z21**15))
+    closed = 21 * (z21**2 - z21**19) / ((z21**14 - z21**7) * (z21**6 - z21**15))
+    _require(-pol == closed, "z differs from its closed form")
     conditions = verify_conditions(pol, phi, start_prec)
-    assert conditions.all_pass()
-    assert pol == -reference_different_generator(21).galois(4)
+    _require(conditions.all_pass(), "z fails its polarization conditions")
+    _require(pol == -reference_different_generator(21).galois(4), "z is not -sigma_4(beta0)")
 
     # degree-2 relative Galois generator: fixes zeta_7, inverts zeta_3
     tau = _relative_conjugator(21)
-    assert tau == 8
+    _require(tau == 8, f"relative conjugator mod 21 is {tau}, not 8")
     # tr(conj(x) z^-1 y) = tr(x (-z)^-1 conj(y)) since conj(z) = -z, so the
     # entry algebra runs on (-z)^-1 = alpha^-1 beta3^-1
     alpha_inv = alpha.inverse()
@@ -487,14 +495,14 @@ def m17_pipeline(start_prec: int = DEFAULT_PRECISION) -> RelativePipelineResult:
     a11_big = alpha_inv + tau_alpha_inv
     a12_big = zeta3**2 * alpha_inv + zeta3 * tau_alpha_inv
     a21_big = zeta3 * alpha_inv + zeta3**2 * tau_alpha_inv
-    assert a11_big.is_real()
-    assert a12_big.conj() == a21_big
+    _require(a11_big.is_real(), "relative entry a11 is not real")
+    _require(a12_big.conj() == a21_big, "relative entries a12, a21 are not conjugate")
     for x in (a11_big, a12_big, a21_big):
-        assert x.galois(tau) == x, "relative entry is not tau-invariant"
+        _require(x.galois(tau) == x, "relative entry is not tau-invariant")
 
     def descend(x: Cyclo) -> Cyclo:
         x1, x2 = relative_split(x)
-        assert x2.is_zero()
+        _require(x2.is_zero(), "relative entry does not descend to Q(zeta_7)")
         return x1
 
     a11 = descend(a11_big)
@@ -503,7 +511,7 @@ def m17_pipeline(start_prec: int = DEFAULT_PRECISION) -> RelativePipelineResult:
 
     z7 = Cyclo.zeta(7)
     beta3_small = 7 / (z7**2 - z7**5)
-    assert beta3 == beta3_small.to_modulus(21)
+    _require(beta3 == beta3_small.to_modulus(21), "beta3 is not defined over Q(zeta_7)")
     pref = beta3_small.inverse()
     base = (
         (pref * a11, pref * a12),
@@ -512,13 +520,13 @@ def m17_pipeline(start_prec: int = DEFAULT_PRECISION) -> RelativePipelineResult:
     _assert_skew_hermitian(base)
     for row in base:
         for x in row:
-            assert (7 * x).is_integral, "entry is not integral away from 7"
+            _require((7 * x).is_integral, "entry is not integral away from 7")
 
     twisted = tuple(tuple(x.galois(4) for x in row) for row in base)
     _assert_skew_hermitian(twisted)
     for row in twisted:
         for x in row:
-            assert (7 * x).is_integral
+            _require((7 * x).is_integral, "twisted entry is not integral away from 7")
 
     return RelativePipelineResult(
         phi,
@@ -565,7 +573,9 @@ def verify_fixture(
     accepts only purely imaginary entries); the certified embedding signs
     reproduce the expected signature (condition 3); every Gram cell is
     integral and skew; and, when the modulus supports full assembly, the
-    assembled datum is equivalent to the fixture's."""
+    assembled datum is equivalent to the fixture's.  A library error or
+    ValueError (say, a malformed entry string) is reported as a failure of
+    this fixture."""
     name = str(fixture.get("name", "?"))
     failures: list[str] = []
     try:
@@ -604,7 +614,7 @@ def verify_fixture(
             result = assemble(datum, start_prec)
             if not equivalent_datum(result.hermitian, h, allow_galois, start_prec):
                 failures.append("assembled datum is not equivalent to the fixture blocks")
-    except CyclopelError as exc:
+    except (CyclopelError, ValueError) as exc:
         failures.append(f"{type(exc).__name__}: {exc}")
     return FixtureOutcome(name, not failures, tuple(failures))
 

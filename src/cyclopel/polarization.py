@@ -16,7 +16,6 @@ from .embeddings import (
     certified_sign_im,
     certified_sign_real,
     is_totally_positive,
-    sign_vector,
 )
 from .errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 
@@ -33,7 +32,6 @@ __all__ = [
     "has_independent_signs",
     "reference_different_generator",
     "reference_different_inverse",
-    "sign_matrix",
     "solve_sign_pattern",
     "unit_generators",
     "verify_conditions",
@@ -218,12 +216,6 @@ def unit_generators(m: int) -> tuple[Cyclo, ...]:
     return _unit_table(m).gens
 
 
-def sign_matrix(m: int, start_prec: int = DEFAULT_PRECISION) -> tuple[SignVector, ...]:
-    """Sign vectors of the unit generators, row per generator.  The signs
-    are certified, so they do not depend on start_prec."""
-    return _unit_table(m).signs
-
-
 def _signs_to_bits(signs: SignVector) -> int:
     bits = 0
     for j, s in enumerate(signs):
@@ -254,12 +246,14 @@ def _pivots(rows: Sequence[int], ncols: int) -> dict[int, tuple[int, int]]:
     return pivots
 
 
-def _solve_combo(
-    target: SignVector, pivots: dict[int, tuple[int, int]], m: int
-) -> Union[int, Unsatisfiable]:
-    """Bit mask of the generators whose product has the sign vector
-    target, or Unsatisfiable carrying the cokernel dimension."""
-    ncols = len(target)
+def _solve_combo(target: SignVector, m: int) -> Union[int, Unsatisfiable]:
+    """Bit mask of the unit generators of modulus m whose product has the
+    sign vector target, by the pivots of _unit_table(m), or Unsatisfiable
+    carrying the cokernel dimension."""
+    ncols = len(real_embedding_reps(m))
+    if len(target) != ncols:
+        raise ValueError(f"target has {len(target)} components, expected {ncols}")
+    pivots = _unit_table(m).pivots
     tbits = _signs_to_bits(target)
     combo = 0
     for col in range(ncols):
@@ -285,26 +279,15 @@ def _product(factors: Sequence[Cyclo], combo: int, m: int) -> Cyclo:
     return out
 
 
-def solve_sign_pattern(
-    target: SignVector,
-    gens: Sequence[Cyclo],
-    start_prec: int = DEFAULT_PRECISION,
-) -> Union[Cyclo, Unsatisfiable]:
-    """Find a product of generators whose real-embedding sign vector equals
-    target.  GF(2) elimination, columns in ascending-representative order;
-    on failure returns (not raises) Unsatisfiable carrying the cokernel
-    dimension."""
-    if not gens:
-        raise ValueError("empty generator list")
-    m = gens[0].m
-    ncols = len(real_embedding_reps(m))
-    if len(target) != ncols:
-        raise ValueError(f"target has {len(target)} components, expected {ncols}")
-    rows = [_signs_to_bits(sign_vector(g, start_prec)) for g in gens]
-    combo = _solve_combo(target, _pivots(rows, ncols), m)
+def solve_sign_pattern(target: SignVector, m: int) -> Union[Cyclo, Unsatisfiable]:
+    """Find a product of unit_generators(m) whose real-embedding sign
+    vector equals target.  GF(2) elimination, columns in
+    ascending-representative order; on failure returns (not raises)
+    Unsatisfiable carrying the cokernel dimension."""
+    combo = _solve_combo(target, m)
     if isinstance(combo, Unsatisfiable):
         return combo
-    return _product(gens, combo, m)
+    return _product(_unit_table(m).gens, combo, m)
 
 
 @dataclass(frozen=True)
@@ -372,7 +355,7 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
     want = tuple(-1 if n in phi else 1 for n in reps)
     target = tuple(w * s for w, s in zip(want, s0))
     table = _unit_table(m)
-    combo = _solve_combo(target, table.pivots, m)
+    combo = _solve_combo(target, m)
     if isinstance(combo, Unsatisfiable):
         raise combo
     u0 = _product(table.gens, combo, m)

@@ -94,6 +94,8 @@ def test_usage_errors(capsys):
     assert run(["--m", "5", "--inertia", "abc"]) == EXIT_USAGE
     assert run(["--corpus", "--m", "5", "--inertia", "1,3,3,3"]) == EXIT_USAGE
     assert run(["--m", "5", "--inertia", "1,3,3,3", "--precision", "4"]) == EXIT_USAGE
+    assert run(["--m", "5", "--inertia", "1,3,3,3", "--precision", "5000"]) == EXIT_USAGE
+    assert run(["--corpus", "--precision", "4097"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
     capsys.readouterr()
 
@@ -198,6 +200,28 @@ def test_corpus_failure(tmp_path, capsys):
     assert "FAIL m5-1144" in out
     assert "condition (3)" in out
     assert "0 passed, 1 failed, 1 total" in out
+
+
+def test_corpus_reports_malformed_fixtures_one_by_one(tmp_path, capsys):
+    fixtures = {f["name"]: f for f in load_corpus(default_corpus_path())}
+    good = fixtures["m5-1144"]
+    bad_entry = copy.deepcopy(good)
+    bad_entry["name"] = "bad-entry"
+    bad_entry["blocks"][0][1][0] = "z +* 1"
+    two_points = copy.deepcopy(good)
+    two_points.update(name="two-points", N=2, a=[1, 4])
+    p = tmp_path / "mixed.json"
+    p.write_text(json.dumps({"fixtures": [bad_entry, good, two_points]}))
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith(" ")] == [
+        "FAIL bad-entry",
+        "PASS m5-1144",
+        "FAIL two-points",
+        "1 passed, 2 failed, 3 total",
+    ]
+    assert "     ValueError: unexpected token '*'" in lines
+    assert "     ValueError: a monodromy datum needs at least 3 branch points" in lines
 
 
 def test_corpus_unreadable(tmp_path, capsys):

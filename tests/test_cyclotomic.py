@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cyclopel.cyclotomic import (
     SUPPORTED_MODULI,
     Cyclo,
-    _chain_cost,
     _galois_chain,
     cyclotomic_poly,
     element_str,
@@ -251,11 +250,17 @@ def test_galois_chain_norm_and_inverse_match_oracles(m, data):
     assert norm == Fraction(int(sympy.resultant(phi_m, num)), x.den ** euler_phi(m))
 
 
-def test_galois_chain_decomposes_the_unit_group():
-    # each generator has the stated order modulo the earlier ones, the
-    # orders multiply to phi(m), and the chain never needs more
-    # multiplications than one cyclic level (or than phi(m), the count of
-    # the product over all conjugates)
+# multiplications per _norm_and_other_conjugates; each equals the fewest
+# over all chains of (Z/m)^*, found by exhaustive search
+CHAIN_MULTIPLICATIONS = {
+    3: 1, 4: 1, 5: 3, 6: 1, 7: 4, 8: 3, 9: 4, 10: 3, 11: 5, 13: 6, 16: 5,
+    17: 7, 19: 6, 21: 6, 25: 7, 27: 6, 32: 7,
+}
+
+
+def test_galois_chain_decomposes_the_unit_group(monkeypatch):
+    # each generator has the stated order modulo the earlier ones, and the
+    # orders multiply to phi(m)
     for m in sorted(SUPPORTED_MODULI):
         chain = _galois_chain(m)
         sub = {1}
@@ -264,11 +269,22 @@ def test_galois_chain_decomposes_the_unit_group():
             assert all(p not in sub for p in powers[1:n]) and powers[n] in sub
             sub = {h * p % m for h in sub for p in powers[:n]}
         assert sub == set(units_mod(m))
-        mults, _ = _chain_cost([n for _, n in chain])
-        assert mults <= _chain_cost([euler_phi(m)])[0] <= euler_phi(m)
-    assert _galois_chain(17) == ((16, 2), (4, 2), (2, 2), (3, 2))
-    assert _chain_cost([2, 2, 2, 2]) == (7, 4)
-    assert _chain_cost([16]) == (7, 7)
+
+    calls = []
+    original = Cyclo.__mul__
+
+    def counted(self, other):
+        calls.append(self.m)
+        return original(self, other)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counted)
+    counts = {}
+    for m in sorted(SUPPORTED_MODULI):
+        x = Cyclo(m, range(1, euler_phi(m) + 1), 3)
+        calls.clear()
+        x._norm_and_other_conjugates()
+        counts[m] = len(calls)
+    assert counts == CHAIN_MULTIPLICATIONS
 
 
 def test_one_minus_root_is_unit_exactly_off_prime_powers():

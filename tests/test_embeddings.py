@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import cyclopel
 from cyclopel.cyclotomic import SUPPORTED_MODULI, Cyclo, euler_phi, units_mod, real_embedding_reps
 from cyclopel.embeddings import (
+    PRECISION_CAP,
     _trig_table,
     certified_sign_im,
     certified_sign_real,
@@ -104,6 +105,15 @@ def test_certified_sign_im_sqrt_minus_three():
     s = z - z**2
     assert certified_sign_im(s, 1) == 1
     assert certified_sign_im(s, 2) == -1
+
+
+def test_start_precision_above_the_cap_is_rejected():
+    x = Cyclo.zeta(5)
+    assert certified_sign_im(x, 1, PRECISION_CAP) == 1
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        certified_sign_im(x, 1, PRECISION_CAP + 1)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        certified_sign_real(x + x.conj(), 1, 2 * PRECISION_CAP)
 
 
 def test_certified_sign_im_rational_is_zero():

@@ -357,8 +357,13 @@ def test_invariant_checks_survive_optimize(check):
             "_relative_conjugator(3)",
             "no relative conjugator",
         ),
+        (
+            "P.relative_split = lambda x: (Q.Cyclo.one(7), Q.Cyclo.one(7))",
+            "P.m17_pipeline()",
+            "does not descend",
+        ),
     ],
-    ids=["non-monic divisor", "inverted interval", "relative conjugator"],
+    ids=["non-monic divisor", "inverted interval", "relative conjugator", "descent"],
 )
 def test_arithmetic_checks_survive_optimize(patch, call, fragment):
     kinds, message = _invariant_violation_under_optimize(patch, call)

@@ -32,7 +32,6 @@ from cyclopel.polarization import (
     has_independent_signs,
     reference_different_generator,
     reference_different_inverse,
-    sign_matrix,
     solve_sign_pattern,
     unit_generators,
     verify_conditions,
@@ -153,39 +152,42 @@ def test_closed_form_generator_inverses(m):
 
 
 def test_sign_matrix_shape():
-    rows = sign_matrix(7)
+    rows = _unit_table(7).signs
     assert len(rows) == 3
     assert all(len(r) == len(real_embedding_reps(7)) for r in rows)
     assert rows[0] == (-1, -1, -1)
 
 
 def test_solve_sign_pattern_trivial():
-    u = solve_sign_pattern((1, 1), unit_generators(5))
+    u = solve_sign_pattern((1, 1), 5)
     assert u == Cyclo.one(5)
 
 
 def test_solve_sign_pattern_minus_one():
-    u = solve_sign_pattern((-1, -1), unit_generators(5))
+    u = solve_sign_pattern((-1, -1), 5)
     assert u == -Cyclo.one(5)
+
+
+def test_solve_sign_pattern_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        solve_sign_pattern((1, 1), 7)
 
 
 def test_solve_sign_pattern_surjective_small():
     for m in (5, 7, 8):
-        gens = unit_generators(m)
         n = len(real_embedding_reps(m))
         for target in itertools.product((1, -1), repeat=n):
-            u = solve_sign_pattern(target, gens)
+            u = solve_sign_pattern(target, m)
             assert isinstance(u, Cyclo)
             assert sign_vector(u) == target
 
 
 def test_solve_sign_pattern_m21_half_reachable():
-    gens = unit_generators(21)
     n = len(real_embedding_reps(21))
     assert n == 6
     hits, misses = 0, 0
     for target in itertools.product((1, -1), repeat=n):
-        u = solve_sign_pattern(target, gens)
+        u = solve_sign_pattern(target, 21)
         if isinstance(u, Unsatisfiable):
             assert u.cokernel_dim == 1
             misses += 1
