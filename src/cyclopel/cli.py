@@ -15,6 +15,7 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .cyclotomic import Cyclo, element_str
@@ -33,6 +34,7 @@ from .monodromy import degenerate, validate
 from .peldatum import (
     ASSEMBLE_MODULI,
     FamilyResult,
+    GramView,
     assemble,
     default_corpus_path,
     load_corpus,
@@ -120,7 +122,7 @@ def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> dict:
         },
         "components": components,
         "matrix_entries": entries,
-        "gram": [list(row) for row in result.gram],
+        "gram": result.gram,
         "determinant": result.gram_det,
         "form_signature": list(result.form_sig.values),
         "signature_match": result.form_sig == result.signature,
@@ -131,7 +133,74 @@ def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """The text of json.dumps(report, indent=2, sort_keys=True), written
+    directly; a GramView is written as its dense list of rows."""
+    out: list[str] = []
+    _write_json(report, 0, out)
+    return "".join(out)
+
+
+def _write_json(o, depth: int, out: list[str]) -> None:
+    if o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif isinstance(o, GramView):
+        _write_gram(o, depth, out)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        out.append("[")
+        for k, item in enumerate(o):
+            out.append(("," if k else "") + inner)
+            _write_json(item, depth + 1, out)
+        out.append("\n" + "  " * depth + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        out.append("{")
+        for k, key in enumerate(sorted(o)):
+            out.append(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(o[key], depth + 1, out)
+        out.append("\n" + "  " * depth + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write_gram(gram: GramView, depth: int, out: list[str]) -> None:
+    """Rows of the view as the generic path would write them: the text of
+    each cell row is built once per cell, and the zeros around it are
+    repeated constant strings."""
+    if not gram.cells:
+        out.append("[]")
+        return
+    n = len(gram)
+    sep = ",\n" + "  " * (depth + 2)
+    head = "[\n" + "  " * (depth + 2)
+    tail = "\n" + "  " * (depth + 1) + "]"
+    texts: dict[int, list[str]] = {}
+    lines: list[str] = []
+    start = 0
+    for cell in gram.cells:
+        rows = texts.get(id(cell))
+        if rows is None:
+            rows = texts[id(cell)] = [sep.join(map(str, row)) for row in cell]
+        left = head + ("0" + sep) * start
+        right = (sep + "0") * (n - start - len(cell)) + tail
+        lines.extend(left + row + right for row in rows)
+        start += len(cell)
+    inner = "\n" + "  " * (depth + 1)
+    out.append("[" + inner + ("," + inner).join(lines) + "\n" + "  " * depth + "]")
 
 
 def _print_text_report(report: dict) -> None:

@@ -522,10 +522,31 @@ class _Tokens:
         return t
 
 
+# Bounds on parsed expressions, so a hostile string fails with ValueError
+# instead of exhausting the stack or the memory: the nesting depth of
+# parentheses and unary minus signs, and the bits of a power, estimated as
+# exponent times the bits of the base's widest coefficient or denominator
+# (so no exponent above the bound itself).
+_MAX_PARSE_DEPTH = 100
+_MAX_POWER_BITS = 4096
+
+
 def parse_element(s: str, m: int) -> Cyclo:
     """Parse an element expression in the variable z = zeta_m.  Accepts
-    + - * / ^ parentheses and implicit multiplication, e.g. '5/(z^3-z^2)'."""
+    + - * / ^ parentheses and implicit multiplication, e.g. '5/(z^3-z^2)'.
+    Raises ValueError on malformed input, on nesting deeper than
+    _MAX_PARSE_DEPTH and on a power wider than _MAX_POWER_BITS."""
     tk = _Tokens(s)
+    depth = 0
+
+    def nested(inner):
+        nonlocal depth
+        depth += 1
+        if depth > _MAX_PARSE_DEPTH:
+            raise ValueError(f"element string nests deeper than {_MAX_PARSE_DEPTH} levels")
+        out = inner()
+        depth -= 1
+        return out
 
     def atom() -> Cyclo:
         kind, val = tk.next()
@@ -534,12 +555,12 @@ def parse_element(s: str, m: int) -> Cyclo:
         elif kind == "z":
             base = Cyclo.zeta(m)
         elif kind == "(":
-            base = expr()
+            base = nested(expr)
             if tk.peek() != ")":
                 raise ValueError("missing closing parenthesis")
             tk.next()
         elif kind == "-":
-            return -atom()
+            return -nested(atom)
         else:
             raise ValueError(f"unexpected token {kind!r}")
         if tk.peek() == "^":
@@ -547,6 +568,9 @@ def parse_element(s: str, m: int) -> Cyclo:
             ekind, eval_ = tk.next()
             if ekind != "int":
                 raise ValueError("exponent must be a nonnegative integer")
+            width = max(max(map(abs, base.num)).bit_length(), base.den.bit_length(), 1)
+            if eval_ * width > _MAX_POWER_BITS:
+                raise ValueError(f"power ^{eval_} would be wider than {_MAX_POWER_BITS} bits")
             base = base**eval_
         return base
 

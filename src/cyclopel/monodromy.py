@@ -4,6 +4,7 @@ signature, Galois action, degeneration into trees of 3-point covers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import SUPPORTED_MODULI, units_mod
@@ -158,11 +159,13 @@ class DegenerationTree:
     merged_values: tuple[int, ...]
 
 
+@lru_cache(maxsize=4096)
 def _triple_is_preferred(triple: MonodromyDatum) -> bool:
     # Prefer join components that stay inside the single-field maximal-order
     # case with a simple CM-type; ties are broken lexicographically by the
     # caller.  Simple components make the Hermitian-form argument
-    # unconditional, and this reproduces the published degenerations.
+    # unconditional, and this reproduces the published degenerations.  The
+    # answer depends on the triple alone, and a modulus has at most m^2.
     from .cmfield import cm_type_from_triple, is_simple
 
     if cm_algebra_check(triple) != (triple.m,):

@@ -6,9 +6,12 @@ distinguished point over Q(zeta_21)."""
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import gcd, prod
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -60,6 +63,7 @@ __all__ = [
     "ComponentResult",
     "FamilyResult",
     "FixtureOutcome",
+    "GramView",
     "HermitianDatum",
     "RelativePipelineResult",
     "assemble",
@@ -149,9 +153,10 @@ def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
 # Gram matrix of the trace pairing
 #
 # The form is diagonal, so the Gram matrix is block-diagonal with one
-# phi(d) x phi(d) Toeplitz cell per entry xi over Q(zeta_d).  Each cell is
-# built once per distinct entry, and the determinant is the product of the
-# cell determinants, each raised to the multiplicity of its entry.
+# phi(d) x phi(d) Toeplitz cell per entry xi over Q(zeta_d).  Each cell and
+# its determinant are built once per distinct entry and process, the matrix
+# is a view over the cells, and the determinant is the product of the cell
+# determinants, each raised to the multiplicity of its entry.
 
 
 def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
@@ -178,26 +183,61 @@ def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(tr[a - b] for b in range(d)) for a in range(d))
 
 
+@lru_cache(maxsize=1024)
+def _cell(xi: Cyclo) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Cell of the entry xi with its determinant, built once per entry and
+    process.  A failed build raises again on the next call, since
+    lru_cache keeps no exceptions."""
+    cell = _gram_cell(xi)
+    return cell, gram_determinant(cell)
+
+
 def _entry_counts(h: HermitianDatum) -> Counter[Cyclo]:
     """Multiplicity of each distinct entry of h, in order of appearance."""
     return Counter(xi for block in h.blocks for xi in block.entries)
 
 
-def _cells(h: HermitianDatum) -> dict[Cyclo, tuple[tuple[int, ...], ...]]:
-    """Cell of each distinct entry of h."""
-    return {xi: _gram_cell(xi) for xi in _entry_counts(h)}
+class GramView(Sequence):
+    """Read-only view of the block-diagonal Gram matrix: the cells of the
+    entries in block order on the diagonal, zeros elsewhere.  Row i is
+    laid out when it is asked for; tuple(view) is the dense matrix."""
+
+    __slots__ = ("cells", "_starts", "_n")
+
+    def __init__(self, cells: tuple[tuple[tuple[int, ...], ...], ...]):
+        self.cells = cells
+        self._starts = tuple(accumulate((len(cell) for cell in cells), initial=0))
+        self._n = self._starts[-1]
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _row(self, k: int, cell: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
+        start = self._starts[k]
+        return (0,) * start + cell[r] + (0,) * (self._n - start - len(cell))
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        if not -self._n <= i < self._n:
+            raise IndexError("Gram row index out of range")
+        i %= self._n
+        k = bisect_right(self._starts, i) - 1
+        return self._row(k, self.cells[k], i - self._starts[k])
+
+    def __iter__(self):
+        for k, cell in enumerate(self.cells):
+            for r in range(len(cell)):
+                yield self._row(k, cell, r)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GramView) and self.cells == other.cells
+
+    def __hash__(self) -> int:
+        return hash(self.cells)
 
 
-def _block_diagonal(h: HermitianDatum, cells: dict) -> tuple[tuple[int, ...], ...]:
-    """Lay the cell of every entry of h out on the diagonal, in block
-    order, with zeros elsewhere."""
-    order = [cells[xi] for block in h.blocks for xi in block.entries]
-    n = sum(len(cell) for cell in order)
-    gram: list[tuple[int, ...]] = []
-    for cell in order:
-        left, right = (0,) * len(gram), (0,) * (n - len(gram) - len(cell))
-        gram.extend(left + row + right for row in cell)
-    return tuple(gram)
+def _gram_view(h: HermitianDatum) -> GramView:
+    """Gram view of h; raises as _gram_cell does."""
+    return GramView(tuple(_cell(xi)[0] for block in h.blocks for xi in block.entries))
 
 
 def gram_matrix(h: HermitianDatum) -> tuple[tuple[int, ...], ...]:
@@ -206,7 +246,7 @@ def gram_matrix(h: HermitianDatum) -> tuple[tuple[int, ...], ...]:
     (a, b) entry of the cell for entry xi is tr(xi zeta^(a-b)), and every
     entry outside the cells is zero.  Raises NonIntegralForm when any
     pairing value is not a rational integer."""
-    return _block_diagonal(h, _cells(h))
+    return tuple(_gram_view(h))
 
 
 def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
@@ -268,7 +308,7 @@ class FamilyResult:
     tree: DegenerationTree
     components: tuple[ComponentResult, ...]
     hermitian: HermitianDatum
-    gram: tuple[tuple[int, ...], ...]
+    gram: GramView
     gram_det: int
     form_sig: Signature
     certainty: str
@@ -292,8 +332,8 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
         )
     entries = tuple(c.point.xi() for c in components)
     hermitian = HermitianDatum(datum.m, (Block(datum.m, entries),))
-    cells = _cells(hermitian)
-    det = prod(gram_determinant(cells[xi]) ** k for xi, k in _entry_counts(hermitian).items())
+    gram = _gram_view(hermitian)
+    det = prod(_cell(xi)[1] ** k for xi, k in _entry_counts(hermitian).items())
     if abs(det) != 1:
         raise InvariantViolation(f"Gram determinant {det} is not a unit")
     form_sig = form_signature(hermitian, start_prec)
@@ -314,7 +354,7 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
         tree,
         tuple(components),
         hermitian,
-        _block_diagonal(hermitian, cells),
+        gram,
         det,
         form_sig,
         certainty,
@@ -607,7 +647,7 @@ def verify_fixture(
                 f"{fs.values}, disagreeing with the expected one at n = {off}"
             )
         try:
-            _cells(h)
+            _gram_view(h)
         except NonIntegralForm as exc:
             failures.append(f"Gram integrality: {exc}")
         if datum.m in ASSEMBLE_MODULI:

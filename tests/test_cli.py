@@ -7,6 +7,10 @@ import copy
 import decimal
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import cyclopel.cli
 import cyclopel.monodromy
 import cyclopel.peldatum
@@ -144,6 +148,31 @@ def test_json_report(capsys):
     assert report_json(report) == out.rstrip("\n")
 
 
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_report_json_matches_json_dumps(value):
+    assert report_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_json_rejects_other_types():
+    for value in (1.5, {1, 2}, {"a": [object()]}, {1: "non-string key"}, b"bytes"):
+        with pytest.raises(TypeError):
+            report_json(value)
+
+
 def test_json_components_content(capsys):
     run(["--m", "7", "--inertia", "2,4,4,4", "--json"])
     report = json.loads(capsys.readouterr().out)
@@ -222,6 +251,22 @@ def test_corpus_reports_malformed_fixtures_one_by_one(tmp_path, capsys):
     ]
     assert "     ValueError: unexpected token '*'" in lines
     assert "     ValueError: a monodromy datum needs at least 3 branch points" in lines
+
+
+def test_corpus_survives_deep_nesting(tmp_path, capsys):
+    good = {f["name"]: f for f in load_corpus(default_corpus_path())}["m5-1144"]
+    deep = copy.deepcopy(good)
+    deep["name"] = "deep"
+    deep["blocks"][0][1][0] = "(" * 5000 + "z" + ")" * 5000
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps({"fixtures": [deep, good]}))
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith(" ")] == [
+        "FAIL deep",
+        "PASS m5-1144",
+        "1 passed, 1 failed, 2 total",
+    ]
 
 
 def test_corpus_unreadable(tmp_path, capsys):

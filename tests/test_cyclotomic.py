@@ -368,6 +368,23 @@ def test_parse_quotient_syntax():
     assert parse_element("(z^3 - z^2)/5", 5) == (z**3 - z**2) / 5
 
 
+def test_parse_bounds_nesting_and_powers():
+    z = Cyclo.zeta(5)
+    assert parse_element("(" * 100 + "z" + ")" * 100, 5) == z
+    assert parse_element("-" * 100 + "z", 5) == z
+    assert parse_element("z^4096", 5) == z
+    for s in (
+        "(" * 101 + "z" + ")" * 101,
+        "(" * 5000 + "z" + ")" * 5000,
+        "-" * 5000 + "z",
+        "z^4097",
+        "2^100000",
+        "((2^100)^100)^100",
+    ):
+        with pytest.raises(ValueError):
+            parse_element(s, 5)
+
+
 def test_canonical_form_is_idempotent():
     # reduction happens at construction; rebuilding from the printed form is stable
     rng = random.Random(29)

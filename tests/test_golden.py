@@ -80,6 +80,23 @@ def test_report_bytes_match_golden_digest(m, a):
     assert _report_digest(m, a) == _golden()["reports"][_key(m, a)]
 
 
+def _first_difference(a: str, b: str):
+    """Offset of the first differing character, or None; reports run to
+    megabytes, too long for pytest's string diff."""
+    if a == b:
+        return None
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+@pytest.mark.parametrize("m, a", FAMILIES, ids=[_key(m, a) for m, a in FAMILIES])
+def test_report_json_matches_json_dumps_of_dense_report(m, a):
+    report = build_report(assemble(validate(m, a)), DEFAULT_PRECISION, 0)
+    dense = dict(report, gram=[list(row) for row in report["gram"]])
+    text = json.dumps(dense, indent=2, sort_keys=True)
+    assert _first_difference(report_json(report), text) is None
+    assert _first_difference(report_json(dense), text) is None
+
+
 def test_corpus_output_matches_golden():
     code, out = _corpus_run()
     golden = _golden()

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import cyclopel.cmfield
+import cyclopel.monodromy as M
 from cyclopel.cyclotomic import SUPPORTED_MODULI
 from cyclopel.errors import (
     DisconnectedCover,
@@ -224,6 +226,17 @@ def test_degenerate_triples_validate_and_sum_genus():
             assert validate(t.m, t.a) == t
         # prime m: each component has genus (m-1)/2
         assert sum(genus(t) for t in tree.triples) == genus(d)
+
+
+def test_degenerate_decides_each_triple_once(monkeypatch):
+    d = validate(19, (1,) * 23 + (15,))
+    M._triple_is_preferred.cache_clear()
+    tree = degenerate(d)
+    calls = []
+    original = cyclopel.cmfield.is_simple
+    monkeypatch.setattr(cyclopel.cmfield, "is_simple", lambda phi: calls.append(phi) or original(phi))
+    assert degenerate(d) == tree
+    assert calls == []
 
 
 def test_conjugate_signature_pairing():

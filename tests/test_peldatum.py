@@ -160,8 +160,31 @@ def test_gram_skew_and_integral():
 
 
 def test_gram_rejects_non_integral_form():
-    with pytest.raises(NonIntegralForm):
-        gram_matrix(HermitianDatum(3, (Block(3, (pe("(2*z + 1)/9", 3),)),)))
+    h = HermitianDatum(3, (Block(3, (pe("(2*z + 1)/9", 3),)),))
+    for _ in range(2):  # a failed cell is not cached
+        with pytest.raises(NonIntegralForm):
+            gram_matrix(h)
+
+
+def test_gram_view_rows():
+    fixtures = load_corpus(default_corpus_path())
+    hs = [_fixture_datum(f) for f in fixtures]
+    views = [P._gram_view(h) for h in hs]
+    r = assemble(validate(7, (2, 4, 4, 4, 1, 6)))
+    hs.append(r.hermitian)
+    views.append(r.gram)
+    assert any(len(h.blocks) > 1 for h in hs)
+    for h, view in zip(hs, views):
+        dense = gram_matrix(h)
+        n = len(dense)
+        assert len(view) == n == sum(len(cell) for cell in view.cells)
+        assert tuple(view) == dense
+        assert [view[i] for i in range(n)] == list(dense)
+        assert [view[i - n] for i in range(n)] == list(dense)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert view == P._gram_view(h)
 
 
 def test_gram_determinant_oracle():
@@ -246,10 +269,16 @@ def test_assemble_derives_each_entry_fact_once(monkeypatch):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(P, name, spy)
-    r = assemble(validate(19, (1,) * 23 + (15,)))
+    P._cell.cache_clear()
+    datum = validate(19, (1,) * 23 + (15,))
+    r = assemble(datum)
     assert len(r.components) == 22
     assert len(set(r.hermitian.blocks[0].entries)) == 11
     assert calls == {"_gram_cell": 11, "entry_cm_type": 11, "gram_determinant": 11}
+    # cells and their determinants are kept for the rest of the process
+    calls.update(_gram_cell=0, gram_determinant=0)
+    assert assemble(datum) == r
+    assert calls["_gram_cell"] == calls["gram_determinant"] == 0
 
 
 def test_warm_assemble_makes_no_inversion(monkeypatch):
