@@ -23,8 +23,10 @@ from .embeddings import DEFAULT_PRECISION, PRECISION_CAP, embed
 from .errors import (
     CyclopelError,
     DisconnectedCover,
+    MalformedDatum,
     NonCompactType,
     NonMaximalOrder,
+    ParseError,
     UnbalancedInertia,
     Unsatisfiable,
     UnsupportedModulus,
@@ -151,13 +153,15 @@ def _write_json(o, depth: int, out: list[str]) -> None:
         out.append(int.__repr__(o))
     elif isinstance(o, str):
         out.append(encode_basestring_ascii(o))
-    elif isinstance(o, GramView):
-        _write_gram(o, depth, out)
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
         inner = "\n" + "  " * (depth + 1)
+        if all(type(x) is int for x in o):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)))
+            out.append("\n" + "  " * depth + "]")
+            return
         out.append("[")
         for k, item in enumerate(o):
             out.append(("," if k else "") + inner)
@@ -173,6 +177,8 @@ def _write_json(o, depth: int, out: list[str]) -> None:
             out.append(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
             _write_json(o[key], depth + 1, out)
         out.append("\n" + "  " * depth + "}")
+    elif isinstance(o, GramView):
+        _write_gram(o, depth, out)
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -181,26 +187,28 @@ def _write_gram(gram: GramView, depth: int, out: list[str]) -> None:
     """Rows of the view as the generic path would write them: the text of
     each cell row is built once per cell, and the zeros around it are
     repeated constant strings."""
-    if not gram.cells:
+    n = len(gram)
+    if not n:
         out.append("[]")
         return
-    n = len(gram)
     sep = ",\n" + "  " * (depth + 2)
     head = "[\n" + "  " * (depth + 2)
     tail = "\n" + "  " * (depth + 1) + "]"
+    inner = "\n" + "  " * (depth + 1)
     texts: dict[int, list[str]] = {}
-    lines: list[str] = []
+    out.append("[")
     start = 0
     for cell in gram.cells:
         rows = texts.get(id(cell))
         if rows is None:
             rows = texts[id(cell)] = [sep.join(map(str, row)) for row in cell]
-        left = head + ("0" + sep) * start
-        right = (sep + "0") * (n - start - len(cell)) + tail
-        lines.extend(left + row + right for row in rows)
+        left = inner + head + ("0" + sep) * start
+        right = (sep + "0") * (n - start - len(cell)) + tail + ","
+        for row in rows:
+            out += (left, row, right)
         start += len(cell)
-    inner = "\n" + "  " * (depth + 1)
-    out.append("[" + inner + ("," + inner).join(lines) + "\n" + "  " * depth + "]")
+    # the last row takes no comma
+    out[-1] = out[-1][:-1] + "\n" + "  " * depth + "]"
 
 
 def _print_text_report(report: dict) -> None:
@@ -237,7 +245,9 @@ def _exit_code_for(exc: CyclopelError) -> int:
         return EXIT_NONMAXIMAL_ORDER
     if isinstance(exc, Unsatisfiable):
         return EXIT_UNSATISFIABLE
-    if isinstance(exc, (ZeroInertia, UnbalancedInertia, DisconnectedCover)):
+    if isinstance(
+        exc, (ZeroInertia, UnbalancedInertia, DisconnectedCover, MalformedDatum, ParseError)
+    ):
         return EXIT_INVALID_DATUM
     return EXIT_GENERIC
 

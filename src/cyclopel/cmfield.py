@@ -47,9 +47,11 @@ class CMType:
         return CMType(self.m, frozenset((self.m - n) for n in self.members))
 
 
+@lru_cache(maxsize=4096)
 def cm_type_from_triple(triple: MonodromyDatum) -> CMType:
     """CM-type of the Jacobian of a 3-point cover: the embeddings where the
-    signature is 1."""
+    signature is 1.  Memoized per triple (a modulus has fewer than m^2);
+    the result is immutable."""
     if triple.N != 3:
         raise ValueError("CM-types arise from 3-point covers")
     sig = signature(triple)
@@ -106,7 +108,10 @@ class SimplicityReport:
     separating_cosets: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
+@lru_cache(maxsize=4096)
 def is_simple(phi: CMType) -> SimplicityReport:
+    """Simplicity of the CM-type with its witness.  Memoized per CM-type;
+    the report is immutable."""
     m = phi.m
     separating: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for h in subgroups_mod(m):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import InvariantViolation, NotUnit, UnsupportedModulus
+from .errors import InvariantViolation, NotUnit, ParseError, UnsupportedModulus
 
 __all__ = [
     "SUPPORTED_MODULI",
@@ -37,6 +37,7 @@ def euler_phi(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
+@lru_cache(maxsize=64)
 def units_mod(m: int) -> tuple[int, ...]:
     """Units of Z/mZ in ascending order."""
     return tuple(k for k in range(1, m) if gcd(k, m) == 1)
@@ -510,19 +511,21 @@ class _Tokens:
                 self.toks.append((ch, 0))
                 i += 1
             else:
-                raise ValueError(f"unexpected character {ch!r} in element string")
+                raise ParseError(f"unexpected character {ch!r} in element string")
         self.pos = 0
 
     def peek(self):
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
     def next(self):
+        if self.pos == len(self.toks):
+            raise ParseError("element string ends early")
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
 
-# Bounds on parsed expressions, so a hostile string fails with ValueError
+# Bounds on parsed expressions, so a hostile string fails with ParseError
 # instead of exhausting the stack or the memory: the nesting depth of
 # parentheses and unary minus signs, and the bits of a power, estimated as
 # exponent times the bits of the base's widest coefficient or denominator
@@ -534,8 +537,8 @@ _MAX_POWER_BITS = 4096
 def parse_element(s: str, m: int) -> Cyclo:
     """Parse an element expression in the variable z = zeta_m.  Accepts
     + - * / ^ parentheses and implicit multiplication, e.g. '5/(z^3-z^2)'.
-    Raises ValueError on malformed input, on nesting deeper than
-    _MAX_PARSE_DEPTH and on a power wider than _MAX_POWER_BITS."""
+    Raises ParseError on malformed input, on division by zero, on nesting
+    deeper than _MAX_PARSE_DEPTH and on a power wider than _MAX_POWER_BITS."""
     tk = _Tokens(s)
     depth = 0
 
@@ -543,7 +546,7 @@ def parse_element(s: str, m: int) -> Cyclo:
         nonlocal depth
         depth += 1
         if depth > _MAX_PARSE_DEPTH:
-            raise ValueError(f"element string nests deeper than {_MAX_PARSE_DEPTH} levels")
+            raise ParseError(f"element string nests deeper than {_MAX_PARSE_DEPTH} levels")
         out = inner()
         depth -= 1
         return out
@@ -557,20 +560,20 @@ def parse_element(s: str, m: int) -> Cyclo:
         elif kind == "(":
             base = nested(expr)
             if tk.peek() != ")":
-                raise ValueError("missing closing parenthesis")
+                raise ParseError("missing closing parenthesis")
             tk.next()
         elif kind == "-":
             return -nested(atom)
         else:
-            raise ValueError(f"unexpected token {kind!r}")
+            raise ParseError(f"unexpected token {kind!r}")
         if tk.peek() == "^":
             tk.next()
             ekind, eval_ = tk.next()
             if ekind != "int":
-                raise ValueError("exponent must be a nonnegative integer")
+                raise ParseError("exponent must be a nonnegative integer")
             width = max(max(map(abs, base.num)).bit_length(), base.den.bit_length(), 1)
             if eval_ * width > _MAX_POWER_BITS:
-                raise ValueError(f"power ^{eval_} would be wider than {_MAX_POWER_BITS} bits")
+                raise ParseError(f"power ^{eval_} would be wider than {_MAX_POWER_BITS} bits")
             base = base**eval_
         return base
 
@@ -583,7 +586,10 @@ def parse_element(s: str, m: int) -> Cyclo:
                 out = out * atom()
             elif nxt == "/":
                 tk.next()
-                out = out / atom()
+                rhs = atom()
+                if rhs.is_zero():
+                    raise ParseError("division by zero in element string")
+                out = out / rhs
             elif nxt in ("z", "("):
                 out = out * atom()
             else:
@@ -599,5 +605,5 @@ def parse_element(s: str, m: int) -> Cyclo:
 
     result = expr()
     if tk.peek() is not None:
-        raise ValueError("trailing tokens in element string")
+        raise ParseError("trailing tokens in element string")
     return result

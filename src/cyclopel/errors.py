@@ -18,6 +18,8 @@ __all__ = [
     "PrecisionExhausted",
     "NonIntegralForm",
     "InvariantViolation",
+    "ParseError",
+    "MalformedDatum",
 ]
 
 
@@ -88,3 +90,14 @@ class InvariantViolation(CyclopelError, AssertionError):
     """An internal invariant of a computed result failed, e.g. a Gram
     determinant that is not a unit.  Raised explicitly rather than by
     assert, so the check also runs under python -O."""
+
+
+class ParseError(CyclopelError, ValueError):
+    """An element string does not parse, nests too deeply or asks for too
+    wide a power."""
+
+
+class MalformedDatum(CyclopelError, ValueError):
+    """Input of the wrong shape: a monodromy datum with fewer than 3 points
+    or unreduced inertia values, or a corpus that is not a list of complete
+    fixture records."""

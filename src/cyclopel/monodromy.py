@@ -5,12 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from .cyclotomic import SUPPORTED_MODULI, units_mod
 from .errors import (
     DisconnectedCover,
     InvariantViolation,
+    MalformedDatum,
     NonCompactType,
     NonMaximalOrder,
     UnbalancedInertia,
@@ -45,11 +47,11 @@ class MonodromyDatum:
         if m not in SUPPORTED_MODULI:
             raise UnsupportedModulus(f"modulus {m} is outside the supported list")
         if len(a) < 3:
-            raise ValueError("a monodromy datum needs at least 3 branch points")
+            raise MalformedDatum("a monodromy datum needs at least 3 branch points")
         if any(x % m == 0 for x in a):
             raise ZeroInertia("every inertia value must be nonzero mod m")
         if any(not 0 < x < m for x in a):
-            raise ValueError("inertia values must be reduced to [1, m-1]; use validate()")
+            raise MalformedDatum("inertia values must be reduced to [1, m-1]; use validate()")
         if sum(a) % m != 0:
             raise UnbalancedInertia("inertia values must sum to 0 mod m")
         g = 0
@@ -199,23 +201,28 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
 
     while cur.N > 3:
         a = cur.a
-        candidates = [
-            (i, j)
-            for i in range(cur.N)
-            for j in range(i + 1, cur.N)
-            if gcd(a[i] + a[j], m) == 1
-        ]
-        if not candidates:
-            raise NonCompactType(
-                f"no branch-point pair of {a} joins at a single node; "
-                "every degeneration of this family has a cycle in its dual graph"
-            )
 
         def triple_for(p):
             i, j = p
             return MonodromyDatum(m, (a[i], a[j], (-(a[i] + a[j])) % m))
 
-        choice = next((p for p in candidates if _triple_is_preferred(triple_for(p))), candidates[0])
+        # admissible pairs in lexicographic order, listed only as far as
+        # the first preferred one
+        admissible = (
+            (i, j)
+            for i in range(cur.N)
+            for j in range(i + 1, cur.N)
+            if gcd(a[i] + a[j], m) == 1
+        )
+        first = next(admissible, None)
+        if first is None:
+            raise NonCompactType(
+                f"no branch-point pair of {a} joins at a single node; "
+                "every degeneration of this family has a cycle in its dual graph"
+            )
+        choice = next(
+            (p for p in chain((first,), admissible) if _triple_is_preferred(triple_for(p))), first
+        )
         i, j = choice
         s = (a[i] + a[j]) % m
         emit(triple_for(choice))

@@ -33,6 +33,7 @@ from .errors import (
     CyclopelError,
     Indeterminate,
     InvariantViolation,
+    MalformedDatum,
     NonIntegralForm,
     UnsupportedModulus,
 )
@@ -106,8 +107,14 @@ class Block:
                 raise InvariantViolation("entry lives over the wrong modulus")
             if xi.is_zero():
                 raise InvariantViolation("entry is zero")
-            if xi != -xi.conj():
+            if not _is_pure_imaginary(xi):
                 raise InvariantViolation("entry is not purely imaginary")
+
+
+@lru_cache(maxsize=1024)
+def _is_pure_imaginary(xi: Cyclo) -> bool:
+    """xi = -conj(xi); memoized per entry, since families share entries."""
+    return xi == -xi.conj()
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,13 @@ class HermitianDatum:
         return sum(euler_phi(b.modulus) * len(b.entries) for b in self.blocks)
 
 
+@lru_cache(maxsize=1024)
 def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
     """CM-type carried by a diagonal entry: n with Im(sigma_n(1/xi)) < 0,
     equivalently Im(sigma_n(xi)) > 0.  Signs are certified at one n per
     conjugate pair: sigma_(m-n) is the complex conjugate of sigma_n, so
-    sign(Im sigma_(m-n)(xi)) = -sign(Im sigma_n(xi))."""
+    sign(Im sigma_(m-n)(xi)) = -sign(Im sigma_n(xi)).  Memoized per
+    (entry, start_prec); the type is immutable."""
     m = xi.m
     members = set()
     for n in real_embedding_reps(m):
@@ -277,13 +286,15 @@ def form_signature(h: HermitianDatum, start_prec: int = DEFAULT_PRECISION) -> Si
     lands in the block whose modulus is the exact order m/gcd(n, m) of
     zeta^n, at local index n mod that modulus; each entry contributes 1
     exactly when its CM-type contains the local index."""
-    counts = _entry_counts(h)
-    types = {xi: entry_cm_type(xi, start_prec) for xi in counts}
-    values = [0] * h.m
-    for n in range(1, h.m):
-        d = h.m // gcd(n, h.m)
-        values[n] = sum(c for xi, c in counts.items() if xi.m == d and n % d in types[xi])
-    return Signature(h.m, tuple(values))
+    m = h.m
+    values = [0] * m
+    for xi, c in _entry_counts(h).items():
+        d = xi.m
+        for k in entry_cm_type(xi, start_prec).members:
+            for n in range(k, m, d):
+                if m // gcd(n, m) == d:
+                    values[n] += c
+    return Signature(m, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +680,11 @@ def load_corpus(path: Union[str, Path]) -> list[dict]:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict) or not isinstance(doc.get("fixtures"), list):
-        raise ValueError(f"{path}: corpus must be an object with a 'fixtures' list")
+        raise MalformedDatum(f"{path}: corpus must be an object with a 'fixtures' list")
     for record in doc["fixtures"]:
+        if not isinstance(record, dict):
+            raise MalformedDatum(f"{path}: a fixture is a {type(record).__name__}, not an object")
         missing = {"name", "m", "N", "a", "blocks", "expected_signature"} - set(record)
         if missing:
-            raise ValueError(f"{path}: fixture missing fields {sorted(missing)}")
+            raise MalformedDatum(f"{path}: fixture missing fields {sorted(missing)}")
     return doc["fixtures"]

@@ -28,7 +28,7 @@ from cyclopel.cli import (
     report_json,
 )
 from cyclopel.embeddings import DEFAULT_PRECISION
-from cyclopel.errors import Unsatisfiable
+from cyclopel.errors import CyclopelError, MalformedDatum, ParseError, Unsatisfiable
 from cyclopel.peldatum import default_corpus_path, load_corpus
 
 
@@ -110,6 +110,15 @@ def test_unsatisfiable_mapping():
     assert _exit_code_for(Unsatisfiable("x", cokernel_dim=1)) == 6
 
 
+def test_typed_input_errors_exit_invalid_datum(tmp_path, capsys):
+    assert _exit_code_for(MalformedDatum("x")) == _exit_code_for(ParseError("x")) == 7
+    assert _exit_code_for(CyclopelError("x")) == EXIT_GENERIC
+    p = tmp_path / "records.json"
+    p.write_text(json.dumps({"fixtures": [[1, 2]]}))
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    assert "is a list, not an object" in capsys.readouterr().err
+
+
 def test_json_report(capsys):
     assert run(["--m", "5", "--inertia", "1,3,3,3", "--json"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -158,6 +167,13 @@ _JSON_VALUES = st.recursive(
     | st.lists(inner).map(tuple)
     | st.dictionaries(st.text(), inner),
     max_leaves=40,
+) | st.lists(
+    # lists of ints are written in one join: bools (ints to isinstance)
+    # must still be written as true and false
+    st.lists(st.booleans())
+    | st.lists(st.booleans() | st.integers())
+    | st.lists(st.integers()).map(tuple)
+    | st.lists(st.lists(st.lists(st.nothing())), min_size=1)
 )
 
 
@@ -249,8 +265,8 @@ def test_corpus_reports_malformed_fixtures_one_by_one(tmp_path, capsys):
         "FAIL two-points",
         "1 passed, 2 failed, 3 total",
     ]
-    assert "     ValueError: unexpected token '*'" in lines
-    assert "     ValueError: a monodromy datum needs at least 3 branch points" in lines
+    assert "     ParseError: unexpected token '*'" in lines
+    assert "     MalformedDatum: a monodromy datum needs at least 3 branch points" in lines
 
 
 def test_corpus_survives_deep_nesting(tmp_path, capsys):

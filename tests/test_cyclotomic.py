@@ -23,7 +23,7 @@ from cyclopel.cyclotomic import (
     relative_trace,
     units_mod,
 )
-from cyclopel.errors import UnsupportedModulus
+from cyclopel.errors import CyclopelError, ParseError, UnsupportedModulus
 
 X = sympy.Symbol("x")
 
@@ -382,6 +382,17 @@ def test_parse_bounds_nesting_and_powers():
         "((2^100)^100)^100",
     ):
         with pytest.raises(ValueError):
+            parse_element(s, 5)
+
+
+def test_parse_errors_are_typed():
+    assert issubclass(ParseError, CyclopelError) and issubclass(ParseError, ValueError)
+    for s in ("z +* 1", "z^-1", "(z", "z)", "z#", "(" * 101 + "z" + ")" * 101, "z^4097"):
+        with pytest.raises(ParseError):
+            parse_element(s, 5)
+    # truncated strings and division by zero
+    for s in ("", "z+", "2^", "(", "1/0", "z/(z - z)"):
+        with pytest.raises(ParseError):
             parse_element(s, 5)
 
 

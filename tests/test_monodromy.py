@@ -16,7 +16,9 @@ import cyclopel.monodromy as M
 from cyclopel.cyclotomic import SUPPORTED_MODULI
 from cyclopel.errors import (
     DisconnectedCover,
+    CyclopelError,
     InvariantViolation,
+    MalformedDatum,
     NonCompactType,
     NonMaximalOrder,
     UnbalancedInertia,
@@ -83,6 +85,14 @@ def test_validate_rejects_short_and_unsupported():
         validate(5, (2, 3))
     with pytest.raises(UnsupportedModulus):
         validate(23, (1, 1, 21))
+
+
+def test_malformed_datum_is_typed():
+    assert issubclass(MalformedDatum, CyclopelError) and issubclass(MalformedDatum, ValueError)
+    with pytest.raises(MalformedDatum, match="at least 3 branch points"):
+        validate(5, (2, 3))
+    with pytest.raises(MalformedDatum, match="reduced"):
+        MonodromyDatum(5, (6, 2, 2))
 
 
 def test_genus_values():
@@ -237,6 +247,81 @@ def test_degenerate_decides_each_triple_once(monkeypatch):
     monkeypatch.setattr(cyclopel.cmfield, "is_simple", lambda phi: calls.append(phi) or original(phi))
     assert degenerate(d) == tree
     assert calls == []
+
+
+def eager_degenerate(datum: MonodromyDatum) -> M.DegenerationTree:
+    """Reference search: list every admissible pair of each step, then take
+    the first preferred one, else the first one."""
+    m = datum.m
+    cur = datum
+    triples, pairs, merged = [], [], []
+
+    def emit(t):
+        if cm_algebra_check(t) != (m,):
+            raise NonMaximalOrder(f"component {t.a}")
+        triples.append(t)
+
+    while cur.N > 3:
+        a = cur.a
+        candidates = [
+            (i, j)
+            for i in range(cur.N)
+            for j in range(i + 1, cur.N)
+            if gcd(a[i] + a[j], m) == 1
+        ]
+        if not candidates:
+            raise NonCompactType(f"no admissible pair of {a}")
+
+        def triple_for(p):
+            i, j = p
+            return MonodromyDatum(m, (a[i], a[j], (-(a[i] + a[j])) % m))
+
+        preferred = (p for p in candidates if M._triple_is_preferred(triple_for(p)))
+        choice = next(preferred, candidates[0])
+        i, j = choice
+        s = (a[i] + a[j]) % m
+        emit(triple_for(choice))
+        pairs.append(choice)
+        merged.append(s)
+        rest = tuple(x for k, x in enumerate(a) if k != i and k != j)
+        cur = MonodromyDatum(m, (s,) + rest)
+    emit(cur)
+    return M.DegenerationTree(datum, tuple(triples), tuple(pairs), tuple(merged))
+
+
+def _outcome(search, datum):
+    try:
+        return search(datum)
+    except (NonCompactType, NonMaximalOrder) as exc:
+        return type(exc)
+
+
+def test_degenerate_matches_eager_search():
+    outcomes = Counter()
+    for m in sorted(SUPPORTED_MODULI):
+        rng = random.Random(1000 + m)
+        for _ in range(40):
+            d = random_datum(rng, moduli=(m,), max_n=10)
+            got = _outcome(degenerate, d)
+            assert got == _outcome(eager_degenerate, d), d
+            outcomes[got if isinstance(got, type) else "tree"] += 1
+    assert set(outcomes) == {"tree", NonCompactType, NonMaximalOrder}
+
+
+@pytest.mark.parametrize(
+    "m, a", [(8, (4, 5, 4, 3)), (16, (8, 3, 13, 8)), (32, (16, 31, 1, 16))]
+)
+def test_degenerate_falls_back_to_first_admissible_pair(m, a):
+    d = validate(m, a)
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    admissible = [(i, j) for i, j in pairs if gcd(a[i] + a[j], m) == 1]
+    assert not any(
+        M._triple_is_preferred(MonodromyDatum(m, (a[i], a[j], (-(a[i] + a[j])) % m)))
+        for i, j in admissible
+    )
+    tree = degenerate(d)
+    assert tree.merge_pairs[0] == admissible[0]
+    assert tree == eager_degenerate(d)
 
 
 def test_conjugate_signature_pairing():

@@ -21,7 +21,9 @@ import pytest
 import sympy
 
 import cyclopel
-from cyclopel.cmfield import CMType
+import cyclopel.cmfield
+import cyclopel.monodromy
+from cyclopel.cmfield import CMType, cm_type_from_triple, is_simple
 from cyclopel.cyclotomic import (
     SUPPORTED_MODULI,
     Cyclo,
@@ -33,6 +35,7 @@ from cyclopel.cyclotomic import (
 )
 from cyclopel.errors import (
     Indeterminate,
+    MalformedDatum,
     NonIntegralForm,
     UnsupportedModulus,
 )
@@ -270,15 +273,51 @@ def test_assemble_derives_each_entry_fact_once(monkeypatch):
             return _f(*args)
         monkeypatch.setattr(P, name, spy)
     P._cell.cache_clear()
+    entry_cm_type.cache_clear()
     datum = validate(19, (1,) * 23 + (15,))
     r = assemble(datum)
     assert len(r.components) == 22
     assert len(set(r.hermitian.blocks[0].entries)) == 11
     assert calls == {"_gram_cell": 11, "entry_cm_type": 11, "gram_determinant": 11}
-    # cells and their determinants are kept for the rest of the process
+    # cells, their determinants and the entry types are kept for the rest
+    # of the process
     calls.update(_gram_cell=0, gram_determinant=0)
+    types_derived = entry_cm_type.cache_info().misses
     assert assemble(datum) == r
     assert calls["_gram_cell"] == calls["gram_determinant"] == 0
+    assert entry_cm_type.cache_info().misses == types_derived
+
+
+def test_warm_assemble_redoes_no_triple_or_entry_work(monkeypatch):
+    datum = validate(13, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10))
+    r = assemble(datum)
+    calls = {"triple signature": 0, "galois": 0}
+    original_signature = signature
+
+    def spy_signature(d):
+        calls["triple signature"] += d.N == 3
+        return original_signature(d)
+
+    for module in (cyclopel.monodromy, cyclopel.cmfield, P):
+        monkeypatch.setattr(module, "signature", spy_signature)
+    original_galois = Cyclo.galois
+
+    def spy_galois(self, i):
+        calls["galois"] += 1
+        return original_galois(self, i)
+
+    monkeypatch.setattr(Cyclo, "galois", spy_galois)
+    simplicity_decided = is_simple.cache_info().misses
+    assert assemble(datum) == r
+    assert calls == {"triple signature": 0, "galois": 0}
+    assert is_simple.cache_info().misses == simplicity_decided
+    # the spies see work that is not memoized
+    is_simple.cache_clear()
+    cm_type_from_triple.cache_clear()
+    P._is_pure_imaginary.cache_clear()
+    assert assemble(datum) == r
+    assert calls["triple signature"] > 0 and calls["galois"] > 0
+    assert is_simple.cache_info().misses > 0
 
 
 def test_warm_assemble_makes_no_inversion(monkeypatch):
@@ -316,6 +355,7 @@ _BROKEN_INVARIANTS = {
         "Q._closed_form_units = lambda m: [(Q.Cyclo.one(m) * 2, Q.Cyclo.one(m))]",
         "is not a real unit",
     ),
+    "entry purely imaginary": ("P._is_pure_imaginary = lambda xi: False", "not purely imaginary"),
 }
 
 
@@ -697,6 +737,14 @@ def test_load_corpus_errors(tmp_path):
     p.write_text(json.dumps({"fixtures": [{"name": "x", "m": 3}]}))
     with pytest.raises(ValueError, match=r"missing fields \['N', 'a', 'blocks', 'expected_signature'\]"):
         load_corpus(p)
+
+
+def test_load_corpus_errors_are_typed(tmp_path):
+    p = tmp_path / "bad.json"
+    for doc in ([1, 2], {"fixtures": [{"name": "x", "m": 3}]}, {"fixtures": [[1, 2]]}):
+        p.write_text(json.dumps(doc))
+        with pytest.raises(MalformedDatum):
+            load_corpus(p)
 
 
 def test_block_rejects_bad_entries():
