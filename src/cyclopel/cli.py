@@ -34,7 +34,6 @@ from .errors import (
 )
 from .monodromy import degenerate, validate
 from .peldatum import (
-    ASSEMBLE_MODULI,
     FamilyResult,
     GramView,
     assemble,
@@ -255,16 +254,7 @@ def _exit_code_for(exc: CyclopelError) -> int:
 def run_family(m: int, inertia: Sequence[int], precision: int, as_json: bool) -> int:
     t0 = time.monotonic()
     try:
-        datum = validate(m, inertia)
-        if m not in ASSEMBLE_MODULI:
-            # assemble degenerates on its own; here a datum without an
-            # admissible degeneration still exits 3 or 5 ahead of 4
-            degenerate(datum)
-            raise UnsupportedModulus(
-                f"assembly supports odd prime m in {sorted(ASSEMBLE_MODULI)}; "
-                f"m = {m} families ship as corpus fixtures only"
-            )
-        result = assemble(datum, precision)
+        result = assemble(validate(m, inertia), precision)
     except CyclopelError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

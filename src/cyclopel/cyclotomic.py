@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import InvariantViolation, NotUnit, ParseError, UnsupportedModulus
+from .errors import InvariantViolation, ParseError, UnsupportedModulus
 
 __all__ = [
     "SUPPORTED_MODULI",
@@ -32,9 +32,9 @@ __all__ = [
 SUPPORTED_MODULI = frozenset({3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 19, 21, 25, 27, 32})
 
 
-@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+    """Order of (Z/mZ)^*, with phi(1) = 1."""
+    return 1 if m == 1 else len(units_mod(m))
 
 
 @lru_cache(maxsize=64)
@@ -45,7 +45,7 @@ def units_mod(m: int) -> tuple[int, ...]:
 
 def real_embedding_reps(m: int) -> tuple[int, ...]:
     """One representative n < m/2 per conjugate pair {n, m-n} of units."""
-    return tuple(n for n in range(1, (m + 1) // 2) if gcd(n, m) == 1 and 2 * n != m)
+    return tuple(n for n in units_mod(m) if 2 * n < m)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +342,6 @@ class Cyclo:
         if not y.is_rational():
             raise InvariantViolation("norm failed to land in Q")
         return y.as_fraction(), others
-
-    def norm_to_real(self) -> "Cyclo":
-        """x * conj(x), an element of the maximal real subfield."""
-        out = self * self.conj()
-        if not out.is_real():
-            raise InvariantViolation("x * conj(x) is not real")
-        return out
 
     # change of modulus --------------------------------------------------
 

@@ -193,7 +193,6 @@ def embed(x: Cyclo, n: int, prec: int = DEFAULT_PRECISION) -> ComplexInterval:
     )
 
 
-@lru_cache(maxsize=65536)
 def certified_sign_im(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -> int:
     """Sign of Im(sigma_n(x)) in {-1, 0, +1}, certified.
 
@@ -212,7 +211,6 @@ def certified_sign_real(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -
     return _fixed_point_sign(x, n, start_prec, 0, x.is_zero)
 
 
-@lru_cache(maxsize=65536)
 def sign_vector(u: Cyclo, start_prec: int = DEFAULT_PRECISION) -> SignVector:
     """Signs of u at the real embeddings tau_n, one representative n < m/2
     per conjugate pair, ascending n."""

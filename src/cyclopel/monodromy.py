@@ -162,15 +162,16 @@ class DegenerationTree:
 
 
 @lru_cache(maxsize=4096)
-def _triple_is_preferred(triple: MonodromyDatum) -> bool:
-    # Prefer join components that stay inside the single-field maximal-order
-    # case with a simple CM-type; ties are broken lexicographically by the
-    # caller.  Simple components make the Hermitian-form argument
-    # unconditional, and this reproduces the published degenerations.  The
-    # answer depends on the triple alone, and a modulus has at most m^2.
+def _join_is_preferred(m: int, x: int, y: int) -> bool:
+    # Prefer joining inertia values x, y when the component they form stays
+    # inside the single-field maximal-order case with a simple CM-type; ties
+    # are broken lexicographically by the caller.  Simple components make
+    # the Hermitian-form argument unconditional, and this reproduces the
+    # published degenerations.  The answer depends on (m, x, y) alone.
     from .cmfield import cm_type_from_triple, is_simple
 
-    if cm_algebra_check(triple) != (triple.m,):
+    triple = MonodromyDatum(m, (x, y, -(x + y) % m))
+    if cm_algebra_check(triple) != (m,):
         return False
     return is_simple(cm_type_from_triple(triple)).simple
 
@@ -182,7 +183,7 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
     the join meet at gcd(a(i)+a(j), m) points, so any larger gcd creates a
     cycle in the dual graph and the limit curve is not of compact type.
     Among admissible pairs the lexicographically least preferred one is
-    taken (see _triple_is_preferred).  Every emitted triple must have
+    taken (see _join_is_preferred).  Every emitted triple must have
     single-field maximal-order CM, else NonMaximalOrder.
     """
     m = datum.m
@@ -201,11 +202,6 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
 
     while cur.N > 3:
         a = cur.a
-
-        def triple_for(p):
-            i, j = p
-            return MonodromyDatum(m, (a[i], a[j], (-(a[i] + a[j])) % m))
-
         # admissible pairs in lexicographic order, listed only as far as
         # the first preferred one
         admissible = (
@@ -221,11 +217,12 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
                 "every degeneration of this family has a cycle in its dual graph"
             )
         choice = next(
-            (p for p in chain((first,), admissible) if _triple_is_preferred(triple_for(p))), first
+            (p for p in chain((first,), admissible) if _join_is_preferred(m, a[p[0]], a[p[1]])),
+            first,
         )
         i, j = choice
         s = (a[i] + a[j]) % m
-        emit(triple_for(choice))
+        emit(MonodromyDatum(m, (a[i], a[j], -s % m)))
         pairs.append(choice)
         merged.append(s)
         rest = tuple(x for k, x in enumerate(a) if k != i and k != j)

@@ -328,13 +328,14 @@ class FamilyResult:
 def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> FamilyResult:
     """Full pipeline: degenerate into 3-point components, solve for each
     component's polarization element, and return the diagonal Hermitian
-    datum in degeneration order with its integral Gram matrix."""
+    datum in degeneration order with its integral Gram matrix.  A family
+    with no admissible degeneration fails that way at any modulus."""
+    tree = degenerate(datum)
     if datum.m not in ASSEMBLE_MODULI:
         raise UnsupportedModulus(
             f"full assembly runs for odd prime m in {sorted(ASSEMBLE_MODULI)}, not m = {datum.m}"
         )
     sig = signature(datum)
-    tree = degenerate(datum)
     components = []
     for triple in tree.triples:
         phi = cm_type_from_triple(triple)
@@ -613,6 +614,26 @@ def _fixture_datum(fixture: dict) -> HermitianDatum:
     return HermitianDatum(int(fixture["m"]), blocks)
 
 
+def _check_json_types(fixture: dict) -> None:
+    """Raise MalformedDatum naming the fields whose JSON type is not the corpus format's."""
+
+    def ints(v) -> bool:
+        return isinstance(v, list) and all(type(x) is int for x in v)
+
+    def blocks(v) -> bool:
+        return isinstance(v, list) and all(
+            isinstance(b, list) and len(b) == 2 and type(b[0]) is int and isinstance(b[1], list)
+            and all(isinstance(s, str) for s in b[1]) for b in v
+        )
+
+    wrong = [k for k in ("m", "N") if type(fixture.get(k)) is not int]
+    wrong += [k for k in ("a", "expected_signature") if not ints(fixture.get(k))]
+    if not blocks(fixture.get("blocks")):
+        wrong.append("blocks")
+    if wrong:
+        raise MalformedDatum(f"fixture fields {wrong} do not have the corpus format's JSON types")
+
+
 def verify_fixture(
     fixture: dict,
     start_prec: int = DEFAULT_PRECISION,
@@ -630,6 +651,7 @@ def verify_fixture(
     name = str(fixture.get("name", "?"))
     failures: list[str] = []
     try:
+        _check_json_types(fixture)
         datum = validate(int(fixture["m"]), fixture["a"])
         if datum.N != int(fixture["N"]):
             failures.append(f"declared N = {fixture['N']} but inertia has {datum.N} points")

@@ -60,11 +60,14 @@ def has_independent_signs(m: int) -> bool:
 @dataclass(frozen=True)
 class DifferentGenerator:
     """Closed-form generator beta0 of the different D_{F/Q}, purely
-    imaginary (beta0 = -conj(beta0))."""
+    imaginary (beta0 = -conj(beta0)), with its inverse and the certified
+    signs of Im(sigma_n(beta0)) at real_embedding_reps(m), none of them 0."""
 
     m: int
     case: str
     element: Cyclo
+    inverse: Cyclo = field(init=False, compare=False, repr=False)
+    signs: SignVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.element.is_integral:
@@ -73,6 +76,11 @@ class DifferentGenerator:
             raise InvariantViolation(
                 f"different generator for m = {self.m} is not purely imaginary"
             )
+        signs = tuple(certified_sign_im(self.element, n) for n in real_embedding_reps(self.m))
+        if 0 in signs:
+            raise InvariantViolation(f"beta0 has an embedding sign 0 mod {self.m}")
+        object.__setattr__(self, "inverse", self.element.inverse())
+        object.__setattr__(self, "signs", signs)
 
 
 @lru_cache(maxsize=None)
@@ -110,20 +118,16 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-@lru_cache(maxsize=None)
 def reference_different_generator(m: int) -> Cyclo:
-    """beta0 as an element over modulus m, built from the odd part when
+    """beta0 as an element over modulus m, from the odd part's record when
     m = 2 * (odd): the field and its different are unchanged there and no
     direct closed form exists."""
-    if m % 4 == 2:
-        return beta0(m // 2).element.to_modulus(m)
-    return beta0(m).element
+    return beta0(m // 2 if m % 4 == 2 else m).element.to_modulus(m)
 
 
-@lru_cache(maxsize=None)
 def reference_different_inverse(m: int) -> Cyclo:
-    """1 / reference_different_generator(m), inverted once per modulus."""
-    return reference_different_generator(m).inverse()
+    """1 / reference_different_generator(m), read off the same beta0 record."""
+    return beta0(m // 2 if m % 4 == 2 else m).inverse.to_modulus(m)
 
 
 def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
@@ -347,20 +351,15 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
         raise UnsupportedModulus(
             f"beta construction needs a closed-form beta0 and independent signs; m = {m} has neither or only one"
         )
-    b0 = beta0(m).element
-    reps = real_embedding_reps(m)
-    s0 = tuple(certified_sign_im(b0, n, start_prec) for n in reps)
-    if 0 in s0:
-        raise InvariantViolation(f"beta0 has an embedding sign 0 mod {m}")
-    want = tuple(-1 if n in phi else 1 for n in reps)
-    target = tuple(w * s for w, s in zip(want, s0))
+    b0 = beta0(m)
+    target = tuple(-s if n in phi else s for n, s in zip(real_embedding_reps(m), b0.signs))
     table = _unit_table(m)
     combo = _solve_combo(target, m)
     if isinstance(combo, Unsatisfiable):
         raise combo
     u0 = _product(table.gens, combo, m)
-    beta = u0 * b0
-    xi = _product(table.inverses, combo, m) * reference_different_inverse(m)
+    beta = u0 * b0.element
+    xi = _product(table.inverses, combo, m) * b0.inverse
     if beta * xi != 1:
         raise InvariantViolation(
             f"xi is not 1/beta for the CM-type {phi.sorted_members()} mod {m}"

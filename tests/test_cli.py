@@ -269,6 +269,29 @@ def test_corpus_reports_malformed_fixtures_one_by_one(tmp_path, capsys):
     assert "     MalformedDatum: a monodromy datum needs at least 3 branch points" in lines
 
 
+def test_corpus_reports_fields_of_the_wrong_json_type(tmp_path, capsys):
+    good = {f["name"]: f for f in load_corpus(default_corpus_path())}["m5-1144"]
+    cases = {"a": 5, "N": None, "m": [5], "blocks": 5, "expected_signature": 5}
+    bad = []
+    for key, value in cases.items():
+        fixture = copy.deepcopy(good)
+        fixture.update({"name": f"bad-{key}", key: value})
+        bad.append(fixture)
+    p = tmp_path / "types.json"
+    p.write_text(json.dumps({"fixtures": bad + [good]}))
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith(" ")] == [
+        *(f"FAIL {f['name']}" for f in bad),
+        "PASS m5-1144",
+        "1 passed, 5 failed, 6 total",
+    ]
+    assert [line.strip() for line in lines if line.startswith(" ")] == [
+        f"MalformedDatum: fixture fields ['{key}'] do not have the corpus format's JSON types"
+        for key in cases
+    ]
+
+
 def test_corpus_survives_deep_nesting(tmp_path, capsys):
     good = {f["name"]: f for f in load_corpus(default_corpus_path())}["m5-1144"]
     deep = copy.deepcopy(good)

@@ -169,11 +169,6 @@ def test_trace_equals_conjugate_sum():
             assert total.as_fraction() == x.trace()
 
 
-def test_norm_to_real_of_root_is_one():
-    for m in (5, 7, 16):
-        assert Cyclo.zeta(m).norm_to_real() == Cyclo.one(m)
-
-
 def test_norm_of_one_minus_root():
     assert (1 - Cyclo.zeta(5)).norm() == 5
 

@@ -286,10 +286,10 @@ def test_interval_first_signs_match_zero_test_first(case):
     # real elements must still give 0, near-cancelling ones must double
     x, r, n, start_prec = case
     for y in (x, r, x - x.conj(), Cyclo.zero(x.m)):
-        assert certified_sign_im.__wrapped__(y, n, start_prec) == _sign_with_zero_test_first(
+        assert certified_sign_im(y, n, start_prec) == _sign_with_zero_test_first(
             y, n, start_prec, 1
         )
-    assert certified_sign_im.__wrapped__(r, n, start_prec) == 0
+    assert certified_sign_im(r, n, start_prec) == 0
     assert certified_sign_real(r, n, start_prec) == _sign_with_zero_test_first(
         r, n, start_prec, 0
     )

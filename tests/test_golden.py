@@ -80,6 +80,25 @@ def test_report_bytes_match_golden_digest(m, a):
     assert _report_digest(m, a) == _golden()["reports"][_key(m, a)]
 
 
+def _clear_memos() -> None:
+    """Empty every lru_cache of the cyclopel modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "cyclopel" or name.startswith("cyclopel."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_report_bytes_do_not_depend_on_memo_state():
+    golden = _golden()["reports"]
+    for m, a in FAMILIES:
+        _clear_memos()
+        assert _report_digest(m, a) == golden[_key(m, a)], ("cold", m, a)
+    for order in (FAMILIES, FAMILIES[::-1]):
+        for m, a in order:
+            assert _report_digest(m, a) == golden[_key(m, a)], ("warm", m, a)
+
+
 def _first_difference(a: str, b: str):
     """Offset of the first differing character, or None; reports run to
     megabytes, too long for pytest's string diff."""

@@ -240,7 +240,7 @@ def test_degenerate_triples_validate_and_sum_genus():
 
 def test_degenerate_decides_each_triple_once(monkeypatch):
     d = validate(19, (1,) * 23 + (15,))
-    M._triple_is_preferred.cache_clear()
+    M._join_is_preferred.cache_clear()
     tree = degenerate(d)
     calls = []
     original = cyclopel.cmfield.is_simple
@@ -276,7 +276,7 @@ def eager_degenerate(datum: MonodromyDatum) -> M.DegenerationTree:
             i, j = p
             return MonodromyDatum(m, (a[i], a[j], (-(a[i] + a[j])) % m))
 
-        preferred = (p for p in candidates if M._triple_is_preferred(triple_for(p)))
+        preferred = (p for p in candidates if M._join_is_preferred(m, a[p[0]], a[p[1]]))
         choice = next(preferred, candidates[0])
         i, j = choice
         s = (a[i] + a[j]) % m
@@ -315,10 +315,7 @@ def test_degenerate_falls_back_to_first_admissible_pair(m, a):
     d = validate(m, a)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     admissible = [(i, j) for i, j in pairs if gcd(a[i] + a[j], m) == 1]
-    assert not any(
-        M._triple_is_preferred(MonodromyDatum(m, (a[i], a[j], (-(a[i] + a[j])) % m)))
-        for i, j in admissible
-    )
+    assert not any(M._join_is_preferred(m, a[i], a[j]) for i, j in admissible)
     tree = degenerate(d)
     assert tree.merge_pairs[0] == admissible[0]
     assert tree == eager_degenerate(d)

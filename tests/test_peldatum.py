@@ -36,6 +36,7 @@ from cyclopel.cyclotomic import (
 from cyclopel.errors import (
     Indeterminate,
     MalformedDatum,
+    NonCompactType,
     NonIntegralForm,
     UnsupportedModulus,
 )
@@ -350,7 +351,10 @@ _BROKEN_INVARIANTS = {
         "Q.verify_conditions = lambda beta, phi, prec: Q.ConditionReport(True, True, False)",
         "fails its own conditions",
     ),
-    "xi is 1/beta": ("Q.reference_different_inverse = lambda m: Q.Cyclo.one(m)", "xi is not 1/beta"),
+    "xi is 1/beta": (
+        "object.__setattr__(Q.beta0(5), 'inverse', Q.Cyclo.one(5))",
+        "xi is not 1/beta",
+    ),
     "unit generators": (
         "Q._closed_form_units = lambda m: [(Q.Cyclo.one(m) * 2, Q.Cyclo.one(m))]",
         "is not a real unit",
@@ -509,6 +513,11 @@ def test_assemble_certainty_tiers():
 def test_assemble_unsupported_modulus():
     with pytest.raises(UnsupportedModulus):
         assemble(validate(9, (1, 2, 6)))
+
+
+def test_assemble_degenerates_before_its_modulus_check():
+    with pytest.raises(NonCompactType):
+        assemble(validate(6, (1, 1, 1, 3)))
 
 
 def test_equivalent_datum_basic():

