@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedModulus,
     ZeroInertia,
 )
-from .monodromy import degenerate, validate
+from .monodromy import validate
 from .peldatum import (
     FamilyResult,
     GramView,
@@ -63,22 +63,25 @@ def _decimal_str(q: Fraction) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _rendered(x: Cyclo, precision: int) -> tuple[str, str, str]:
-    """(exact, re, im) strings of x; reports repeat betas and entries, so
-    each (element, precision) is rendered once."""
+def _exact_str(x: Cyclo) -> str:
+    """Exact string of x; reports repeat betas, u0s and entries, so each
+    element is written once."""
+    return element_str(x)
+
+
+@lru_cache(maxsize=4096)
+def _decimals(x: Cyclo, precision: int) -> tuple[str, str]:
+    """(re, im) strings of the identity embedding of x, once per
+    (element, precision); u0 is reported exactly and never embedded."""
     box = embed(x, 1, precision)
-    return (
-        element_str(x),
-        _decimal_str((box.re_lo + box.re_hi) / 2),
-        _decimal_str((box.im_lo + box.im_hi) / 2),
-    )
+    return _decimal_str((box.re_lo + box.re_hi) / 2), _decimal_str((box.im_lo + box.im_hi) / 2)
 
 
 def _element_json(x: Cyclo, precision: int) -> dict:
     """Exact string plus a decimal rendering of the identity embedding;
     only the exact string is meaningful for comparison."""
-    exact, re, im = _rendered(x, precision)
-    return {"exact": exact, "re": re, "im": im}
+    re, im = _decimals(x, precision)
+    return {"exact": _exact_str(x), "re": re, "im": im}
 
 
 def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> dict:
@@ -100,7 +103,7 @@ def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> dict:
                 "simple": simp.simple,
                 "simplicity_witness": witness,
                 "beta": _element_json(c.point.beta, precision),
-                "u0": element_str(c.point.u0),
+                "u0": _exact_str(c.point.u0),
             }
         )
     entries = [

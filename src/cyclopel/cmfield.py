@@ -70,27 +70,27 @@ def galois_act_cm(i: int, phi: CMType) -> CMType:
 
 @lru_cache(maxsize=None)
 def subgroups_mod(m: int) -> tuple[tuple[int, ...], ...]:
-    """All subgroups of (Z/mZ)*, each as a sorted tuple."""
-    units = units_mod(m)
-    found: set[frozenset[int]] = {frozenset({1})}
-    frontier = [frozenset({1})]
+    """All subgroups of (Z/mZ)*, each as a sorted tuple.  The group is
+    abelian, so every subgroup is the product of its cyclic subgroups:
+    start from the cyclic subgroups <g> and close under products HK."""
+    cyclic = {frozenset({1})}
+    for g in units_mod(m):
+        h, x = [1], g
+        while x != 1:
+            h.append(x)
+            x = (x * g) % m
+        cyclic.add(frozenset(h))
+    found = set(cyclic)
+    frontier = list(cyclic)
     while frontier:
         h = frontier.pop()
-        for g in units:
-            if g in h:
+        for k in cyclic:
+            if h <= k or k <= h:
                 continue
-            new = set(h)
-            stack = [g]
-            while stack:
-                x = stack.pop()
-                if x in new:
-                    continue
-                new.add(x)
-                stack.extend((x * y) % m for y in new.copy())
-            newf = frozenset(new)
-            if newf not in found:
-                found.add(newf)
-                frontier.append(newf)
+            hk = frozenset((x * y) % m for x in h for y in k)
+            if hk not in found:
+                found.add(hk)
+                frontier.append(hk)
     return tuple(sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t)))
 
 

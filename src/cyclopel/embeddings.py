@@ -64,25 +64,6 @@ class ComplexInterval:
         if not (self.re_lo <= self.re_hi and self.im_lo <= self.im_hi):
             raise InvariantViolation("interval endpoints are out of order")
 
-    @property
-    def re_width(self) -> Fraction:
-        return self.re_hi - self.re_lo
-
-    @property
-    def im_width(self) -> Fraction:
-        return self.im_hi - self.im_lo
-
-    def contains(self, other: "ComplexInterval") -> bool:
-        return (
-            self.re_lo <= other.re_lo
-            and other.re_hi <= self.re_hi
-            and self.im_lo <= other.im_lo
-            and other.im_hi <= self.im_hi
-        )
-
-    def contains_point(self, re: Fraction, im: Fraction = Fraction(0)) -> bool:
-        return self.re_lo <= re <= self.re_hi and self.im_lo <= im <= self.im_hi
-
 
 SignVector = tuple[int, ...]
 

@@ -187,7 +187,7 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
     single-field maximal-order CM, else NonMaximalOrder.
     """
     m = datum.m
-    cur = datum
+    a = list(datum.a)
     triples: list[MonodromyDatum] = []
     pairs: list[tuple[int, int]] = []
     merged: list[int] = []
@@ -200,20 +200,23 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
             )
         triples.append(t)
 
-    while cur.N > 3:
-        a = cur.a
+    # datum was validated when it was built, and every step keeps a valid:
+    # the fused value s = a(i) + a(j) mod m is a unit (that is what
+    # admissible means), so s is nonzero and in [1, m-1], the cover stays
+    # connected and the sum mod m is unchanged.
+    while len(a) > 3:
         # admissible pairs in lexicographic order, listed only as far as
         # the first preferred one
         admissible = (
             (i, j)
-            for i in range(cur.N)
-            for j in range(i + 1, cur.N)
+            for i in range(len(a))
+            for j in range(i + 1, len(a))
             if gcd(a[i] + a[j], m) == 1
         )
         first = next(admissible, None)
         if first is None:
             raise NonCompactType(
-                f"no branch-point pair of {a} joins at a single node; "
+                f"no branch-point pair of {tuple(a)} joins at a single node; "
                 "every degeneration of this family has a cycle in its dual graph"
             )
         choice = next(
@@ -225,8 +228,8 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
         emit(MonodromyDatum(m, (a[i], a[j], -s % m)))
         pairs.append(choice)
         merged.append(s)
-        rest = tuple(x for k, x in enumerate(a) if k != i and k != j)
-        cur = MonodromyDatum(m, (s,) + rest)
+        del a[j], a[i]
+        a.insert(0, s)
 
-    emit(cur)
+    emit(MonodromyDatum(m, tuple(a)))
     return DegenerationTree(datum, tuple(triples), tuple(pairs), tuple(merged))

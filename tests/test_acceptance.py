@@ -206,8 +206,8 @@ def test_real_quadratic_ratio():
     tol = Fraction(1, 10**20)
     mid = (box.re_lo + box.re_hi) / 2
     assert abs(mid + golden_frac) < tol
-    assert box.re_width < tol and box.im_width < tol
-    assert box.contains_point(-golden_frac)
+    assert box.re_hi - box.re_lo < tol and box.im_hi - box.im_lo < tol
+    assert box.re_lo <= -golden_frac <= box.re_hi and box.im_lo <= 0 <= box.im_hi
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ def test_family_degenerates_once(monkeypatch, capsys):
         calls.append(datum)
         return original(datum)
 
-    monkeypatch.setattr(cyclopel.cli, "degenerate", counted)
     monkeypatch.setattr(cyclopel.peldatum, "degenerate", counted)
     assert run(["--m", "5", "--inertia", "1,3,3,3"]) == EXIT_OK
     assert len(calls) == 1
@@ -66,21 +65,31 @@ def test_family_degenerates_once(monkeypatch, capsys):
 
 
 def test_report_renders_each_element_once(monkeypatch):
-    # four components over two CM-types: each beta and entry repeats
+    # four components over two CM-types: each beta, u0 and entry repeats
     result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(3, (1,) * 6))
-    rendered = []
-    original = cyclopel.cli.embed
+    written, embedded = [], []
+    original_str, original_embed = cyclopel.cli.element_str, cyclopel.cli.embed
 
-    def counted(x, n, prec):
-        rendered.append(x)
-        return original(x, n, prec)
+    def counted_str(x):
+        written.append(x)
+        return original_str(x)
 
-    monkeypatch.setattr(cyclopel.cli, "embed", counted)
-    cyclopel.cli._rendered.cache_clear()
+    def counted_embed(x, n, prec):
+        embedded.append(x)
+        return original_embed(x, n, prec)
+
+    monkeypatch.setattr(cyclopel.cli, "element_str", counted_str)
+    monkeypatch.setattr(cyclopel.cli, "embed", counted_embed)
+    cyclopel.cli._exact_str.cache_clear()
+    cyclopel.cli._decimals.cache_clear()
     report = cyclopel.cli.build_report(result, DEFAULT_PRECISION, 0)
-    distinct = {c.point.beta for c in result.components} | set(result.hermitian.blocks[0].entries)
+    betas = {c.point.beta for c in result.components}
+    entries = set(result.hermitian.blocks[0].entries)
+    distinct = betas | {c.point.u0 for c in result.components} | entries
     assert len(report["components"]) == len(report["matrix_entries"]) == 4
-    assert len(rendered) == len(set(rendered)) == len(distinct) < 8
+    assert len(written) == len(set(written)) == len(distinct) < 12
+    # u0 is reported exactly, so only betas and entries are embedded
+    assert len(embedded) == len(set(embedded)) == len(betas | entries) < 8
     betas = [c["beta"] for c in report["components"]]
     assert len({id(b) for b in betas}) == len(betas)
 
@@ -313,3 +322,4 @@ def test_corpus_unreadable(tmp_path, capsys):
     p.write_text("{not json")
     assert run(["--corpus", str(p)]) == EXIT_GENERIC
     assert "cannot read corpus" in capsys.readouterr().err
+

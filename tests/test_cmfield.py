@@ -115,6 +115,38 @@ def test_subgroups_mod_matches_cyclic_enumeration():
         assert set(subgroups_mod(m)) == cyclic_subgroups(m)
 
 
+def closure_subgroups(m):
+    """Reference search: grow subgroups one element at a time, closing
+    under multiplication, from {1} until nothing new appears."""
+    units = units_mod(m)
+    found = {frozenset({1})}
+    frontier = [frozenset({1})]
+    while frontier:
+        h = frontier.pop()
+        for g in units:
+            if g in h:
+                continue
+            new = set(h)
+            stack = [g]
+            while stack:
+                x = stack.pop()
+                if x in new:
+                    continue
+                new.add(x)
+                stack.extend((x * y) % m for y in new.copy())
+            newf = frozenset(new)
+            if newf not in found:
+                found.add(newf)
+                frontier.append(newf)
+    return tuple(sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t)))
+
+
+def test_subgroups_mod_matches_closure_search():
+    # composite m covers the non-cyclic groups, e.g. (Z/8)* and (Z/24)*
+    for m in range(1, 65):
+        assert subgroups_mod(m) == closure_subgroups(m), m
+
+
 def test_m5_types_all_simple():
     # no subgroup of (Z/5)* of order > 1 omits -1, so nothing can induce
     for phi in cm_types_of(5):

@@ -51,9 +51,9 @@ def as_fraction(mpf, scale=2**120):
 
 def test_embed_fourth_root_contains_i():
     iv = embed(Cyclo.zeta(4), 1, 64)
-    assert iv.contains_point(Fraction(0), Fraction(1))
-    assert iv.re_width < Fraction(1, 2**60)
-    assert iv.im_width < Fraction(1, 2**60)
+    assert iv.re_lo <= 0 <= iv.re_hi and iv.im_lo <= 1 <= iv.im_hi
+    assert iv.re_hi - iv.re_lo < Fraction(1, 2**60)
+    assert iv.im_hi - iv.im_lo < Fraction(1, 2**60)
 
 
 def test_embed_sqrt_minus_three():
@@ -96,7 +96,8 @@ def test_interval_soundness_under_refinement():
         n = rng.choice(units_mod(m))
         coarse = embed(x, n, 48)
         fine = embed(x, n, 192)
-        assert coarse.contains(fine)
+        assert coarse.re_lo <= fine.re_lo and fine.re_hi <= coarse.re_hi
+        assert coarse.im_lo <= fine.im_lo and fine.im_hi <= coarse.im_hi
         cases += 1
 
 

@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import sys
+import threading
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -97,6 +98,33 @@ def test_report_bytes_do_not_depend_on_memo_state():
     for order in (FAMILIES, FAMILIES[::-1]):
         for m, a in order:
             assert _report_digest(m, a) == golden[_key(m, a)], ("warm", m, a)
+
+
+def test_report_bytes_from_cold_memos_match_golden_in_threads():
+    # four threads fill the shared memos together; a forced switch every
+    # microsecond interleaves them mid-computation
+    golden = _golden()["reports"]
+    _clear_memos()
+    digests: list[dict] = [{} for _ in range(4)]
+    barrier = threading.Barrier(len(digests))
+
+    def work(k):
+        barrier.wait(timeout=30)
+        for m, a in FAMILIES[k:] + FAMILIES[:k]:
+            digests[k][_key(m, a)] = _report_digest(m, a)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(digests))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(d == golden for d in digests)
 
 
 def _first_difference(a: str, b: str):

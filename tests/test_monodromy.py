@@ -321,6 +321,34 @@ def test_degenerate_falls_back_to_first_admissible_pair(m, a):
     assert tree == eager_degenerate(d)
 
 
+@pytest.mark.parametrize("m", (13, 17, 19))
+def test_degenerate_matches_eager_search_up_to_sixty_points(m):
+    rng = random.Random(2000 + m)
+    for n in (12, 24, 36, 48, 60):
+        if (n - 1) % m:
+            d = validate(m, (1,) * (n - 1) + (-(n - 1) % m,))
+            assert _outcome(degenerate, d) == _outcome(eager_degenerate, d), d
+        for _ in range(3):
+            a = [rng.randint(1, m - 1) for _ in range(n - 1)]
+            if sum(a) % m:
+                d = validate(m, a + [-sum(a) % m])
+                assert _outcome(degenerate, d) == _outcome(eager_degenerate, d), d
+
+
+@pytest.mark.parametrize("m, a", [(19, (1,) * 23 + (15,)), (13, (1, 3, 4, 9, 9) * 4)])
+def test_degenerate_builds_only_the_emitted_triples(monkeypatch, m, a):
+    # the input is validated once and every fused vector is valid by
+    # construction, so a warm degenerate builds one datum per triple
+    d = validate(m, a)
+    tree = degenerate(d)
+    built = []
+    original = MonodromyDatum.__post_init__
+    monkeypatch.setattr(MonodromyDatum, "__post_init__", lambda self: built.append(self) or original(self))
+    assert degenerate(d) == tree
+    assert len(built) == len(tree.triples) == d.N - 2
+    assert list(tree.triples) == built
+
+
 def test_conjugate_signature_pairing():
     rng = random.Random(73)
     for _ in range(40):
