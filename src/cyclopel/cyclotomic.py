@@ -7,6 +7,7 @@ integer denominator.  All operations are exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -483,120 +484,106 @@ def element_str(x: Cyclo) -> str:
     return s
 
 
-class _Tokens:
-    def __init__(self, s: str):
-        self.toks: list[tuple[str, int]] = []
-        i = 0
-        while i < len(s):
-            ch = s[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(s) and s[j].isdigit():
-                    j += 1
-                self.toks.append(("int", int(s[i:j])))
-                i = j
-            elif ch == "z":
-                self.toks.append(("z", 0))
-                i += 1
-            elif ch in "+-*/^()":
-                self.toks.append((ch, 0))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r} in element string")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def next(self):
-        if self.pos == len(self.toks):
-            raise ParseError("element string ends early")
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-
-# Bounds on parsed expressions, so a hostile string fails with ParseError
-# instead of exhausting the stack or the memory: the nesting depth of
-# parentheses and unary minus signs, and the bits of a power, estimated as
-# exponent times the bits of the base's widest coefficient or denominator
-# (so no exponent above the bound itself).
+# One token rule: ASCII digit runs, z and the operators; any other
+# non-space character is an error.  A hostile string fails with ParseError
+# instead of exhausting the stack, the memory or the clock: parentheses and
+# unary minus nest at most _MAX_PARSE_DEPTH levels, and before a value is
+# built the string is charged its estimated bits, _MAX_PARSE_BITS in all.
+# With bits(x) the width of x's widest coefficient or denominator, a
+# literal costs its bits, b^e costs e*bits(b), a*b costs bits(a) + bits(b)
+# and a/b costs bits(a) + phi(m)*bits(b), as b's norm becomes a denominator.
+_TOKEN = re.compile(r"[0-9]+|[z+*/^()-]|(\S)")
 _MAX_PARSE_DEPTH = 100
-_MAX_POWER_BITS = 4096
+_MAX_PARSE_BITS = 4096
+# a longer digit run is rejected unread: unless zero-padded, it is over budget
+_MAX_DIGITS = len(str(1 << _MAX_PARSE_BITS))
+
+
+def _bits(x: Cyclo) -> int:
+    return max(max(map(abs, x.num)).bit_length(), x.den.bit_length())
 
 
 def parse_element(s: str, m: int) -> Cyclo:
     """Parse an element expression in the variable z = zeta_m.  Accepts
     + - * / ^ parentheses and implicit multiplication, e.g. '5/(z^3-z^2)'.
     Raises ParseError on malformed input, on division by zero, on nesting
-    deeper than _MAX_PARSE_DEPTH and on a power wider than _MAX_POWER_BITS."""
-    tk = _Tokens(s)
-    depth = 0
+    deeper than _MAX_PARSE_DEPTH and on a string that would build more
+    than _MAX_PARSE_BITS bits."""
+    toks = []
+    for tok in _TOKEN.finditer(s):
+        if tok[1]:
+            raise ParseError(f"unexpected character {tok[1]!r} in element string")
+        if len(tok[0]) > _MAX_DIGITS:
+            raise ParseError(f"a {len(tok[0])}-digit number is wider than {_MAX_PARSE_BITS} bits")
+        toks.append(tok[0])
+    toks.append("")  # end of string
+    pos = spent = 0
 
-    def nested(inner):
-        nonlocal depth
-        depth += 1
+    def take() -> str:
+        nonlocal pos
+        if not toks[pos]:
+            raise ParseError("element string ends early")
+        pos += 1
+        return toks[pos - 1]
+
+    def charge(bits: int) -> None:
+        nonlocal spent
+        spent += bits
+        if spent > _MAX_PARSE_BITS:
+            raise ParseError(f"element string would build more than {_MAX_PARSE_BITS} bits")
+
+    def atom(depth: int) -> Cyclo:
         if depth > _MAX_PARSE_DEPTH:
             raise ParseError(f"element string nests deeper than {_MAX_PARSE_DEPTH} levels")
-        out = inner()
-        depth -= 1
-        return out
-
-    def atom() -> Cyclo:
-        kind, val = tk.next()
-        if kind == "int":
-            base = Cyclo.from_int(m, val)
-        elif kind == "z":
+        tok = take()
+        if tok.isdigit():
+            base = Cyclo.from_int(m, int(tok))
+            charge(_bits(base))
+        elif tok == "z":
             base = Cyclo.zeta(m)
-        elif kind == "(":
-            base = nested(expr)
-            if tk.peek() != ")":
+        elif tok == "(":
+            base = expr(depth + 1)
+            if toks[pos] != ")":
                 raise ParseError("missing closing parenthesis")
-            tk.next()
-        elif kind == "-":
-            return -nested(atom)
+            take()
+        elif tok == "-":
+            return -atom(depth + 1)
         else:
-            raise ParseError(f"unexpected token {kind!r}")
-        if tk.peek() == "^":
-            tk.next()
-            ekind, eval_ = tk.next()
-            if ekind != "int":
+            raise ParseError(f"unexpected token {tok!r}")
+        if toks[pos] == "^":
+            take()
+            tok = take()
+            if not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
-            width = max(max(map(abs, base.num)).bit_length(), base.den.bit_length(), 1)
-            if eval_ * width > _MAX_POWER_BITS:
-                raise ParseError(f"power ^{eval_} would be wider than {_MAX_POWER_BITS} bits")
-            base = base**eval_
+            e = int(tok)
+            charge(e * _bits(base))
+            base = base**e
         return base
 
-    def term() -> Cyclo:
-        out = atom()
-        while True:
-            nxt = tk.peek()
-            if nxt == "*":
-                tk.next()
-                out = out * atom()
-            elif nxt == "/":
-                tk.next()
-                rhs = atom()
-                if rhs.is_zero():
-                    raise ParseError("division by zero in element string")
-                out = out / rhs
-            elif nxt in ("z", "("):
-                out = out * atom()
+    def term(depth: int) -> Cyclo:
+        out = atom(depth)
+        while toks[pos] in ("*", "/", "z", "("):
+            op = take() if toks[pos] in ("*", "/") else "*"
+            rhs = atom(depth)
+            if op == "*":
+                charge(_bits(out) + _bits(rhs))
+                out = out * rhs
+            elif rhs.is_zero():
+                raise ParseError("division by zero in element string")
             else:
-                return out
+                charge(_bits(out) + euler_phi(m) * _bits(rhs))
+                out = out / rhs
+        return out
 
-    def expr() -> Cyclo:
-        out = term()
-        while tk.peek() in ("+", "-"):
-            op, _ = tk.next()
-            rhs = term()
+    def expr(depth: int) -> Cyclo:
+        out = term(depth)
+        while toks[pos] in ("+", "-"):
+            op = take()
+            rhs = term(depth)
             out = out + rhs if op == "+" else out - rhs
         return out
 
-    result = expr()
-    if tk.peek() is not None:
+    result = expr(0)
+    if toks[pos]:
         raise ParseError("trailing tokens in element string")
     return result

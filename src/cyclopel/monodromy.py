@@ -67,8 +67,11 @@ class MonodromyDatum:
 
 def validate(m: int, a) -> MonodromyDatum:
     """Normalize raw inertia values into [1, m-1] and enforce the datum
-    invariants."""
-    return MonodromyDatum(int(m), tuple(int(x) % int(m) for x in a))
+    invariants, the modulus first since the reduction divides by it."""
+    m = int(m)
+    if m not in SUPPORTED_MODULI:
+        raise UnsupportedModulus(f"modulus {m} is outside the supported list")
+    return MonodromyDatum(m, tuple(int(x) % m for x in a))
 
 
 def genus(datum: MonodromyDatum) -> int:

@@ -60,13 +60,14 @@ def has_independent_signs(m: int) -> bool:
 @dataclass(frozen=True)
 class DifferentGenerator:
     """Closed-form generator beta0 of the different D_{F/Q}, purely
-    imaginary (beta0 = -conj(beta0)), with its inverse and the certified
-    signs of Im(sigma_n(beta0)) at real_embedding_reps(m), none of them 0."""
+    imaginary (beta0 = -conj(beta0)), with its inverse, certified by
+    element * inverse = 1, and the certified signs of Im(sigma_n(beta0)) at
+    real_embedding_reps(m), none of them 0."""
 
     m: int
     case: str
     element: Cyclo
-    inverse: Cyclo = field(init=False, compare=False, repr=False)
+    inverse: Cyclo = field(compare=False, repr=False)
     signs: SignVector = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -76,33 +77,38 @@ class DifferentGenerator:
             raise InvariantViolation(
                 f"different generator for m = {self.m} is not purely imaginary"
             )
+        if self.element * self.inverse != 1:
+            raise InvariantViolation(f"given inverse of beta0 for m = {self.m} does not invert it")
         signs = tuple(certified_sign_im(self.element, n) for n in real_embedding_reps(self.m))
         if 0 in signs:
             raise InvariantViolation(f"beta0 has an embedding sign 0 mod {self.m}")
-        object.__setattr__(self, "inverse", self.element.inverse())
         object.__setattr__(self, "signs", signs)
 
 
 @lru_cache(maxsize=None)
 def beta0(m: int) -> DifferentGenerator:
-    """Different generator by closed form.  Cases, in match order: odd
-    prime; 2^k; 3^k; product of two distinct odd primes."""
+    """Different generator and its inverse by closed form.  Cases, in match
+    order: odd prime; 2^k; 3^k; product of two distinct odd primes (the
+    only case that divides)."""
     if m in _ODD_PRIMES:
-        z = Cyclo.zeta(m)
-        el = m / (z ** ((m + 1) // 2) - z ** ((m - 1) // 2))
-        return DifferentGenerator(m, "odd-prime", el)
+        # beta0 = m / (zeta^h - zeta^(h-1)) = sum_{k<m} k zeta^(k-h+1) with
+        # h = (m+1)/2, so the coefficient of zeta^j is (j + h - 1) mod m
+        h = (m + 1) // 2
+        el = Cyclo(m, [(j + h - 1) % m for j in range(m)])
+        inv = Cyclo(m, [0] * (h - 1) + [-1, 1], m)  # (zeta^h - zeta^(h-1)) / m
+        return DifferentGenerator(m, "odd-prime", el, inv)
     if m >= 4 and m & (m - 1) == 0:
-        # i = zeta_m^(m/4)
+        # i = zeta_m^(m/4); 1/beta0 = i/(m/2)
         imag = Cyclo.zeta(m, m // 4)
-        return DifferentGenerator(m, "power-of-two", -(m // 2) * imag)
+        return DifferentGenerator(m, "power-of-two", -(m // 2) * imag, Cyclo(m, imag.num, m // 2))
     k, t = 0, m
     while t % 3 == 0:
         t //= 3
         k += 1
     if t == 1 and k >= 2:
-        # sqrt(-3) = zeta_3 - zeta_3^2
+        # sqrt(-3) = zeta_3 - zeta_3^2; 1/beta0 = sqrt(-3)/m
         root = Cyclo.zeta(m, m // 3) - Cyclo.zeta(m, 2 * m // 3)
-        return DifferentGenerator(m, "power-of-three", -(3 ** (k - 1)) * root)
+        return DifferentGenerator(m, "power-of-three", -(3 ** (k - 1)) * root, Cyclo(m, root.num, m))
     for p in range(3, m, 2):
         if m % p == 0 and p != m // p and (m // p) % 2 == 1 and _is_prime(p) and _is_prime(m // p):
             q = m // p
@@ -110,7 +116,8 @@ def beta0(m: int) -> DifferentGenerator:
             num = z ** ((m + 1) // 2) - z ** ((m - 1) // 2)
             d1 = z ** ((q * (p + 1) // 2) % m) - z ** ((q * (p - 1) // 2) % m)
             d2 = z ** ((p * (q + 1) // 2) % m) - z ** ((p * (q - 1) // 2) % m)
-            return DifferentGenerator(m, "two-odd-primes", m * num / (d1 * d2))
+            el = m * num / (d1 * d2)
+            return DifferentGenerator(m, "two-odd-primes", el, el.inverse())
     raise UnsupportedModulus(f"no closed-form different generator for m = {m}")
 
 

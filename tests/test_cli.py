@@ -301,6 +301,27 @@ def test_corpus_reports_fields_of_the_wrong_json_type(tmp_path, capsys):
     ]
 
 
+def test_modulus_zero_exits_unsupported(capsys):
+    assert run(["--m", "0", "--inertia", "1,2,3"]) == EXIT_UNSUPPORTED_MODULUS
+    assert "UnsupportedModulus: modulus 0 is outside the supported list" in capsys.readouterr().err
+
+
+def test_corpus_reports_modulus_zero_as_one_failure(tmp_path, capsys):
+    good = {f["name"]: f for f in load_corpus(default_corpus_path())}["m5-1144"]
+    zero = copy.deepcopy(good)
+    zero.update(name="m0", m=0)
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps({"fixtures": [zero, good]}))
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "FAIL m0",
+        "     UnsupportedModulus: modulus 0 is outside the supported list",
+        "PASS m5-1144",
+        "1 passed, 1 failed, 2 total",
+    ]
+
+
 def test_corpus_survives_deep_nesting(tmp_path, capsys):
     good = {f["name"]: f for f in load_corpus(default_corpus_path())}["m5-1144"]
     deep = copy.deepcopy(good)

@@ -245,6 +245,26 @@ def test_galois_chain_norm_and_inverse_match_oracles(m, data):
     assert norm == Fraction(int(sympy.resultant(phi_m, num)), x.den ** euler_phi(m))
 
 
+@pytest.mark.parametrize("m", sorted(SUPPORTED_MODULI))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trace_and_galois_match_sympy_reduction(m, data):
+    # for x = p(z)/den, sigma_u(x) is p(X^u) mod Phi_m over den, and tr(x) is
+    # the sum of those over the units u, a constant
+    x = data.draw(nonzero_elements(m))
+    phi_m = sympy.Poly(sympy.cyclotomic_poly(m, X), X)
+    lifts = {
+        u: sympy.Poly.from_dict({(a * u,): c for a, c in enumerate(x.num) if c}, X)
+        for u in units_mod(m)
+    }
+    i = data.draw(st.sampled_from(units_mod(m)))
+    want = [int(c) for c in reversed(sympy.rem(lifts[i], phi_m).all_coeffs())]
+    assert x.galois(i) == Cyclo(m, want, x.den)
+    trace = sympy.rem(sum(lifts.values(), sympy.Poly(0, X)), phi_m)
+    assert trace.degree() <= 0
+    assert x.trace() == Fraction(int(trace.coeff_monomial(1)), x.den)
+
+
 # multiplications per _norm_and_other_conjugates; each equals the fewest
 # over all chains of (Z/m)^*, found by exhaustive search
 CHAIN_MULTIPLICATIONS = {
@@ -389,6 +409,55 @@ def test_parse_errors_are_typed():
     for s in ("", "z+", "2^", "(", "1/0", "z/(z - z)"):
         with pytest.raises(ParseError):
             parse_element(s, 5)
+
+
+def test_parse_accepts_ascii_digits_only():
+    for s in ("z²", "z^١", "٣*z"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_element(s, 5)
+
+
+def test_parse_rejects_digit_runs_wider_than_the_budget():
+    for s in ("7" * 5000, "z^" + "7" * 5000):
+        with pytest.raises(ParseError):
+            parse_element(s, 5)
+
+
+def test_parse_budget_charges_products_and_quotients():
+    # z^e costs e bits, a product bits(a) + bits(b), a quotient
+    # bits(a) + phi(m) bits(b); 4096 bits in all
+    z = Cyclo.zeta(5)
+    assert parse_element("z^4094*z", 5) == parse_element("z^4091/z", 5) == z**4095
+    for s in ("z^4095*z", "z^4092/z"):
+        with pytest.raises(ParseError, match="more than 4096 bits"):
+            parse_element(s, 5)
+
+
+HOSTILE_M32 = (
+    "(z+1)^4096/(z+1)^4096*" * 300 + "1",
+    "*".join(["(z+1)^4096"] * 100),
+    "+".join(["(z+1)^4096"] * 372),
+)
+
+
+def test_parse_budget_stops_hostile_strings_early(monkeypatch):
+    # each would spend seconds in big-integer products if let through; the
+    # spy makes a miss fail fast instead
+    calls = 0
+    original = Cyclo.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        if calls > 200:
+            raise RuntimeError("more than 200 multiplications")
+        return original(self, other)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counted)
+    for s in HOSTILE_M32:
+        calls = 0
+        with pytest.raises(ParseError):
+            parse_element(s, 32)
 
 
 def test_canonical_form_is_idempotent():

@@ -87,6 +87,12 @@ def test_validate_rejects_short_and_unsupported():
         validate(23, (1, 1, 21))
 
 
+def test_validate_checks_the_modulus_before_reducing_by_it():
+    for m in (0, -5):
+        with pytest.raises(UnsupportedModulus, match=f"modulus {m} is outside"):
+            validate(m, (1, 2, 3))
+
+
 def test_malformed_datum_is_typed():
     assert issubclass(MalformedDatum, CyclopelError) and issubclass(MalformedDatum, ValueError)
     with pytest.raises(MalformedDatum, match="at least 3 branch points"):

@@ -339,6 +339,27 @@ def test_warm_assemble_makes_no_inversion(monkeypatch):
     assert calls == []
 
 
+def test_cold_assemble_makes_no_inversion(monkeypatch):
+    # beta0 and 1/beta0 come from closed forms, so the first family of a
+    # modulus, from empty memos, inverts nothing either
+    calls = []
+    original = Cyclo.inverse
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cyclo, "inverse", counted)
+    for m, a in ((5, (1, 3, 3, 3)), (13, (1, 2, 3, 7)), (19, (1, 1, 8, 9))):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cyclopel"):
+                for value in vars(module).values():
+                    if callable(getattr(value, "cache_clear", None)):
+                        value.cache_clear()
+        assemble(validate(m, a))
+    assert calls == []
+
+
 # check -> (patch that forces it to fail, fragment of its message)
 _BROKEN_INVARIANTS = {
     "cell skew": ("P.trace_table = lambda m: (5,) + (0,) * (m - 1)", "is not skew"),

@@ -48,9 +48,11 @@ def pe(m, s):
 def test_different_generator_rejects_bad_elements():
     z = Cyclo.zeta(5)
     with pytest.raises(InvariantViolation):
-        DifferentGenerator(5, "odd-prime", (z - z**4) / 2)
+        DifferentGenerator(5, "odd-prime", (z - z**4) / 2, 2 / (z - z**4))
     with pytest.raises(InvariantViolation):
-        DifferentGenerator(5, "odd-prime", z + z**4)
+        DifferentGenerator(5, "odd-prime", z + z**4, 1 / (z + z**4))
+    with pytest.raises(InvariantViolation, match="does not invert it"):
+        DifferentGenerator(5, "odd-prime", beta0(5).element, Cyclo.one(5))
 
 
 def test_beta0_cases_and_values():
