@@ -3,8 +3,9 @@ or verify a fixture corpus.
 
 Exit codes: 0 success, 2 usage, 3 no admissible degeneration (non-compact
 type), 4 unsupported modulus, 5 non-maximal order at a join, 6 no unit
-solves the sign pattern, 7 other datum validation failure, 1 anything else
-(including corpus failures)."""
+solves the sign pattern, 7 other datum validation failure, 8 report at an
+assembly modulus larger than MAX_REPORT_ENTRIES Gram entries, 1 anything
+else (including corpus failures)."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
-from .cyclotomic import Cyclo, element_str
+from .cyclotomic import Cyclo, element_str, euler_phi
 from .embeddings import DEFAULT_PRECISION, PRECISION_CAP, embed
 from .errors import (
     CyclopelError,
@@ -34,6 +35,8 @@ from .errors import (
 )
 from .monodromy import validate
 from .peldatum import (
+    ASSEMBLE_MODULI,
+    ComponentResult,
     FamilyResult,
     GramView,
     assemble,
@@ -52,6 +55,13 @@ EXIT_UNSUPPORTED_MODULUS = 4
 EXIT_NONMAXIMAL_ORDER = 5
 EXIT_UNSATISFIABLE = 6
 EXIT_INVALID_DATUM = 7
+EXIT_REPORT_TOO_LARGE = 8
+
+# A family report at an assembly modulus (an odd prime m) holds
+# ((N - 2) * phi(m))^2 Gram entries, about 9 bytes of text each; 2^24 of
+# them is about 150 MB of text (N = 229 at m = 19).  Other moduli have no
+# report: assemble refuses them.
+MAX_REPORT_ENTRIES = 2**24
 
 _DECIMAL_DIGITS = 20
 
@@ -77,35 +87,66 @@ def _decimals(x: Cyclo, precision: int) -> tuple[str, str]:
     return _decimal_str((box.re_lo + box.re_hi) / 2), _decimal_str((box.im_lo + box.im_hi) / 2)
 
 
-def _element_json(x: Cyclo, precision: int) -> dict:
+class _ReadOnlyDict(dict):
+    """A dict of a report that refuses mutation, so the text memoized for
+    it cannot disagree with it.  A copy or a pickle of it is a plain dict."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} of a report is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = __setattr__ = __delattr__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class _Component(_ReadOnlyDict):
+    """A read-only dict of a report component with the fact it was built
+    from: key is (ComponentResult, precision)."""
+
+    __slots__ = ("key",)
+
+
+def _element_json(x: Cyclo, precision: int) -> _ReadOnlyDict:
     """Exact string plus a decimal rendering of the identity embedding;
     only the exact string is meaningful for comparison."""
     re, im = _decimals(x, precision)
-    return {"exact": _exact_str(x), "re": re, "im": im}
+    return _ReadOnlyDict({"exact": _exact_str(x), "re": re, "im": im})
+
+
+def _component_json(c: ComponentResult, precision: int) -> _Component:
+    """Triple, CM-type, simplicity with its witness, beta and u0."""
+    simp = c.simplicity
+    if simp.simple:
+        witness = {
+            "separating_cosets": tuple(
+                _ReadOnlyDict({"subgroup": h, "coset": coset})
+                for h, coset in simp.separating_cosets
+            )
+        }
+    else:
+        witness = {"inducing_subgroup": simp.inducing_subgroup}
+    d = _Component(
+        {
+            "triple": c.triple.a,
+            "cm_type": c.phi.sorted_members(),
+            "simple": simp.simple,
+            "simplicity_witness": _ReadOnlyDict(witness),
+            "beta": _element_json(c.point.beta, precision),
+            "u0": _exact_str(c.point.u0),
+        }
+    )
+    object.__setattr__(d, "key", (c, precision))
+    return d
 
 
 def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> dict:
-    components = []
-    for c in result.components:
-        simp = c.simplicity
-        witness: dict = {}
-        if simp.simple:
-            witness["separating_cosets"] = [
-                {"subgroup": list(h), "coset": list(coset)}
-                for h, coset in simp.separating_cosets
-            ]
-        else:
-            witness["inducing_subgroup"] = list(simp.inducing_subgroup)
-        components.append(
-            {
-                "triple": list(c.triple.a),
-                "cm_type": list(c.phi.sorted_members()),
-                "simple": simp.simple,
-                "simplicity_witness": witness,
-                "beta": _element_json(c.point.beta, precision),
-                "u0": _exact_str(c.point.u0),
-            }
-        )
+    """The report of result as a dict.  Each component and element in it
+    is a fresh read-only dict holding tuples for lists."""
+    components = [_component_json(c, precision) for c in result.components]
     entries = [
         _element_json(x, precision)
         for block in result.hermitian.blocks
@@ -145,7 +186,9 @@ def report_json(report: dict) -> str:
 
 
 def _write_json(o, depth: int, out: list[str]) -> None:
-    if o is None:
+    if type(o) is _Component:
+        out.append(_component_text(*o.key, depth))
+    elif o is None:
         out.append("null")
     elif o is True:
         out.append("true")
@@ -170,24 +213,46 @@ def _write_json(o, depth: int, out: list[str]) -> None:
             _write_json(item, depth + 1, out)
         out.append("\n" + "  " * depth + "]")
     elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = "\n" + "  " * (depth + 1)
-        out.append("{")
-        for k, key in enumerate(sorted(o)):
-            out.append(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
-            _write_json(o[key], depth + 1, out)
-        out.append("\n" + "  " * depth + "}")
+        _write_dict(o, depth, out)
     elif isinstance(o, GramView):
         _write_gram(o, depth, out)
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+def _write_dict(o: dict, depth: int, out: list[str]) -> None:
+    if not o:
+        out.append("{}")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    out.append("{")
+    for k, key in enumerate(sorted(o)):
+        out.append(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
+        _write_json(o[key], depth + 1, out)
+    out.append("\n" + "  " * depth + "}")
+
+
+@lru_cache(maxsize=4096)
+def _component_text(c: ComponentResult, precision: int, depth: int) -> str:
+    """Text of a report component at depth, written once per (component,
+    precision, depth): _component_json makes its dict again, and the
+    generic writer writes it."""
+    out: list[str] = []
+    _write_dict(_component_json(c, precision), depth, out)
+    return "".join(out)
+
+
+@lru_cache(maxsize=1024)
+def _cell_rows(cell: tuple[tuple[int, ...], ...], depth: int) -> tuple[str, ...]:
+    """Text of each row of a Gram cell written in a report at depth,
+    without the zeros around it: once per cell and depth."""
+    sep = ",\n" + "  " * (depth + 2)
+    return tuple(sep.join(map(str, row)) for row in cell)
+
+
 def _write_gram(gram: GramView, depth: int, out: list[str]) -> None:
     """Rows of the view as the generic path would write them: the text of
-    each cell row is built once per cell, and the zeros around it are
+    each cell row comes from _cell_rows, and the zeros around it are
     repeated constant strings."""
     n = len(gram)
     if not n:
@@ -197,16 +262,12 @@ def _write_gram(gram: GramView, depth: int, out: list[str]) -> None:
     head = "[\n" + "  " * (depth + 2)
     tail = "\n" + "  " * (depth + 1) + "]"
     inner = "\n" + "  " * (depth + 1)
-    texts: dict[int, list[str]] = {}
     out.append("[")
     start = 0
     for cell in gram.cells:
-        rows = texts.get(id(cell))
-        if rows is None:
-            rows = texts[id(cell)] = [sep.join(map(str, row)) for row in cell]
         left = inner + head + ("0" + sep) * start
         right = (sep + "0") * (n - start - len(cell)) + tail + ","
-        for row in rows:
+        for row in _cell_rows(cell, depth):
             out += (left, row, right)
         start += len(cell)
     # the last row takes no comma
@@ -257,7 +318,13 @@ def _exit_code_for(exc: CyclopelError) -> int:
 def run_family(m: int, inertia: Sequence[int], precision: int, as_json: bool) -> int:
     t0 = time.monotonic()
     try:
-        result = assemble(validate(m, inertia), precision)
+        datum = validate(m, inertia)
+        entries = ((datum.N - 2) * euler_phi(m)) ** 2
+        if m in ASSEMBLE_MODULI and entries > MAX_REPORT_ENTRIES:
+            too_many = f"{entries} Gram entries, more than {MAX_REPORT_ENTRIES}"
+            print(f"error: the report would hold {too_many}", file=sys.stderr)
+            return EXIT_REPORT_TOO_LARGE
+        result = assemble(datum, precision)
     except CyclopelError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

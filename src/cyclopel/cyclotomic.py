@@ -248,15 +248,21 @@ class Cyclo:
         return others * (1 / norm)
 
     def __truediv__(self, other):
+        """A rational divisor (int, Fraction or rational Cyclo) is a product
+        with its reciprocal; any other is inverted along the Galois chain."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if o.is_rational():
+            return self * (1 / o.as_fraction())
         return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if self.is_rational():
+            return o * (1 / self.as_fraction())
         return o * self.inverse()
 
     def __pow__(self, e: int):

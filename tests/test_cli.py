@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import decimal
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,13 @@ from cyclopel.cli import (
     EXIT_NONCOMPACT,
     EXIT_NONMAXIMAL_ORDER,
     EXIT_OK,
+    EXIT_REPORT_TOO_LARGE,
     EXIT_UNSATISFIABLE,
     EXIT_UNSUPPORTED_MODULUS,
     EXIT_USAGE,
+    MAX_REPORT_ENTRIES,
     _exit_code_for,
+    build_report,
     main,
     report_json,
 )
@@ -92,6 +96,119 @@ def test_report_renders_each_element_once(monkeypatch):
     assert len(embedded) == len(set(embedded)) == len(betas | entries) < 8
     betas = [c["beta"] for c in report["components"]]
     assert len({id(b) for b in betas}) == len(betas)
+
+
+def test_oversized_report_exits_before_degenerate(monkeypatch, capsys):
+    # (1998 * 18)^2 Gram entries: over 10^9, so this is only computed
+    calls = []
+    monkeypatch.setattr(cyclopel.peldatum, "degenerate", calls.append)
+    inertia = ",".join(["1"] * 1999 + ["15"])
+    assert run(["--m", "19", "--inertia", inertia, "--json"]) == EXIT_REPORT_TOO_LARGE == 8
+    assert calls == []
+    assert f"1293409296 Gram entries, more than {MAX_REPORT_ENTRIES}" in capsys.readouterr().err
+    # the first size over the bound, at m = 19: N = 230
+    inertia = ",".join(["1"] * 228 + ["2", "17"])
+    assert ((230 - 2) * 18) ** 2 > MAX_REPORT_ENTRIES >= ((229 - 2) * 18) ** 2
+    assert run(["--m", "19", "--inertia", inertia]) == EXIT_REPORT_TOO_LARGE
+    assert calls == []
+    capsys.readouterr()
+
+
+def test_report_bound_holds_only_at_assembly_moduli(capsys):
+    # m = 21 has no report: (342 * 12)^2 is over the bound, but the family
+    # fails in assemble as it would without one
+    inertia = ",".join(["1"] * 343 + ["14"])
+    assert ((344 - 2) * 12) ** 2 > MAX_REPORT_ENTRIES
+    assert run(["--m", "21", "--inertia", inertia, "--json"]) == EXIT_NONMAXIMAL_ORDER
+    assert "NonMaximalOrder" in capsys.readouterr().err
+
+
+def _report(m, a, precision=DEFAULT_PRECISION):
+    result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(m, a), precision)
+    return build_report(result, precision, 0)
+
+
+def test_warm_report_writes_no_component_through_the_generic_writer(monkeypatch):
+    written = []
+    original = cyclopel.cli._write_dict
+
+    def spy(o, depth, out):
+        written.append(o)
+        return original(o, depth, out)
+
+    monkeypatch.setattr(cyclopel.cli, "_write_dict", spy)
+    cyclopel.cli._component_text.cache_clear()
+    family = (13, (1, 2, 4, 5, 7, 7))
+    first = report_json(_report(*family))
+    assert any("triple" in o for o in written)
+    written.clear()
+    report = _report(*family)
+    assert report_json(report) == first
+    # only the report, its small dicts and its matrix entries, which are
+    # not memoized; no component, and no beta inside one
+    assert written == [report, report["degeneration"], report["input"], *report["matrix_entries"]]
+
+
+def test_report_text_is_memoized_per_precision():
+    family = (11, (1, 2, 4, 7, 8))
+    texts = []
+    for precision in (64, 128, 64, 128):
+        report = _report(*family, precision)
+        text = report_json(report)
+        assert text == json.dumps(report, indent=2, sort_keys=True, default=list)
+        texts.append(text)
+    assert texts[0] == texts[2] != texts[1] == texts[3]
+    # beta's real part is 0; its rendering shrinks with the precision
+    betas = [json.loads(t)["components"][0]["beta"] for t in texts[:2]]
+    assert betas[0]["re"] != betas[1]["re"] and betas[0]["im"] == betas[1]["im"]
+    assert abs(decimal.Decimal(betas[1]["re"])) < 10**-30 < abs(decimal.Decimal(betas[0]["re"]))
+
+
+def test_report_components_are_read_only():
+    report = _report(7, (2, 4, 4, 4))
+    comps = report["components"]
+    assert [c["simple"] for c in comps] == [True, False]
+    witness = comps[0]["simplicity_witness"]
+    targets = [
+        comps[0],
+        comps[0]["beta"],
+        witness,
+        witness["separating_cosets"][0],
+        comps[1]["simplicity_witness"],
+        report["matrix_entries"][0],
+    ]
+    for d in targets:
+        snapshot = dict(d)
+        key = next(iter(d))
+        for mutate in (
+            lambda: d.__setitem__(key, 1),
+            lambda: d.__setitem__("new", 1),
+            lambda: d.__delitem__(key),
+            lambda: d.update(new=1),
+            lambda: d.setdefault("new", 1),
+            lambda: d.pop(key),
+            lambda: d.popitem(),
+            lambda: d.clear(),
+            lambda: d.__ior__({"new": 1}),
+        ):
+            with pytest.raises(TypeError):
+                mutate()
+        assert dict(d) == snapshot
+    with pytest.raises(TypeError):
+        comps[0].key = None
+    assert type(comps[0]["triple"]) is tuple and type(comps[0]["cm_type"]) is tuple
+    assert type(witness["separating_cosets"]) is tuple
+    assert type(comps[1]["simplicity_witness"]["inducing_subgroup"]) is tuple
+    # copies are plain dicts
+    copies = (
+        copy.copy(comps[0]),
+        copy.deepcopy(report)["components"][0],
+        pickle.loads(pickle.dumps(comps[0])),
+    )
+    for dup in copies:
+        assert dup == comps[0]
+        dup["simple"] = None
+    assert report_json(copy.deepcopy(report)) == report_json(report)
 
 
 def test_json_report_keeps_decimal_context(capsys):

@@ -110,6 +110,35 @@ def test_division_by_zero_rejected():
         Cyclo.zero(5).inverse()
 
 
+def test_rational_divisors_skip_the_norm_chain(monkeypatch):
+    calls = []
+    original = Cyclo._norm_and_other_conjugates
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cyclo, "_norm_and_other_conjugates", counted)
+    z = Cyclo.zeta(19)
+    x = z + 2
+    assert x / 5 == Cyclo(19, [2, 1], 5) == x / Cyclo.from_int(19, 5)
+    assert x / Fraction(2, 3) == Cyclo(19, [6, 3], 2) == x / Fraction(-2, -3)
+    assert x / -4 == Cyclo(19, [-2, -1], 4)
+    assert 3 / Cyclo.from_int(19, 6) == Cyclo.from_fraction(19, Fraction(1, 2))
+    assert Fraction(1, 2) / Cyclo.from_fraction(19, Fraction(-3, 4)) == Cyclo(19, [-2], 3)
+    assert calls == []
+    for zero in (0, Fraction(0), Cyclo.zero(19)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / Cyclo.zero(19)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        x / Cyclo.from_int(5, 2)
+    # a divisor outside Q is still inverted along the chain
+    assert (x / z) * z == x and 5 / x * x == 5
+    assert len(calls) == 2
+
+
 def test_galois_identity():
     rng = random.Random(3)
     for m in (5, 8, 21):
