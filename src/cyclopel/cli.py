@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -359,11 +360,16 @@ def run_corpus(path: str, precision: int, allow_galois: bool) -> int:
     return EXIT_OK if failed == 0 else EXIT_GENERIC
 
 
+def _integer(raw: str) -> int:
+    """An optionally signed run of ASCII digits: int() alone would also take
+    underscores and the digits of other scripts."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", raw, re.ASCII):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def _parse_inertia(raw: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"inertia must be comma-separated integers, got {raw!r}")
+    return [_integer(part) for part in raw.split(",") if part.strip() != ""]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Integral PEL datum of the Shimura variety attached to a "
         "family of cyclic covers of the projective line.",
     )
-    p.add_argument("--m", type=int, help="cover degree (modulus)")
+    p.add_argument("--m", type=_integer, help="cover degree (modulus)")
     p.add_argument(
         "--inertia",
         type=_parse_inertia,
@@ -381,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument(
         "--precision",
-        type=int,
+        type=_integer,
         default=DEFAULT_PRECISION,
         metavar="BITS",
         help="starting interval precision in bits (default %(default)s)",

@@ -65,7 +65,7 @@ class NotUnit(CyclopelError):
 
 
 class Unsatisfiable(CyclopelError):
-    """The GF(2) sign system has no solution over the available units."""
+    """No product of the available units has the required sign pattern."""
 
     def __init__(self, message: str, cokernel_dim: int = 0):
         super().__init__(message)

@@ -21,8 +21,6 @@ from .errors import Indeterminate, InvariantViolation, Unsatisfiable, Unsupporte
 
 __all__ = [
     "BETA_FOR_TYPE_MODULI",
-    "INDEPENDENT_SIGNS_MODULI",
-    "ALMOST_INDEPENDENT_MODULI",
     "ConditionReport",
     "DifferentGenerator",
     "PolarizedCMPoint",
@@ -37,24 +35,9 @@ __all__ = [
     "verify_conditions",
 ]
 
-_ODD_PRIMES = frozenset({3, 5, 7, 11, 13, 17, 19})
-
-# Totally real subfields with units of independent signs (narrow class
-# number 1): prime powers and twice odd prime powers, within the supported
-# moduli.  For these, every sign pattern is hit by a unit and the
-# totally-positive-unit test for beta-equivalence is exact.
-INDEPENDENT_SIGNS_MODULI = frozenset({3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 19, 25, 27, 32})
-
-# Narrow class number 2: exactly half of all sign patterns are realized.
-ALMOST_INDEPENDENT_MODULI = frozenset({21})
-
 # Moduli where beta_for_type runs: a closed-form different generator exists
 # and the sign solve is guaranteed solvable.
 BETA_FOR_TYPE_MODULI = frozenset({3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 27, 32})
-
-
-def has_independent_signs(m: int) -> bool:
-    return m in INDEPENDENT_SIGNS_MODULI
 
 
 @dataclass(frozen=True)
@@ -90,7 +73,7 @@ def beta0(m: int) -> DifferentGenerator:
     """Different generator and its inverse by closed form.  Cases, in match
     order: odd prime; 2^k; 3^k; product of two distinct odd primes (the
     only case that divides)."""
-    if m in _ODD_PRIMES:
+    if m % 2 and _is_prime(m):
         # beta0 = m / (zeta^h - zeta^(h-1)) = sum_{k<m} k zeta^(k-h+1) with
         # h = (m+1)/2, so the coefficient of zeta^j is (j + h - 1) mod m
         h = (m + 1) // 2
@@ -188,13 +171,14 @@ def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
 @dataclass(frozen=True)
 class _UnitTable:
     """Per-modulus constants of the unit sign solve: the generators, their
-    inverses, their sign vectors and the GF(2) pivots of the sign rows
-    (column -> (row bits, generator combo))."""
+    inverses, their sign vectors, and the span of the sign rows (bit j set
+    for a negative sign at column j): every row some product of generators
+    realizes -> the bit mask of those generators."""
 
     gens: tuple[Cyclo, ...]
     inverses: tuple[Cyclo, ...]
     signs: tuple[SignVector, ...]
-    pivots: dict[int, tuple[int, int]]
+    span: dict[int, int]
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +186,8 @@ def _unit_table(m: int) -> _UnitTable:
     """Build the unit table of modulus m once.  Each generator g is
     certified a real unit by g * g^-1 = 1 with both factors integral, so
     no inversion and no norm is needed; its signs are then certified at
-    the real embeddings."""
+    the real embeddings.  The span is the XOR closure of the sign rows,
+    each reached row keeping the first generator mask that reached it."""
     pairs = _closed_form_units(m)
     for g, h in pairs:
         if not (g.is_integral and h.is_integral and g * h == 1 and g.is_real()):
@@ -212,12 +197,12 @@ def _unit_table(m: int) -> _UnitTable:
     signs = tuple(
         tuple(certified_sign_real(g, n, DEFAULT_PRECISION) for n in reps) for g in gens
     )
-    return _UnitTable(
-        gens,
-        tuple(h for _, h in pairs),
-        signs,
-        _pivots([_signs_to_bits(s) for s in signs], len(reps)),
-    )
+    span = {0: 0}
+    for i, s in enumerate(signs):
+        bits = _signs_to_bits(s)
+        for row, combo in list(span.items()):
+            span.setdefault(row ^ bits, combo | 1 << i)
+    return _UnitTable(gens, tuple(h for _, h in pairs), signs, span)
 
 
 def unit_generators(m: int) -> tuple[Cyclo, ...]:
@@ -225,6 +210,13 @@ def unit_generators(m: int) -> tuple[Cyclo, ...]:
     of the units of the real subfield F_0: -1 plus the cyclotomic units of
     _closed_form_units."""
     return _unit_table(m).gens
+
+
+def has_independent_signs(m: int) -> bool:
+    """Whether units of the real subfield realize every sign pattern, read
+    off the span of unit_generators(m): then the totally-positive-unit
+    test for beta-equivalence is exact."""
+    return len(_unit_table(m).span) == 2 ** len(real_embedding_reps(m))
 
 
 def _signs_to_bits(signs: SignVector) -> int:
@@ -237,48 +229,22 @@ def _signs_to_bits(signs: SignVector) -> int:
     return bits
 
 
-def _pivots(rows: Sequence[int], ncols: int) -> dict[int, tuple[int, int]]:
-    """GF(2) forward elimination of the sign rows (bit j set for a
-    negative sign at column j), pivot by lowest free column: column ->
-    (reduced row bits, combo of generators giving that row)."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for i, bits in enumerate(rows):
-        combo = 1 << i
-        for col in range(ncols):
-            if not bits & (1 << col):
-                continue
-            if col in pivots:
-                pbits, pcombo = pivots[col]
-                bits ^= pbits
-                combo ^= pcombo
-            else:
-                pivots[col] = (bits, combo)
-                break
-    return pivots
-
-
 def _solve_combo(target: SignVector, m: int) -> Union[int, Unsatisfiable]:
     """Bit mask of the unit generators of modulus m whose product has the
-    sign vector target, by the pivots of _unit_table(m), or Unsatisfiable
-    carrying the cokernel dimension."""
+    sign vector target, looked up in the span of _unit_table(m), or
+    Unsatisfiable carrying the cokernel dimension."""
     ncols = len(real_embedding_reps(m))
     if len(target) != ncols:
         raise ValueError(f"target has {len(target)} components, expected {ncols}")
-    pivots = _unit_table(m).pivots
-    tbits = _signs_to_bits(target)
-    combo = 0
-    for col in range(ncols):
-        if tbits & (1 << col):
-            if col not in pivots:
-                return Unsatisfiable(
-                    f"sign pattern {target} not realized by units for m = {m}",
-                    cokernel_dim=ncols - len(pivots),
-                )
-            pbits, pcombo = pivots[col]
-            tbits ^= pbits
-            combo ^= pcombo
-    if tbits:
-        raise InvariantViolation("elimination left part of the target sign pattern")
+    if any(s not in (-1, 1) for s in target):
+        raise ValueError(f"target {target} has an entry other than +-1")
+    span = _unit_table(m).span
+    combo = span.get(_signs_to_bits(target))
+    if combo is None:
+        return Unsatisfiable(
+            f"sign pattern {target} not realized by units for m = {m}",
+            cokernel_dim=ncols - (len(span).bit_length() - 1),
+        )
     return combo
 
 
@@ -292,9 +258,9 @@ def _product(factors: Sequence[Cyclo], combo: int, m: int) -> Cyclo:
 
 def solve_sign_pattern(target: SignVector, m: int) -> Union[Cyclo, Unsatisfiable]:
     """Find a product of unit_generators(m) whose real-embedding sign
-    vector equals target.  GF(2) elimination, columns in
-    ascending-representative order; on failure returns (not raises)
-    Unsatisfiable carrying the cokernel dimension."""
+    vector equals target, columns in ascending-representative order; on
+    failure returns (not raises) Unsatisfiable carrying the cokernel
+    dimension."""
     combo = _solve_combo(target, m)
     if isinstance(combo, Unsatisfiable):
         return combo

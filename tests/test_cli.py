@@ -226,6 +226,11 @@ def test_usage_errors(capsys):
     assert run(["--m", "5", "--inertia", "1,3,3,3", "--precision", "4"]) == EXIT_USAGE
     assert run(["--m", "5", "--inertia", "1,3,3,3", "--precision", "5000"]) == EXIT_USAGE
     assert run(["--corpus", "--precision", "4097"]) == EXIT_USAGE
+    # integers are ASCII digits only: int() would read these as 11, 1, 19, 64
+    assert run(["--m", "5", "--inertia", "1_1,3,3,3"]) == EXIT_USAGE
+    assert run(["--m", "5", "--inertia", "\u0661,\u0663,3,3"]) == EXIT_USAGE
+    assert run(["--m", "1_9", "--inertia", "1,2,3,13"]) == EXIT_USAGE
+    assert run(["--m", "5", "--inertia", "1,3,3,3", "--precision", "6_4"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
     capsys.readouterr()
 

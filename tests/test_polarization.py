@@ -22,10 +22,10 @@ import cyclopel.polarization as Q
 from cyclopel.embeddings import DEFAULT_PRECISION, sign_vector
 from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 from cyclopel.polarization import (
+    _signs_to_bits,
+    _solve_combo,
     _unit_table,
-    ALMOST_INDEPENDENT_MODULI,
     BETA_FOR_TYPE_MODULI,
-    INDEPENDENT_SIGNS_MODULI,
     DifferentGenerator,
     beta0,
     beta_for_type,
@@ -175,6 +175,65 @@ def test_solve_sign_pattern_rejects_wrong_length():
         solve_sign_pattern((1, 1), 7)
 
 
+def test_solve_sign_pattern_rejects_entries_other_than_plus_minus_one():
+    # a malformed target is the caller's fault, not a broken invariant
+    for target in ((0, 1), (2, 1)):
+        with pytest.raises(ValueError, match="other than"):
+            solve_sign_pattern(target, 5)
+    # a generator row with a sign 0 would be an internal fault
+    with pytest.raises(InvariantViolation):
+        _signs_to_bits((0, 1))
+
+
+def _eliminate(rows, ncols):
+    """GF(2) forward elimination of the sign rows, pivot by lowest free
+    column: column -> (reduced row bits, generator combo of that row)."""
+    pivots = {}
+    for i, bits in enumerate(rows):
+        combo = 1 << i
+        for col in range(ncols):
+            if not bits & (1 << col):
+                continue
+            if col in pivots:
+                pbits, pcombo = pivots[col]
+                bits ^= pbits
+                combo ^= pcombo
+            else:
+                pivots[col] = (bits, combo)
+                break
+    return pivots
+
+
+def _back_substitute(pivots, tbits, ncols):
+    """Generator combo realizing tbits, or None when some column of the
+    target has no pivot."""
+    combo = 0
+    for col in range(ncols):
+        if tbits & (1 << col):
+            if col not in pivots:
+                return None
+            pbits, pcombo = pivots[col]
+            tbits ^= pbits
+            combo ^= pcombo
+    assert tbits == 0
+    return combo
+
+
+@pytest.mark.parametrize("m", sorted(SUPPORTED_MODULI))
+def test_span_lookup_matches_elimination(m):
+    ncols = len(real_embedding_reps(m))
+    rows = [_signs_to_bits(s) for s in _unit_table(m).signs]
+    pivots = _eliminate(rows, ncols)
+    for target in itertools.product((1, -1), repeat=ncols):
+        expected = _back_substitute(pivots, _signs_to_bits(target), ncols)
+        got = _solve_combo(target, m)
+        if expected is None:
+            assert isinstance(got, Unsatisfiable), target
+            assert got.cokernel_dim == ncols - len(pivots)
+        else:
+            assert got == expected, target
+
+
 def test_solve_sign_pattern_surjective_small():
     for m in (5, 7, 8):
         n = len(real_embedding_reps(m))
@@ -203,9 +262,10 @@ def test_independent_sign_constants():
     assert has_independent_signs(5)
     assert has_independent_signs(10)
     assert not has_independent_signs(21)
-    assert 21 in ALMOST_INDEPENDENT_MODULI
-    assert 21 not in INDEPENDENT_SIGNS_MODULI
+    assert {m for m in SUPPORTED_MODULI if has_independent_signs(m)} == SUPPORTED_MODULI - {21}
     assert 21 not in BETA_FOR_TYPE_MODULI
+    with pytest.raises(UnsupportedModulus):
+        has_independent_signs(23)
 
 
 def test_verify_conditions_m3():
