@@ -59,17 +59,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
 def _poly_divmod_monic(a: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of a by d, d monic with integer coefficients;
     exact over Z."""
@@ -233,10 +222,33 @@ class Cyclo:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product mod x^m - 1 by Kronecker substitution: each
+        coefficient vector is packed into one integer in signed fields
+        wide enough for any product coefficient, the two integers are
+        multiplied once, and field k of the result is added into slot
+        k mod m; Cyclo() then reduces mod Phi_m."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Cyclo(self.m, _poly_mul(list(self.num), list(o.num)), self.den * o.den)
+        a, b, m = self.num, o.num, self.m
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        bits = bound.bit_length() + 1
+        pa = pb = 0
+        for c in reversed(a):
+            pa = (pa << bits) + c
+        for c in reversed(b):
+            pb = (pb << bits) + c
+        p = pa * pb
+        mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+        out = [0] * m
+        for k in range(len(a) + len(b) - 1):
+            c = p & mask
+            p >>= bits
+            if c >= half:
+                c -= full
+                p += 1
+            out[k % m] += c
+        return Cyclo(m, out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -289,8 +301,13 @@ class Cyclo:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        """A rational element hashes as the int or Fraction it equals."""
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.m, self.num, self.den)))
+            if self.is_rational():
+                h = hash(Fraction(self.num[0], self.den))
+            else:
+                h = hash((self.m, self.num, self.den))
+            object.__setattr__(self, "_hash", h)
         return self._hash
 
     def __repr__(self):

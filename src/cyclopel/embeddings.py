@@ -7,7 +7,8 @@ k, so den * 2^prec * Im(sigma_n(x)) (or Re) lies in an exact integer
 interval.  A sign is certified when that interval excludes 0; otherwise the
 precision doubles.  Zero is decided exactly, and only when the interval at
 the start precision contains 0.  embed() encloses sigma_n(x) in
-a rectangle with exact dyadic endpoints, for decimal rendering.  Interval
+a rectangle with exact dyadic endpoints, for decimal rendering, by raw
+mpmath libmpi calls on a cached enclosure of the root.  Interval
 evaluation runs in private mpmath contexts of fixed precision, so the
 shared mpmath.iv precision is never written.
 """
@@ -21,6 +22,7 @@ from math import ceil, floor, gcd
 from typing import Callable
 
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import fzero, from_int, mpci_add, mpci_div, mpci_mul, round_ceiling, round_floor
 
 from .cyclotomic import Cyclo, real_embedding_reps
 from .errors import InvariantViolation, NotRealElement, NotUnit, PrecisionExhausted
@@ -150,22 +152,39 @@ def _fixed_point_sign(
     )
 
 
+@lru_cache(maxsize=256)
+def _root(m: int, k: int, prec: int):
+    """The raw mpmath complex interval (_mpci_) enclosing zeta_m^k =
+    exp(2 pi i k / m), as the private context at prec computes it."""
+    ctx = _interval_context(prec)
+    t = (ctx.pi * (2 * k)) / m
+    return ctx.mpc(ctx.cos(t), ctx.sin(t))._mpci_
+
+
+_IV_ZERO = (fzero, fzero)
+
+
 def embed(x: Cyclo, n: int, prec: int = DEFAULT_PRECISION) -> ComplexInterval:
     """Enclosure of sigma_n(x) at the given working precision (bits), for
-    rendering; signs are certified by certified_sign_im/certified_sign_real."""
+    rendering; signs are certified by certified_sign_im/certified_sign_real.
+
+    Horner's rule on the cached root, by the libmpi calls that
+    acc * root + c and acc / den make in an interval context at prec, in
+    the same order, so the box is bit for bit the context's."""
+    if not 8 <= prec <= PRECISION_CAP:
+        raise ValueError(f"embedding precision {prec} is outside 8..{PRECISION_CAP} bits")
     if gcd(n, x.m) != 1:
         raise ValueError(f"sigma_{n} is not an embedding of Q(zeta_{x.m})")
     if x.is_rational():
         q = x.as_fraction()
         return ComplexInterval(q, q, Fraction(0), Fraction(0))
-    ctx = _interval_context(prec)
-    t = (ctx.pi * (2 * (n % x.m))) / x.m
-    root = ctx.mpc(ctx.cos(t), ctx.sin(t))
-    acc = ctx.mpc(0)
+    root = _root(x.m, n % x.m, prec)
+    acc = (_IV_ZERO, _IV_ZERO)
     for c in reversed(x.num):
-        acc = acc * root + c
-    acc /= x.den
-    re, im = acc.real._mpi_, acc.imag._mpi_
+        c_iv = (from_int(c, prec, round_floor), from_int(c, prec, round_ceiling))
+        acc = mpci_add(mpci_mul(acc, root, prec), (c_iv, _IV_ZERO), prec)
+    den_iv = (from_int(x.den, prec, round_floor), from_int(x.den, prec, round_ceiling))
+    re, im = mpci_div(acc, (den_iv, _IV_ZERO), prec)
     return ComplexInterval(
         _mpf_to_fraction(re[0]),
         _mpf_to_fraction(re[1]),

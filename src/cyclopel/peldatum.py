@@ -273,11 +273,14 @@ def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
                 return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
+        row = m[k]
+        p = row[k]
         for i in range(k + 1, n):
+            r = m[i]
+            c = r[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+                r[j] = (r[j] * p - c * row[j]) // prev
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
@@ -653,9 +656,13 @@ def verify_fixture(
     try:
         _check_json_types(fixture)
         datum = validate(int(fixture["m"]), fixture["a"])
+        expected = tuple(int(v) for v in fixture["expected_signature"])
+        if len(expected) != datum.m:
+            raise MalformedDatum(
+                f"expected_signature has {len(expected)} values, not one per residue mod {datum.m}"
+            )
         if datum.N != int(fixture["N"]):
             failures.append(f"declared N = {fixture['N']} but inertia has {datum.N} points")
-        expected = tuple(int(v) for v in fixture["expected_signature"])
         sig = signature(datum)
         if sig.values != expected:
             failures.append(

@@ -400,6 +400,30 @@ def test_corpus_reports_malformed_fixtures_one_by_one(tmp_path, capsys):
     assert "     MalformedDatum: a monodromy datum needs at least 3 branch points" in lines
 
 
+def test_corpus_reports_a_signature_of_the_wrong_length(tmp_path, capsys):
+    # one value per residue mod m: a short or long list is its fixture's
+    # FAIL line, and the fixtures after it still run
+    fixtures = {f["name"]: f for f in load_corpus(default_corpus_path())}
+    good = fixtures["m5-1144"]
+    short, long = copy.deepcopy(fixtures["m3-1122"]), copy.deepcopy(fixtures["m3-1122"])
+    short.update(name="short", expected_signature=[0, 1])
+    long.update(name="long", expected_signature=[0, 1, 1, 0])
+    p = tmp_path / "lengths.json"
+    p.write_text(json.dumps({"fixtures": [short, good, long]}))
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith(" ")] == [
+        "FAIL short",
+        "PASS m5-1144",
+        "FAIL long",
+        "1 passed, 2 failed, 3 total",
+    ]
+    assert [line.strip() for line in lines if line.startswith(" ")] == [
+        f"MalformedDatum: expected_signature has {n} values, not one per residue mod 3"
+        for n in (2, 4)
+    ]
+
+
 def test_corpus_reports_fields_of_the_wrong_json_type(tmp_path, capsys):
     good = {f["name"]: f for f in load_corpus(default_corpus_path())}["m5-1144"]
     cases = {"a": 5, "N": None, "m": [5], "blocks": 5, "expected_signature": 5}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -71,6 +72,55 @@ def test_square_root_minus_three_squares():
     z = Cyclo.zeta(3)
     s = z - z**2
     assert s * s == Cyclo.from_int(3, -3)
+
+
+def _schoolbook_product(x, y):
+    """(num, den) of x * y by the quadratic product of the coefficient
+    vectors, long division by Phi_m and reduction to lowest terms."""
+    m, phi = x.m, euler_phi(x.m)
+    prod = [0] * (2 * phi - 1)
+    for i, a in enumerate(x.num):
+        for j, b in enumerate(y.num):
+            prod[i + j] += a * b
+    phi_m = cyclotomic_poly(m)
+    for top in range(len(prod) - 1, phi - 1, -1):
+        c = prod[top]
+        for j, d in enumerate(phi_m):
+            prod[top - phi + j] -= c * d
+    num, den = prod[:phi], x.den * y.den
+    g = gcd(den, *num)
+    return tuple(c // g for c in num), den // g
+
+
+def test_product_matches_schoolbook_on_every_modulus():
+    # zero, units, small and 300-bit coefficients, denominators up to 3^40
+    rng = random.Random(211)
+
+    def element(m):
+        bound = rng.choice((0, 1, 9, 2**20, 2**300))
+        num = [rng.randint(-bound, bound) for _ in range(euler_phi(m))]
+        if rng.random() < 0.3:
+            num = [c if rng.random() < 0.3 else 0 for c in num]
+        return Cyclo(m, num, rng.choice((1, 3**40, rng.randint(1, 3**40))))
+
+    for m in sorted(SUPPORTED_MODULI):
+        zero, one = Cyclo.zero(m), Cyclo.one(m)
+        cases = [(zero, zero), (zero, element(m)), (one, element(m))]
+        cases += [(element(m), element(m)) for _ in range(200)]
+        for x, y in cases:
+            for p in (x * y, y * x):
+                assert (p.num, p.den) == _schoolbook_product(x, y)
+
+
+def test_rational_elements_hash_as_the_numbers_they_equal():
+    for m in (5, 16):
+        for q in (3, -7, 0, Fraction(2, 9), Fraction(-5, 3)):
+            x = Cyclo.from_fraction(m, Fraction(q))
+            assert x == q and hash(x) == hash(q)
+            assert q in {x} and x in {q}
+            assert {x: "x"}[q] == "x"
+    z = Cyclo.zeta(5)
+    assert z not in {Cyclo.zeta(7)} and hash(z) == hash(z * 1)
 
 
 def test_additive_identity():

@@ -19,6 +19,10 @@ import cyclopel
 from cyclopel.cyclotomic import SUPPORTED_MODULI, Cyclo, euler_phi, units_mod, real_embedding_reps
 from cyclopel.embeddings import (
     PRECISION_CAP,
+    ComplexInterval,
+    _interval_context,
+    _mpf_to_fraction,
+    _root,
     _trig_table,
     certified_sign_im,
     certified_sign_real,
@@ -84,6 +88,46 @@ def test_embed_matches_independent_float_evaluation():
             slack = Fraction(1, 2**100)
             assert iv.re_lo - slack <= as_fraction(v.real) <= iv.re_hi + slack
             assert iv.im_lo - slack <= as_fraction(v.imag) <= iv.im_hi + slack
+
+
+def context_horner(x, n, prec):
+    """sigma_n(x) by Horner's rule in the operators of a private interval
+    context at prec, as a ComplexInterval."""
+    ctx = _interval_context(prec)
+    t = (ctx.pi * (2 * (n % x.m))) / x.m
+    root = ctx.mpc(ctx.cos(t), ctx.sin(t))
+    acc = ctx.mpc(0)
+    for c in reversed(x.num):
+        acc = acc * root + c
+    acc /= x.den
+    (re_lo, re_hi), (im_lo, im_hi) = acc._mpci_
+    return ComplexInterval(*map(_mpf_to_fraction, (re_lo, re_hi, im_lo, im_hi)))
+
+
+@pytest.mark.parametrize("prec", (8, 53, 64, 192, 1024, 4096))
+def test_embed_is_the_context_horner_box(prec):
+    # every unit n of every modulus, taking turns between small
+    # coefficients and 300-bit ones over a denominator above 2^20, where
+    # the division rounds at prec + 20 bits
+    rng = random.Random(prec)
+    for m in sorted(SUPPORTED_MODULI):
+        for k, n in enumerate(units_mod(m)):
+            bound, den = ((9, rng.randint(1, 9)), (2**300, rng.randint(2**20, 3**40)))[k % 2]
+            x = Cyclo(m, [rng.randint(-bound, bound) for _ in range(euler_phi(m))], den)
+            if not x.is_rational():
+                assert embed(x, n, prec) == context_horner(x, n, prec)
+
+
+def test_embed_precision_is_bounded():
+    # each is refused before any root is computed
+    x = Cyclo.zeta(19)
+    misses = _root.cache_info().misses
+    for prec in (7, PRECISION_CAP + 1, 0, -64, 10**6):
+        with pytest.raises(ValueError, match="outside 8..4096"):
+            embed(x, 1, prec)
+    assert _root.cache_info().misses == misses
+    assert embed(x, 1, 8) == context_horner(x, 1, 8)
+    assert embed(x, 1, PRECISION_CAP) == context_horner(x, 1, PRECISION_CAP)
 
 
 def test_interval_soundness_under_refinement():

@@ -220,6 +220,45 @@ def test_gram_determinant_oracle():
         n = rng.randint(1, 6)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert gram_determinant(mat) == gauss_det(mat)
+    # sparse matrices force zero-pivot swaps; a repeated or zero row or
+    # column makes the matrix singular
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        mat = [[rng.choice((0, 0, 0, rng.randint(-30, 30))) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(n), 2)
+            mat[i] = list(mat[j]) if rng.random() < 0.5 else [0] * n
+            if rng.random() < 0.5:
+                mat = [list(col) for col in zip(*mat)]
+        want = _triple_loop_bareiss(mat)
+        singular += want == 0
+        assert gram_determinant(mat) == want
+        if n <= 6:
+            assert want == gauss_det(mat)
+    assert singular > 100
+
+
+def _triple_loop_bareiss(rows):
+    """Fraction-free Bareiss elimination, one entry at a time."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def test_trace_table_matches_ramanujan_sums():
