@@ -46,7 +46,7 @@ from .peldatum import (
     verify_fixture,
 )
 
-__all__ = ["main", "build_report", "report_json", "run_corpus"]
+__all__ = ["main", "build_report", "report_json", "run_corpus", "write_report"]
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -89,7 +89,7 @@ def _decimals(x: Cyclo, precision: int) -> tuple[str, str]:
 
 
 class _ReadOnlyDict(dict):
-    """A dict of a report that refuses mutation, so the text memoized for
+    """A dict of a report that refuses mutation, so the text written for
     it cannot disagree with it.  A copy or a pickle of it is a plain dict."""
 
     __slots__ = ()
@@ -104,9 +104,9 @@ class _ReadOnlyDict(dict):
         return dict, (dict(self),)
 
 
-class _Component(_ReadOnlyDict):
-    """A read-only dict of a report component with the fact it was built
-    from: key is (ComponentResult, precision)."""
+class _Report(_ReadOnlyDict):
+    """A read-only report with the facts it was built from, key: (result,
+    precision, elapsed_ms), from which report_json writes it."""
 
     __slots__ = ("key",)
 
@@ -115,81 +115,109 @@ def _element_json(x: Cyclo, precision: int) -> _ReadOnlyDict:
     """Exact string plus a decimal rendering of the identity embedding;
     only the exact string is meaningful for comparison."""
     re, im = _decimals(x, precision)
-    return _ReadOnlyDict({"exact": _exact_str(x), "re": re, "im": im})
+    return _ReadOnlyDict(exact=_exact_str(x), re=re, im=im)
 
 
-def _component_json(c: ComponentResult, precision: int) -> _Component:
+def _component_json(c: ComponentResult, precision: int) -> _ReadOnlyDict:
     """Triple, CM-type, simplicity with its witness, beta and u0."""
     simp = c.simplicity
     if simp.simple:
-        witness = {
-            "separating_cosets": tuple(
-                _ReadOnlyDict({"subgroup": h, "coset": coset})
-                for h, coset in simp.separating_cosets
-            )
-        }
+        cosets = (_ReadOnlyDict(subgroup=h, coset=coset) for h, coset in simp.separating_cosets)
+        witness = _ReadOnlyDict(separating_cosets=tuple(cosets))
     else:
-        witness = {"inducing_subgroup": simp.inducing_subgroup}
-    d = _Component(
-        {
-            "triple": c.triple.a,
-            "cm_type": c.phi.sorted_members(),
-            "simple": simp.simple,
-            "simplicity_witness": _ReadOnlyDict(witness),
-            "beta": _element_json(c.point.beta, precision),
-            "u0": _exact_str(c.point.u0),
-        }
+        witness = _ReadOnlyDict(inducing_subgroup=simp.inducing_subgroup)
+    return _ReadOnlyDict(
+        triple=c.triple.a,
+        cm_type=c.phi.sorted_members(),
+        simple=simp.simple,
+        simplicity_witness=witness,
+        beta=_element_json(c.point.beta, precision),
+        u0=_exact_str(c.point.u0),
     )
-    object.__setattr__(d, "key", (c, precision))
-    return d
 
 
-def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> dict:
-    """The report of result as a dict.  Each component and element in it
-    is a fresh read-only dict holding tuples for lists."""
-    components = [_component_json(c, precision) for c in result.components]
-    entries = [
-        _element_json(x, precision)
-        for block in result.hermitian.blocks
-        for x in block.entries
-    ]
-    return {
-        "input": {
-            "m": result.datum.m,
-            "N": result.datum.N,
-            "a": list(result.datum.a),
-        },
-        "genus": result.genus,
-        "signature": list(result.signature.values),
-        "degeneration": {
-            "triples": [list(t.a) for t in result.tree.triples],
-            "merge_pairs": [list(p) for p in result.tree.merge_pairs],
-            "merged_values": list(result.tree.merged_values),
-        },
-        "components": components,
-        "matrix_entries": entries,
-        "gram": result.gram,
-        "determinant": result.gram_det,
-        "form_signature": list(result.form_sig.values),
-        "signature_match": result.form_sig == result.signature,
-        "certainty": result.certainty,
-        "precision_bits": precision,
-        "timing_ms": elapsed_ms,
-    }
+def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> _Report:
+    """The report of result as a read-only dict: every dict in it is read-only,
+    every list a tuple, each component and element a fresh dict."""
+    tree, datum = result.tree, result.datum
+    report = _Report(
+        input=_ReadOnlyDict(m=datum.m, N=datum.N, a=datum.a),
+        genus=result.genus,
+        signature=result.signature.values,
+        degeneration=_ReadOnlyDict(
+            triples=tuple(t.a for t in tree.triples),
+            merge_pairs=tree.merge_pairs,
+            merged_values=tree.merged_values,
+        ),
+        components=tuple(_component_json(c, precision) for c in result.components),
+        matrix_entries=tuple(
+            _element_json(x, precision) for b in result.hermitian.blocks for x in b.entries
+        ),
+        gram=result.gram,
+        determinant=result.gram_det,
+        form_signature=result.form_sig.values,
+        signature_match=result.form_sig == result.signature,
+        certainty=result.certainty,
+        precision_bits=precision,
+        timing_ms=elapsed_ms,
+    )
+    object.__setattr__(report, "key", (result, precision, elapsed_ms))
+    return report
 
 
 def report_json(report: dict) -> str:
-    """The text of json.dumps(report, indent=2, sort_keys=True), written
-    directly; a GramView is written as its dense list of rows."""
+    """The text of json.dumps(report, indent=2, sort_keys=True): by write_report
+    for a report of build_report, else by the generic writer."""
     out: list[str] = []
-    _write_json(report, 0, out)
+    if type(report) is _Report:
+        write_report(*report.key, out.append)
+    else:
+        _write_json(report, 0, out)
     return "".join(out)
 
 
+def write_report(result: FamilyResult, precision: int, elapsed_ms: int, write) -> None:
+    """Write report_json(build_report(result, precision, elapsed_ms)) through
+    write, straight from result; the Gram matrix goes a row at a time."""
+    tree, datum = result.tree, result.datum
+    components = [_component_text(c, precision) for c in result.components]
+    entries = [_entry_text(x, precision) for b in result.hermitian.blocks for x in b.entries]
+    write(
+        f'{{\n  "certainty": {encode_basestring_ascii(result.certainty)},\n'
+        f'  "components": {_seq(components, 1)},\n  "degeneration": {{\n'
+        f'    "merge_pairs": {_seq([_ints(p, 3) for p in tree.merge_pairs], 2)},\n'
+        f'    "merged_values": {_ints(tree.merged_values, 2)},\n'
+        f'    "triples": {_seq([_ints(t.a, 3) for t in tree.triples], 2)}\n  }},\n'
+        f'  "determinant": {result.gram_det},\n'
+        f'  "form_signature": {_ints(result.form_sig.values, 1)},\n'
+        f'  "genus": {result.genus},\n  "gram": '
+    )
+    _write_gram(result.gram, 1, write)
+    write(
+        f',\n  "input": {{\n    "N": {datum.N},\n    "a": {_ints(datum.a, 2)},\n'
+        f'    "m": {datum.m}\n  }},\n  "matrix_entries": {_seq(entries, 1)},\n'
+        f'  "precision_bits": {precision},\n'
+        f'  "signature": {_ints(result.signature.values, 1)},\n'
+        f'  "signature_match": {"true" if result.form_sig == result.signature else "false"},\n'
+        f'  "timing_ms": {elapsed_ms}\n}}'
+    )
+
+
+def _seq(texts: Sequence[str], depth: int) -> str:
+    """Text of a list at depth whose items have the given texts."""
+    if not texts:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * depth + "]"
+
+
+def _ints(values: Sequence[int], depth: int) -> str:
+    """Text of a list of plain integers at depth, in one join."""
+    return _seq(list(map(int.__repr__, values)), depth)
+
+
 def _write_json(o, depth: int, out: list[str]) -> None:
-    if type(o) is _Component:
-        out.append(_component_text(*o.key, depth))
-    elif o is None:
+    if o is None:
         out.append("null")
     elif o is True:
         out.append("true")
@@ -200,23 +228,19 @@ def _write_json(o, depth: int, out: list[str]) -> None:
     elif isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = "\n" + "  " * (depth + 1)
         if all(type(x) is int for x in o):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)))
+            out.append(_ints(o, depth))
+        else:
+            inner = "\n" + "  " * (depth + 1)
+            out.append("[")
+            for k, item in enumerate(o):
+                out.append(("," if k else "") + inner)
+                _write_json(item, depth + 1, out)
             out.append("\n" + "  " * depth + "]")
-            return
-        out.append("[")
-        for k, item in enumerate(o):
-            out.append(("," if k else "") + inner)
-            _write_json(item, depth + 1, out)
-        out.append("\n" + "  " * depth + "]")
     elif isinstance(o, dict):
         _write_dict(o, depth, out)
     elif isinstance(o, GramView):
-        _write_gram(o, depth, out)
+        _write_gram(o, depth, out.append)
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
@@ -233,14 +257,23 @@ def _write_dict(o: dict, depth: int, out: list[str]) -> None:
     out.append("\n" + "  " * depth + "}")
 
 
-@lru_cache(maxsize=4096)
-def _component_text(c: ComponentResult, precision: int, depth: int) -> str:
-    """Text of a report component at depth, written once per (component,
-    precision, depth): _component_json makes its dict again, and the
-    generic writer writes it."""
+def _item_text(d: dict) -> str:
+    """Text of a dict written as an item of a list in the report."""
     out: list[str] = []
-    _write_dict(_component_json(c, precision), depth, out)
+    _write_dict(d, 2, out)
     return "".join(out)
+
+
+@lru_cache(maxsize=4096)
+def _component_text(c: ComponentResult, precision: int) -> str:
+    """Text of a report component, once per (component, precision)."""
+    return _item_text(_component_json(c, precision))
+
+
+@lru_cache(maxsize=4096)
+def _entry_text(x: Cyclo, precision: int) -> str:
+    """Text of a report matrix entry, once per (element, precision)."""
+    return _item_text(_element_json(x, precision))
 
 
 @lru_cache(maxsize=1024)
@@ -251,28 +284,29 @@ def _cell_rows(cell: tuple[tuple[int, ...], ...], depth: int) -> tuple[str, ...]
     return tuple(sep.join(map(str, row)) for row in cell)
 
 
-def _write_gram(gram: GramView, depth: int, out: list[str]) -> None:
-    """Rows of the view as the generic path would write them: the text of
-    each cell row comes from _cell_rows, and the zeros around it are
-    repeated constant strings."""
+def _write_gram(gram: GramView, depth: int, write) -> None:
+    """Rows of the view as the generic path would write them, one row at a
+    time through write: the text of each cell row comes from _cell_rows,
+    and the zeros around it are repeated constant strings."""
     n = len(gram)
     if not n:
-        out.append("[]")
+        write("[]")
         return
     sep = ",\n" + "  " * (depth + 2)
-    head = "[\n" + "  " * (depth + 2)
+    head = ",\n" + "  " * (depth + 1) + "[\n" + "  " * (depth + 2)
     tail = "\n" + "  " * (depth + 1) + "]"
-    inner = "\n" + "  " * (depth + 1)
-    out.append("[")
-    start = 0
+    write("[")
+    skip, start = 1, 0  # the first row takes no comma
     for cell in gram.cells:
-        left = inner + head + ("0" + sep) * start
-        right = (sep + "0") * (n - start - len(cell)) + tail + ","
+        left = head + ("0" + sep) * start
+        right = (sep + "0") * (n - start - len(cell)) + tail
         for row in _cell_rows(cell, depth):
-            out += (left, row, right)
+            write(left[skip:])
+            write(row)
+            write(right)
+            skip = 0
         start += len(cell)
-    # the last row takes no comma
-    out[-1] = out[-1][:-1] + "\n" + "  " * depth + "]"
+    write("\n" + "  " * depth + "]")
 
 
 def _print_text_report(report: dict) -> None:
@@ -333,11 +367,11 @@ def run_family(m: int, inertia: Sequence[int], precision: int, as_json: bool) ->
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_DATUM
     elapsed_ms = int((time.monotonic() - t0) * 1000)
-    report = build_report(result, precision, elapsed_ms)
     if as_json:
-        print(report_json(report))
+        write_report(result, precision, elapsed_ms, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
-        _print_text_report(report)
+        _print_text_report(build_report(result, precision, elapsed_ms))
     return EXIT_OK
 
 

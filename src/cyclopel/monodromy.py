@@ -179,6 +179,20 @@ def _join_is_preferred(m: int, x: int, y: int) -> bool:
     return is_simple(cm_type_from_triple(triple)).simple
 
 
+@lru_cache(maxsize=4096)
+def _component_triple(m: int, x: int, y: int) -> MonodromyDatum:
+    """The component (x, y, -(x + y) mod m) a join emits, checked once per key:
+    NonMaximalOrder unless its CM algebra is the single field Q(zeta_m); a
+    failing triple raises again on every call, as lru_cache keeps no errors."""
+    t = MonodromyDatum(m, (x, y, -(x + y) % m))
+    if cm_algebra_check(t) != (m,):
+        raise NonMaximalOrder(
+            f"component {t.a} has CM algebra indexed by {cm_algebra_check(t)}; "
+            "the mu_m-action does not extend to a single maximal order"
+        )
+    return t
+
+
 def degenerate(datum: MonodromyDatum) -> DegenerationTree:
     """Fuse branch points pairwise until only 3-point covers remain.
 
@@ -194,14 +208,6 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
     triples: list[MonodromyDatum] = []
     pairs: list[tuple[int, int]] = []
     merged: list[int] = []
-
-    def emit(t: MonodromyDatum):
-        if cm_algebra_check(t) != (m,):
-            raise NonMaximalOrder(
-                f"component {t.a} has CM algebra indexed by {cm_algebra_check(t)}; "
-                "the mu_m-action does not extend to a single maximal order"
-            )
-        triples.append(t)
 
     # datum was validated when it was built, and every step keeps a valid:
     # the fused value s = a(i) + a(j) mod m is a unit (that is what
@@ -228,11 +234,11 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
         )
         i, j = choice
         s = (a[i] + a[j]) % m
-        emit(MonodromyDatum(m, (a[i], a[j], -s % m)))
+        triples.append(_component_triple(m, a[i], a[j]))
         pairs.append(choice)
         merged.append(s)
         del a[j], a[i]
         a.insert(0, s)
 
-    emit(MonodromyDatum(m, tuple(a)))
+    triples.append(_component_triple(m, a[0], a[1]))  # a[2] == -(a[0] + a[1]) % m
     return DegenerationTree(datum, tuple(triples), tuple(pairs), tuple(merged))

@@ -7,6 +7,7 @@ import copy
 import decimal
 import json
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -138,15 +139,17 @@ def test_warm_report_writes_no_component_through_the_generic_writer(monkeypatch)
 
     monkeypatch.setattr(cyclopel.cli, "_write_dict", spy)
     cyclopel.cli._component_text.cache_clear()
+    cyclopel.cli._entry_text.cache_clear()
     family = (13, (1, 2, 4, 5, 7, 7))
     first = report_json(_report(*family))
-    assert any("triple" in o for o in written)
+    assert any("triple" in o for o in written) and any("exact" in o for o in written)
     written.clear()
     report = _report(*family)
     assert report_json(report) == first
-    # only the report, its small dicts and its matrix entries, which are
-    # not memoized; no component, and no beta inside one
-    assert written == [report, report["degeneration"], report["input"], *report["matrix_entries"]]
+    # the report itself is written from its facts, and the text of every
+    # component and matrix entry is memoized: no dict at all goes through
+    # the generic writer
+    assert written == []
 
 
 def test_report_text_is_memoized_per_precision():
@@ -170,6 +173,9 @@ def test_report_components_are_read_only():
     assert [c["simple"] for c in comps] == [True, False]
     witness = comps[0]["simplicity_witness"]
     targets = [
+        report,
+        report["input"],
+        report["degeneration"],
         comps[0],
         comps[0]["beta"],
         witness,
@@ -195,20 +201,41 @@ def test_report_components_are_read_only():
                 mutate()
         assert dict(d) == snapshot
     with pytest.raises(TypeError):
-        comps[0].key = None
-    assert type(comps[0]["triple"]) is tuple and type(comps[0]["cm_type"]) is tuple
-    assert type(witness["separating_cosets"]) is tuple
-    assert type(comps[1]["simplicity_witness"]["inducing_subgroup"]) is tuple
-    # copies are plain dicts
+        report.key = None
+    degeneration = report["degeneration"]
+    sequences = [
+        report["signature"],
+        report["form_signature"],
+        report["components"],
+        report["matrix_entries"],
+        report["input"]["a"],
+        degeneration["triples"],
+        *degeneration["triples"],
+        degeneration["merge_pairs"],
+        *degeneration["merge_pairs"],
+        degeneration["merged_values"],
+        comps[0]["triple"],
+        comps[0]["cm_type"],
+        witness["separating_cosets"],
+        comps[1]["simplicity_witness"]["inducing_subgroup"],
+    ]
+    assert all(type(seq) is tuple for seq in sequences)
+    # copies are plain dicts, and a mutated copy is written as it stands
+    for dup in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert type(dup) is dict and dup == report
+        assert report_json(dup) == report_json(report)
+        dup["genus"] = -1
+        dup["input"]["m"] = 8
+        text = json.loads(report_json(dup))
+        assert (text["genus"], text["input"]["m"]) == (-1, 8)
     copies = (
         copy.copy(comps[0]),
         copy.deepcopy(report)["components"][0],
         pickle.loads(pickle.dumps(comps[0])),
     )
     for dup in copies:
-        assert dup == comps[0]
+        assert type(dup) is dict and dup == comps[0]
         dup["simple"] = None
-    assert report_json(copy.deepcopy(report)) == report_json(report)
 
 
 def test_json_report_keeps_decimal_context(capsys):
@@ -286,6 +313,26 @@ def test_json_report(capsys):
     assert report["degeneration"]["triples"] == [[1, 3, 1], [4, 3, 3]]
     # serialization is canonical: parsing and re-dumping reproduces the bytes
     assert report_json(report) == out.rstrip("\n")
+
+
+def test_json_report_is_streamed_from_the_result(monkeypatch, capsys):
+    # --json writes the report from the result as it goes, a Gram row at a
+    # time, and never builds the report dict; the bytes are the same
+    m, a = 19, (1,) * 23 + (15,)
+    built, writes = [], []
+    monkeypatch.setattr(cyclopel.cli, "build_report", lambda *args: built.append(args))
+    original = sys.stdout.write
+    monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(len(text)) or original(text))
+    assert run(["--m", str(m), "--inertia", ",".join(map(str, a)), "--json"]) == EXIT_OK
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    assert built == []
+    result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(m, a))
+    elapsed_ms = json.loads(out)["timing_ms"]
+    assert out == report_json(build_report(result, DEFAULT_PRECISION, elapsed_ms)) + "\n"
+    # 22 components of phi(19) = 18 rows each: no write holds many rows
+    assert len(result.gram) == 396
+    assert len(writes) > len(result.gram) and max(writes) < len(out) / 20
 
 
 _JSON_VALUES = st.recursive(

@@ -22,11 +22,14 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cyclopel.cli import build_report, main, report_json
+from cyclopel.cli import build_report, main, report_json, write_report
 from cyclopel.embeddings import DEFAULT_PRECISION
+from cyclopel.errors import NonCompactType
 from cyclopel.monodromy import validate
-from cyclopel.peldatum import ASSEMBLE_MODULI, assemble
+from cyclopel.peldatum import ASSEMBLE_MODULI, assemble, default_corpus_path, load_corpus
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 
@@ -142,6 +145,52 @@ def test_report_json_matches_json_dumps_of_dense_report(m, a):
     text = json.dumps(dense, indent=2, sort_keys=True)
     assert _first_difference(report_json(report), text) is None
     assert _first_difference(report_json(dense), text) is None
+
+
+def _written_report(result, precision: int, elapsed_ms: int) -> str:
+    out: list[str] = []
+    write_report(result, precision, elapsed_ms, out.append)
+    return "".join(out)
+
+
+def _dumped_report(result, precision: int, elapsed_ms: int) -> str:
+    report = build_report(result, precision, elapsed_ms)
+    return json.dumps(report, indent=2, sort_keys=True, default=list)
+
+
+@pytest.mark.parametrize("precision", (64, 128))
+def test_write_report_matches_json_dumps_of_build_report(precision):
+    # the golden families and every corpus fixture that assemble takes
+    corpus = tuple(
+        (f["m"], tuple(f["a"]))
+        for f in load_corpus(default_corpus_path())
+        if f["m"] in ASSEMBLE_MODULI
+    )
+    for k, (m, a) in enumerate(FAMILIES + corpus):
+        result = assemble(validate(m, a), precision)
+        elapsed_ms = 997 * k + 1
+        written = _written_report(result, precision, elapsed_ms)
+        assert _first_difference(written, _dumped_report(result, precision, elapsed_ms)) is None, (m, a)
+
+
+@st.composite
+def _families(draw) -> tuple[int, tuple[int, ...]]:
+    """A balanced inertia vector of 3 to 12 values at an assembly modulus."""
+    m = draw(st.sampled_from(sorted(ASSEMBLE_MODULI)))
+    head = draw(st.lists(st.integers(1, m - 1), min_size=2, max_size=11))
+    assume(sum(head) % m)
+    return m, (*head, -sum(head) % m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_families(), st.sampled_from((64, 128)), st.integers(0, 10**7))
+def test_write_report_matches_json_dumps_on_random_families(family, precision, elapsed_ms):
+    try:
+        result = assemble(validate(*family), precision)
+    except NonCompactType:
+        assume(False)
+    written = _written_report(result, precision, elapsed_ms)
+    assert _first_difference(written, _dumped_report(result, precision, elapsed_ms)) is None
 
 
 def test_corpus_output_matches_golden():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain
 from fractions import Fraction
 from math import floor, gcd
 from types import SimpleNamespace
@@ -344,15 +345,100 @@ def test_degenerate_matches_eager_search_up_to_sixty_points(m):
 @pytest.mark.parametrize("m, a", [(19, (1,) * 23 + (15,)), (13, (1, 3, 4, 9, 9) * 4)])
 def test_degenerate_builds_only_the_emitted_triples(monkeypatch, m, a):
     # the input is validated once and every fused vector is valid by
-    # construction, so a warm degenerate builds one datum per triple
+    # construction, so degenerate builds only emitted triples: each distinct
+    # one once, and none at all when they are memoized
     d = validate(m, a)
     tree = degenerate(d)
+    M._component_triple.cache_clear()
     built = []
     original = MonodromyDatum.__post_init__
     monkeypatch.setattr(MonodromyDatum, "__post_init__", lambda self: built.append(self) or original(self))
     assert degenerate(d) == tree
-    assert len(built) == len(tree.triples) == d.N - 2
-    assert list(tree.triples) == built
+    assert built == list(dict.fromkeys(tree.triples))
+    assert len(built) < len(tree.triples) == d.N - 2
+    built.clear()
+    assert degenerate(d) == tree
+    assert built == []
+
+
+def emit_degenerate(datum: MonodromyDatum) -> M.DegenerationTree:
+    """The degeneration search as it was before emitted triples were
+    memoized: each emitted triple is built and checked where it is emitted."""
+    m = datum.m
+    a = list(datum.a)
+    triples: list[MonodromyDatum] = []
+    pairs: list[tuple[int, int]] = []
+    merged: list[int] = []
+
+    def emit(t: MonodromyDatum):
+        if cm_algebra_check(t) != (m,):
+            raise NonMaximalOrder(
+                f"component {t.a} has CM algebra indexed by {cm_algebra_check(t)}; "
+                "the mu_m-action does not extend to a single maximal order"
+            )
+        triples.append(t)
+
+    while len(a) > 3:
+        admissible = (
+            (i, j)
+            for i in range(len(a))
+            for j in range(i + 1, len(a))
+            if gcd(a[i] + a[j], m) == 1
+        )
+        first = next(admissible, None)
+        if first is None:
+            raise NonCompactType(
+                f"no branch-point pair of {tuple(a)} joins at a single node; "
+                "every degeneration of this family has a cycle in its dual graph"
+            )
+        choice = next(
+            (p for p in chain((first,), admissible) if M._join_is_preferred(m, a[p[0]], a[p[1]])),
+            first,
+        )
+        i, j = choice
+        s = (a[i] + a[j]) % m
+        emit(MonodromyDatum(m, (a[i], a[j], -s % m)))
+        pairs.append(choice)
+        merged.append(s)
+        del a[j], a[i]
+        a.insert(0, s)
+
+    emit(MonodromyDatum(m, tuple(a)))
+    return M.DegenerationTree(datum, tuple(triples), tuple(pairs), tuple(merged))
+
+
+def _full_outcome(search, datum):
+    """The tree, or the type and message of the error."""
+    try:
+        tree = search(datum)
+    except (NonCompactType, NonMaximalOrder) as exc:
+        return type(exc), str(exc)
+    return tree.triples, tree.merge_pairs, tree.merged_values
+
+
+def test_degenerate_matches_emit_search():
+    outcomes = Counter()
+    for m in sorted(SUPPORTED_MODULI):
+        rng = random.Random(3000 + m)
+        for _ in range(60):
+            d = random_datum(rng, moduli=(m,), max_n=30)
+            got = _full_outcome(degenerate, d)
+            assert got == _full_outcome(emit_degenerate, d), d
+            # a second, memoized run gives the same tree or raises the same
+            assert _full_outcome(degenerate, d) == got, d
+            outcomes[got[0] if isinstance(got[0], type) else "tree"] += 1
+    assert set(outcomes) == {"tree", NonCompactType, NonMaximalOrder}
+
+
+def test_non_maximal_triple_raises_on_every_call():
+    d = validate(21, (1,) * 21)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NonMaximalOrder) as info:
+            degenerate(d)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == _full_outcome(emit_degenerate, d)[1]
+    assert "component (1, 1, 19)" in messages[0]
 
 
 def test_conjugate_signature_pairing():
