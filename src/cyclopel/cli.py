@@ -80,14 +80,6 @@ def _exact_str(x: Cyclo) -> str:
     return element_str(x)
 
 
-@lru_cache(maxsize=4096)
-def _decimals(x: Cyclo, precision: int) -> tuple[str, str]:
-    """(re, im) strings of the identity embedding of x, once per
-    (element, precision); u0 is reported exactly and never embedded."""
-    box = embed(x, 1, precision)
-    return _decimal_str((box.re_lo + box.re_hi) / 2), _decimal_str((box.im_lo + box.im_hi) / 2)
-
-
 class _ReadOnlyDict(dict):
     """A dict of a report that refuses mutation, so the text written for
     it cannot disagree with it.  A copy or a pickle of it is a plain dict."""
@@ -111,15 +103,23 @@ class _Report(_ReadOnlyDict):
     __slots__ = ("key",)
 
 
+@lru_cache(maxsize=4096)
 def _element_json(x: Cyclo, precision: int) -> _ReadOnlyDict:
     """Exact string plus a decimal rendering of the identity embedding;
-    only the exact string is meaningful for comparison."""
-    re, im = _decimals(x, precision)
-    return _ReadOnlyDict(exact=_exact_str(x), re=re, im=im)
+    only the exact string is meaningful for comparison.  Once per
+    (element, precision); u0 is reported exactly and never embedded."""
+    box = embed(x, 1, precision)
+    return _ReadOnlyDict(
+        exact=_exact_str(x),
+        re=_decimal_str((box.re_lo + box.re_hi) / 2),
+        im=_decimal_str((box.im_lo + box.im_hi) / 2),
+    )
 
 
+@lru_cache(maxsize=4096)
 def _component_json(c: ComponentResult, precision: int) -> _ReadOnlyDict:
-    """Triple, CM-type, simplicity with its witness, beta and u0."""
+    """Triple, CM-type, simplicity with its witness, beta and u0, once per
+    (component, precision)."""
     simp = c.simplicity
     if simp.simple:
         cosets = (_ReadOnlyDict(subgroup=h, coset=coset) for h, coset in simp.separating_cosets)
@@ -137,8 +137,10 @@ def _component_json(c: ComponentResult, precision: int) -> _ReadOnlyDict:
 
 
 def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> _Report:
-    """The report of result as a read-only dict: every dict in it is read-only,
-    every list a tuple, each component and element a fresh dict."""
+    """The report of result as a read-only dict: every dict in it is read-only
+    and every list a tuple.  The dicts of components and elements are built
+    once per process and precision and shared by every report that holds
+    them; being read-only, no report can change them."""
     tree, datum = result.tree, result.datum
     report = _Report(
         input=_ReadOnlyDict(m=datum.m, N=datum.N, a=datum.a),

@@ -173,8 +173,9 @@ def _join_is_preferred(m: int, x: int, y: int) -> bool:
     # published degenerations.  The answer depends on (m, x, y) alone.
     from .cmfield import cm_type_from_triple, is_simple
 
-    triple = MonodromyDatum(m, (x, y, -(x + y) % m))
-    if cm_algebra_check(triple) != (m,):
+    try:
+        triple = _component_triple(m, x, y)
+    except NonMaximalOrder:
         return False
     return is_simple(cm_type_from_triple(triple)).simple
 

@@ -313,6 +313,19 @@ class ComponentResult:
     simplicity: SimplicityReport
     point: PolarizedCMPoint
 
+    def __hash__(self) -> int:
+        # equal components have equal triples, so this agrees with the
+        # generated __eq__, without hashing the CM data of the triple
+        return hash(self.triple)
+
+
+@lru_cache(maxsize=4096)
+def _component(triple: MonodromyDatum, start_prec: int) -> ComponentResult:
+    """The component of a degeneration triple with its CM-type, simplicity
+    and polarization element, built once per (triple, start_prec)."""
+    phi = cm_type_from_triple(triple)
+    return ComponentResult(triple, phi, is_simple(phi), beta_for_type(phi, start_prec))
+
 
 @dataclass(frozen=True)
 class FamilyResult:
@@ -339,12 +352,7 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
             f"full assembly runs for odd prime m in {sorted(ASSEMBLE_MODULI)}, not m = {datum.m}"
         )
     sig = signature(datum)
-    components = []
-    for triple in tree.triples:
-        phi = cm_type_from_triple(triple)
-        components.append(
-            ComponentResult(triple, phi, is_simple(phi), beta_for_type(phi, start_prec))
-        )
+    components = tuple(_component(triple, start_prec) for triple in tree.triples)
     entries = tuple(c.point.xi() for c in components)
     hermitian = HermitianDatum(datum.m, (Block(datum.m, entries),))
     gram = _gram_view(hermitian)
@@ -367,7 +375,7 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
         genus(datum),
         sig,
         tree,
-        tuple(components),
+        components,
         hermitian,
         gram,
         det,

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclopel.cli
+import cyclopel.cmfield
 import cyclopel.monodromy
 import cyclopel.peldatum
 from cyclopel.cli import (
@@ -35,6 +36,7 @@ from cyclopel.cli import (
 from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import CyclopelError, MalformedDatum, ParseError, Unsatisfiable
 from cyclopel.peldatum import default_corpus_path, load_corpus
+from cyclopel.polarization import beta_for_type
 
 
 def run(argv):
@@ -86,7 +88,8 @@ def test_report_renders_each_element_once(monkeypatch):
     monkeypatch.setattr(cyclopel.cli, "element_str", counted_str)
     monkeypatch.setattr(cyclopel.cli, "embed", counted_embed)
     cyclopel.cli._exact_str.cache_clear()
-    cyclopel.cli._decimals.cache_clear()
+    cyclopel.cli._element_json.cache_clear()
+    cyclopel.cli._component_json.cache_clear()
     report = cyclopel.cli.build_report(result, DEFAULT_PRECISION, 0)
     betas = {c.point.beta for c in result.components}
     entries = set(result.hermitian.blocks[0].entries)
@@ -95,8 +98,10 @@ def test_report_renders_each_element_once(monkeypatch):
     assert len(written) == len(set(written)) == len(distinct) < 12
     # u0 is reported exactly, so only betas and entries are embedded
     assert len(embedded) == len(set(embedded)) == len(betas | entries) < 8
+    # a repeated beta is one shared read-only dict
     betas = [c["beta"] for c in report["components"]]
-    assert len({id(b) for b in betas}) == len(betas)
+    assert len({id(b) for b in betas}) == len({b["exact"] for b in betas}) < len(betas)
+    assert all(type(b) is cyclopel.cli._ReadOnlyDict for b in betas)
 
 
 def test_oversized_report_exits_before_degenerate(monkeypatch, capsys):
@@ -150,6 +155,34 @@ def test_warm_report_writes_no_component_through_the_generic_writer(monkeypatch)
     # component and matrix entry is memoized: no dict at all goes through
     # the generic writer
     assert written == []
+
+
+def test_warm_family_builds_no_component_and_three_report_dicts(monkeypatch):
+    # every triple of the second family is one of the first's: its
+    # components come whole from the component memo, and its report holds
+    # their memoized dicts
+    first, second = (13, (1, 2, 4, 5, 7, 7)), (13, (1, 2, 4, 6))
+    report_json(_report(*first))
+    lookups = (cyclopel.cmfield.cm_type_from_triple, cyclopel.cmfield.is_simple, beta_for_type)
+    seen = [f.cache_info()[:2] for f in lookups]
+    components, dicts = [], []
+    component_init = cyclopel.peldatum.ComponentResult.__init__
+    monkeypatch.setattr(
+        cyclopel.peldatum.ComponentResult,
+        "__init__",
+        lambda self, *args: components.append(args) or component_init(self, *args),
+    )
+    monkeypatch.setattr(
+        cyclopel.cli._ReadOnlyDict,
+        "__init__",
+        lambda self, **kwargs: dicts.append(kwargs) or dict.__init__(self, **kwargs),
+    )
+    result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(*second))
+    assert components == []
+    assert [f.cache_info()[:2] for f in lookups] == seen
+    report = build_report(result, DEFAULT_PRECISION, 0)
+    assert len(dicts) == 3
+    assert report_json(report) == json.dumps(report, indent=2, sort_keys=True, default=list)
 
 
 def test_report_text_is_memoized_per_precision():

@@ -361,6 +361,25 @@ def test_degenerate_builds_only_the_emitted_triples(monkeypatch, m, a):
     assert built == []
 
 
+def test_cold_degenerate_builds_each_triple_once(monkeypatch):
+    # deciding a join and emitting it read the same memo of its triple, so
+    # from empty memos each (m, x, y) key builds its datum once
+    d = validate(19, tuple(range(1, 14)) + (4,))
+    M._join_is_preferred.cache_clear()
+    M._component_triple.cache_clear()
+    built = Counter()
+    original = MonodromyDatum.__post_init__
+
+    def counted(self):
+        built[(self.m, *self.a[:2])] += 1
+        original(self)
+
+    monkeypatch.setattr(MonodromyDatum, "__post_init__", counted)
+    tree = degenerate(d)
+    assert {(t.m, *t.a[:2]) for t in tree.triples} <= set(built)
+    assert max(built.values()) == 1
+
+
 def emit_degenerate(datum: MonodromyDatum) -> M.DegenerationTree:
     """The degeneration search as it was before emitted triples were
     memoized: each emitted triple is built and checked where it is emitted."""

@@ -40,6 +40,7 @@ from cyclopel.errors import (
     NonIntegralForm,
     UnsupportedModulus,
 )
+from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.monodromy import signature, validate
 import cyclopel.peldatum as P
 from cyclopel.peldatum import (
@@ -352,12 +353,24 @@ def test_warm_assemble_redoes_no_triple_or_entry_work(monkeypatch):
     assert calls == {"triple signature": 0, "galois": 0}
     assert is_simple.cache_info().misses == simplicity_decided
     # the spies see work that is not memoized
+    P._component.cache_clear()
     is_simple.cache_clear()
     cm_type_from_triple.cache_clear()
     P._is_pure_imaginary.cache_clear()
     assert assemble(datum) == r
     assert calls["triple signature"] > 0 and calls["galois"] > 0
     assert is_simple.cache_info().misses > 0
+
+
+def test_component_hashes_as_its_triple():
+    d = validate(13, (1, 2, 4, 5, 7, 7))
+    r = assemble(d)
+    old = r.components[0]
+    P._component.cache_clear()
+    new = P._component(old.triple, DEFAULT_PRECISION)
+    assert new == old and new is not old
+    assert hash(new) == hash(old) == hash(old.triple)
+    assert assemble(d) == r
 
 
 def test_warm_assemble_makes_no_inversion(monkeypatch):
