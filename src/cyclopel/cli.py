@@ -81,10 +81,12 @@ def _exact_str(x: Cyclo) -> str:
 
 
 class _ReadOnlyDict(dict):
-    """A dict of a report that refuses mutation, so the text written for
-    it cannot disagree with it.  A copy or a pickle of it is a plain dict."""
+    """A dict of a report that refuses mutation, so the text written from
+    it cannot disagree with it.  A component or matrix entry carries its
+    own text as an item of a report list.  A copy or a pickle of it is a
+    plain dict."""
 
-    __slots__ = ()
+    __slots__ = ("text",)
 
     def _refuse(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} of a report is read-only")
@@ -96,11 +98,13 @@ class _ReadOnlyDict(dict):
         return dict, (dict(self),)
 
 
-class _Report(_ReadOnlyDict):
-    """A read-only report with the facts it was built from, key: (result,
-    precision, elapsed_ms), from which report_json writes it."""
-
-    __slots__ = ("key",)
+def _item(**fields) -> _ReadOnlyDict:
+    """A read-only dict with its text as an item of a top-level list of the
+    report: json.dumps's text indented two levels down."""
+    d = _ReadOnlyDict(**fields)
+    text = json.dumps(d, indent=2, sort_keys=True).replace("\n", "\n    ")
+    object.__setattr__(d, "text", text)
+    return d
 
 
 @lru_cache(maxsize=4096)
@@ -109,7 +113,7 @@ def _element_json(x: Cyclo, precision: int) -> _ReadOnlyDict:
     only the exact string is meaningful for comparison.  Once per
     (element, precision); u0 is reported exactly and never embedded."""
     box = embed(x, 1, precision)
-    return _ReadOnlyDict(
+    return _item(
         exact=_exact_str(x),
         re=_decimal_str((box.re_lo + box.re_hi) / 2),
         im=_decimal_str((box.im_lo + box.im_hi) / 2),
@@ -126,7 +130,7 @@ def _component_json(c: ComponentResult, precision: int) -> _ReadOnlyDict:
         witness = _ReadOnlyDict(separating_cosets=tuple(cosets))
     else:
         witness = _ReadOnlyDict(inducing_subgroup=simp.inducing_subgroup)
-    return _ReadOnlyDict(
+    return _item(
         triple=c.triple.a,
         cm_type=c.phi.sorted_members(),
         simple=simp.simple,
@@ -136,13 +140,13 @@ def _component_json(c: ComponentResult, precision: int) -> _ReadOnlyDict:
     )
 
 
-def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> _Report:
+def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> _ReadOnlyDict:
     """The report of result as a read-only dict: every dict in it is read-only
     and every list a tuple.  The dicts of components and elements are built
     once per process and precision and shared by every report that holds
     them; being read-only, no report can change them."""
     tree, datum = result.tree, result.datum
-    report = _Report(
+    return _ReadOnlyDict(
         input=_ReadOnlyDict(m=datum.m, N=datum.N, a=datum.a),
         genus=result.genus,
         signature=result.signature.values,
@@ -163,45 +167,52 @@ def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> _Repo
         precision_bits=precision,
         timing_ms=elapsed_ms,
     )
-    object.__setattr__(report, "key", (result, precision, elapsed_ms))
-    return report
 
 
-def report_json(report: dict) -> str:
-    """The text of json.dumps(report, indent=2, sort_keys=True): by write_report
-    for a report of build_report, else by the generic writer."""
+def report_json(report: _ReadOnlyDict) -> str:
+    """The text of json.dumps(report, indent=2, sort_keys=True, default=list)
+    for a report of build_report; other values raise TypeError."""
+    if type(report) is not _ReadOnlyDict or "gram" not in report:
+        raise TypeError(
+            f"report_json writes a report of build_report, not a {type(report).__name__}: "
+            "write other values with json.dumps(x, indent=2, sort_keys=True, default=list)"
+        )
     out: list[str] = []
-    if type(report) is _Report:
-        write_report(*report.key, out.append)
-    else:
-        _write_json(report, 0, out)
+    _write(report, out.append)
     return "".join(out)
 
 
 def write_report(result: FamilyResult, precision: int, elapsed_ms: int, write) -> None:
     """Write report_json(build_report(result, precision, elapsed_ms)) through
-    write, straight from result; the Gram matrix goes a row at a time."""
-    tree, datum = result.tree, result.datum
-    components = [_component_text(c, precision) for c in result.components]
-    entries = [_entry_text(x, precision) for b in result.hermitian.blocks for x in b.entries]
+    write; the Gram matrix goes a row at a time."""
+    _write(build_report(result, precision, elapsed_ms), write)
+
+
+def _write(report: _ReadOnlyDict, write) -> None:
+    """Write a report of build_report through write, in the sorted-key
+    layout of json.dumps: components and matrix entries by their own text,
+    the Gram matrix a row at a time."""
+    degeneration, inp = report["degeneration"], report["input"]
     write(
-        f'{{\n  "certainty": {encode_basestring_ascii(result.certainty)},\n'
-        f'  "components": {_seq(components, 1)},\n  "degeneration": {{\n'
-        f'    "merge_pairs": {_seq([_ints(p, 3) for p in tree.merge_pairs], 2)},\n'
-        f'    "merged_values": {_ints(tree.merged_values, 2)},\n'
-        f'    "triples": {_seq([_ints(t.a, 3) for t in tree.triples], 2)}\n  }},\n'
-        f'  "determinant": {result.gram_det},\n'
-        f'  "form_signature": {_ints(result.form_sig.values, 1)},\n'
-        f'  "genus": {result.genus},\n  "gram": '
+        f'{{\n  "certainty": {encode_basestring_ascii(report["certainty"])},\n'
+        f'  "components": {_seq([c.text for c in report["components"]], 1)},\n'
+        '  "degeneration": {\n'
+        f'    "merge_pairs": {_seq([_ints(p, 3) for p in degeneration["merge_pairs"]], 2)},\n'
+        f'    "merged_values": {_ints(degeneration["merged_values"], 2)},\n'
+        f'    "triples": {_seq([_ints(t, 3) for t in degeneration["triples"]], 2)}\n  }},\n'
+        f'  "determinant": {report["determinant"]},\n'
+        f'  "form_signature": {_ints(report["form_signature"], 1)},\n'
+        f'  "genus": {report["genus"]},\n  "gram": '
     )
-    _write_gram(result.gram, 1, write)
+    _write_gram(report["gram"], write)
     write(
-        f',\n  "input": {{\n    "N": {datum.N},\n    "a": {_ints(datum.a, 2)},\n'
-        f'    "m": {datum.m}\n  }},\n  "matrix_entries": {_seq(entries, 1)},\n'
-        f'  "precision_bits": {precision},\n'
-        f'  "signature": {_ints(result.signature.values, 1)},\n'
-        f'  "signature_match": {"true" if result.form_sig == result.signature else "false"},\n'
-        f'  "timing_ms": {elapsed_ms}\n}}'
+        f',\n  "input": {{\n    "N": {inp["N"]},\n    "a": {_ints(inp["a"], 2)},\n'
+        f'    "m": {inp["m"]}\n  }},\n'
+        f'  "matrix_entries": {_seq([e.text for e in report["matrix_entries"]], 1)},\n'
+        f'  "precision_bits": {report["precision_bits"]},\n'
+        f'  "signature": {_ints(report["signature"], 1)},\n'
+        f'  "signature_match": {"true" if report["signature_match"] else "false"},\n'
+        f'  "timing_ms": {report["timing_ms"]}\n}}'
     )
 
 
@@ -218,97 +229,35 @@ def _ints(values: Sequence[int], depth: int) -> str:
     return _seq(list(map(int.__repr__, values)), depth)
 
 
-def _write_json(o, depth: int, out: list[str]) -> None:
-    if o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif isinstance(o, (list, tuple)):
-        if all(type(x) is int for x in o):
-            out.append(_ints(o, depth))
-        else:
-            inner = "\n" + "  " * (depth + 1)
-            out.append("[")
-            for k, item in enumerate(o):
-                out.append(("," if k else "") + inner)
-                _write_json(item, depth + 1, out)
-            out.append("\n" + "  " * depth + "]")
-    elif isinstance(o, dict):
-        _write_dict(o, depth, out)
-    elif isinstance(o, GramView):
-        _write_gram(o, depth, out.append)
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _write_dict(o: dict, depth: int, out: list[str]) -> None:
-    if not o:
-        out.append("{}")
-        return
-    inner = "\n" + "  " * (depth + 1)
-    out.append("{")
-    for k, key in enumerate(sorted(o)):
-        out.append(("," if k else "") + inner + encode_basestring_ascii(key) + ": ")
-        _write_json(o[key], depth + 1, out)
-    out.append("\n" + "  " * depth + "}")
-
-
-def _item_text(d: dict) -> str:
-    """Text of a dict written as an item of a list in the report."""
-    out: list[str] = []
-    _write_dict(d, 2, out)
-    return "".join(out)
-
-
-@lru_cache(maxsize=4096)
-def _component_text(c: ComponentResult, precision: int) -> str:
-    """Text of a report component, once per (component, precision)."""
-    return _item_text(_component_json(c, precision))
-
-
-@lru_cache(maxsize=4096)
-def _entry_text(x: Cyclo, precision: int) -> str:
-    """Text of a report matrix entry, once per (element, precision)."""
-    return _item_text(_element_json(x, precision))
+# Separator of the numbers in a Gram row: the rows are items of the
+# report's "gram" list, so their numbers sit at depth 3.
+_GRAM_SEP = ",\n      "
 
 
 @lru_cache(maxsize=1024)
-def _cell_rows(cell: tuple[tuple[int, ...], ...], depth: int) -> tuple[str, ...]:
-    """Text of each row of a Gram cell written in a report at depth,
-    without the zeros around it: once per cell and depth."""
-    sep = ",\n" + "  " * (depth + 2)
-    return tuple(sep.join(map(str, row)) for row in cell)
+def _cell_rows(cell: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
+    """Text of each row of a Gram cell in a report, without the zeros
+    around it: once per cell."""
+    return tuple(_GRAM_SEP.join(map(str, row)) for row in cell)
 
 
-def _write_gram(gram: GramView, depth: int, write) -> None:
-    """Rows of the view as the generic path would write them, one row at a
-    time through write: the text of each cell row comes from _cell_rows,
-    and the zeros around it are repeated constant strings."""
+def _write_gram(gram: GramView, write) -> None:
+    """The report's Gram matrix, one row at a time through write: the text
+    of each cell row comes from _cell_rows, and the zeros around it are
+    repeated constant strings."""
     n = len(gram)
-    if not n:
-        write("[]")
-        return
-    sep = ",\n" + "  " * (depth + 2)
-    head = ",\n" + "  " * (depth + 1) + "[\n" + "  " * (depth + 2)
-    tail = "\n" + "  " * (depth + 1) + "]"
     write("[")
     skip, start = 1, 0  # the first row takes no comma
     for cell in gram.cells:
-        left = head + ("0" + sep) * start
-        right = (sep + "0") * (n - start - len(cell)) + tail
-        for row in _cell_rows(cell, depth):
+        left = ",\n    [\n      " + ("0" + _GRAM_SEP) * start
+        right = (_GRAM_SEP + "0") * (n - start - len(cell)) + "\n    ]"
+        for row in _cell_rows(cell):
             write(left[skip:])
             write(row)
             write(right)
             skip = 0
         start += len(cell)
-    write("\n" + "  " * depth + "]")
+    write("\n  ]")
 
 
 def _print_text_report(report: dict) -> None:
@@ -455,6 +404,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_corpus(args.corpus, args.precision, args.allow_galois_compare)
     if args.m is None or args.inertia is None:
         parser.error("either --corpus or both --m and --inertia are required")
+    if args.allow_galois_compare:
+        parser.error("--allow-galois-compare applies only with --corpus")
     return run_family(args.m, args.inertia, args.precision, args.json)
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .cyclotomic import units_mod
 from .errors import InvariantViolation, SignatureNotBinary
@@ -15,7 +14,6 @@ __all__ = [
     "CMType",
     "SimplicityReport",
     "cm_type_from_triple",
-    "galois_act_cm",
     "is_simple",
     "subgroups_mod",
 ]
@@ -59,13 +57,6 @@ def cm_type_from_triple(triple: MonodromyDatum) -> CMType:
     if bad:
         raise SignatureNotBinary(f"signature takes values outside {{0,1}} at {bad}")
     return CMType(triple.m, sig.cm_type_members())
-
-
-def galois_act_cm(i: int, phi: CMType) -> CMType:
-    """sigma_i sends the CM-type Phi to i * Phi."""
-    if gcd(i, phi.m) != 1:
-        raise ValueError(f"{i} is not a unit mod {phi.m}")
-    return CMType(phi.m, frozenset((i * n) % phi.m for n in phi.members))
 
 
 @lru_cache(maxsize=None)

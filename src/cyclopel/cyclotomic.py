@@ -23,7 +23,6 @@ __all__ = [
     "parse_element",
     "real_embedding_reps",
     "relative_split",
-    "relative_trace",
     "trace_table",
     "units_mod",
 ]
@@ -469,13 +468,6 @@ def _relative_conjugator(big: int) -> int:
         if t % m == 1 and t % 3 == 2:
             return t
     raise InvariantViolation("no relative conjugator found")
-
-
-def relative_trace(x: Cyclo) -> Cyclo:
-    """tr from Q(zeta_3m) to Q(zeta_m), returned over modulus m."""
-    x1, x2 = relative_split(x)
-    # x + tau(x) = 2 x1 + x2 (zeta_3 + zeta_3^2) = 2 x1 - x2
-    return 2 * x1 - x2
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import fzero, from_int, mpci_add, mpci_div, mpci_mul, round_ceiling, round_floor
 
 from .cyclotomic import Cyclo, real_embedding_reps
-from .errors import InvariantViolation, NotRealElement, NotUnit, PrecisionExhausted
+from .errors import InvariantViolation, NotRealElement, PrecisionExhausted
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -36,7 +36,6 @@ __all__ = [
     "certified_sign_real",
     "embed",
     "is_totally_positive",
-    "sign_vector",
 ]
 
 DEFAULT_PRECISION = 64
@@ -209,16 +208,6 @@ def certified_sign_real(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -
     if not x.is_real():
         raise NotRealElement("element is not fixed by conjugation")
     return _fixed_point_sign(x, n, start_prec, 0, x.is_zero)
-
-
-def sign_vector(u: Cyclo, start_prec: int = DEFAULT_PRECISION) -> SignVector:
-    """Signs of u at the real embeddings tau_n, one representative n < m/2
-    per conjugate pair, ascending n."""
-    if u.is_zero():
-        raise ZeroDivisionError("sign vector of zero")
-    if not u.is_unit():
-        raise NotUnit("sign vectors are defined for units of the real subfield")
-    return tuple(certified_sign_real(u, n, start_prec) for n in real_embedding_reps(u.m))
 
 
 def is_totally_positive(u: Cyclo, start_prec: int = DEFAULT_PRECISION) -> bool:

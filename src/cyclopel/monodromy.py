@@ -27,7 +27,6 @@ __all__ = [
     "cm_algebra_check",
     "degenerate",
     "galois_act",
-    "galois_act_signature",
     "genus",
     "signature",
     "validate",
@@ -67,11 +66,17 @@ class MonodromyDatum:
 
 def validate(m: int, a) -> MonodromyDatum:
     """Normalize raw inertia values into [1, m-1] and enforce the datum
-    invariants, the modulus first since the reduction divides by it."""
-    m = int(m)
+    invariants, the modulus first since the reduction divides by it.  m and
+    the values must be ints: int() would truncate a float, parse a str and
+    take a bool."""
+    a = tuple(a)
+    for v in (m, *a):
+        if type(v) is not int:
+            what = f"{type(v).__name__} {v!r}"
+            raise MalformedDatum(f"m and the inertia values must be ints, not {what}")
     if m not in SUPPORTED_MODULI:
         raise UnsupportedModulus(f"modulus {m} is outside the supported list")
-    return MonodromyDatum(m, tuple(int(x) % m for x in a))
+    return MonodromyDatum(m, tuple(x % m for x in a))
 
 
 def genus(datum: MonodromyDatum) -> int:
@@ -128,15 +133,6 @@ def galois_act(i: int, datum: MonodromyDatum) -> MonodromyDatum:
         raise ValueError(f"{i} is not a unit mod {m}")
     inv = pow(i, -1, m)
     return MonodromyDatum(m, tuple((inv * x) % m for x in datum.a))
-
-
-def galois_act_signature(i: int, sig: Signature) -> Signature:
-    """Transport of signature under sigma_i: f'(n) = f(n * i^-1)."""
-    m = sig.m
-    if gcd(i, m) != 1:
-        raise ValueError(f"{i} is not a unit mod {m}")
-    inv = pow(i, -1, m)
-    return Signature(m, tuple(sig.values[(n * inv) % m] for n in range(m)))
 
 
 def cm_algebra_check(triple: MonodromyDatum) -> tuple[int, ...]:

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 import cyclopel
 from cyclopel.cmfield import CMType, cm_type_from_triple, is_simple
 from cyclopel.cyclotomic import Cyclo, parse_element, real_embedding_reps, units_mod
-from cyclopel.embeddings import embed, sign_vector
+from cyclopel.embeddings import embed
 from cyclopel.errors import Unsatisfiable
-from cyclopel.monodromy import galois_act, galois_act_signature, genus, signature, validate
+from cyclopel.monodromy import galois_act, genus, signature, validate
 from cyclopel.peldatum import (
     Block,
     HermitianDatum,
@@ -39,6 +39,7 @@ from cyclopel.polarization import (
     solve_sign_pattern,
     verify_conditions,
 )
+from oracles import galois_act_signature, sign_vector
 
 
 def pe(s, m):

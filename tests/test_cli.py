@@ -10,8 +10,6 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import cyclopel.cli
 import cyclopel.cmfield
@@ -134,27 +132,26 @@ def _report(m, a, precision=DEFAULT_PRECISION):
     return build_report(result, precision, 0)
 
 
-def test_warm_report_writes_no_component_through_the_generic_writer(monkeypatch):
-    written = []
-    original = cyclopel.cli._write_dict
+def test_warm_report_makes_no_json_dumps_call(monkeypatch):
+    dumped = []
+    original = json.dumps
 
-    def spy(o, depth, out):
-        written.append(o)
-        return original(o, depth, out)
+    def spy(o, **kwargs):
+        dumped.append(o)
+        return original(o, **kwargs)
 
-    monkeypatch.setattr(cyclopel.cli, "_write_dict", spy)
-    cyclopel.cli._component_text.cache_clear()
-    cyclopel.cli._entry_text.cache_clear()
+    monkeypatch.setattr(cyclopel.cli.json, "dumps", spy)
+    cyclopel.cli._component_json.cache_clear()
+    cyclopel.cli._element_json.cache_clear()
     family = (13, (1, 2, 4, 5, 7, 7))
     first = report_json(_report(*family))
-    assert any("triple" in o for o in written) and any("exact" in o for o in written)
-    written.clear()
+    # a first-seen component or matrix entry makes its text once
+    assert any("triple" in o for o in dumped) and any("exact" in o for o in dumped)
+    dumped.clear()
     report = _report(*family)
     assert report_json(report) == first
-    # the report itself is written from its facts, and the text of every
-    # component and matrix entry is memoized: no dict at all goes through
-    # the generic writer
-    assert written == []
+    # the components and matrix entries of a warm family carry their text
+    assert dumped == []
 
 
 def test_warm_family_builds_no_component_and_three_report_dicts(monkeypatch):
@@ -234,7 +231,7 @@ def test_report_components_are_read_only():
                 mutate()
         assert dict(d) == snapshot
     with pytest.raises(TypeError):
-        report.key = None
+        report.text = None
     degeneration = report["degeneration"]
     sequences = [
         report["signature"],
@@ -253,13 +250,13 @@ def test_report_components_are_read_only():
         comps[1]["simplicity_witness"]["inducing_subgroup"],
     ]
     assert all(type(seq) is tuple for seq in sequences)
-    # copies are plain dicts, and a mutated copy is written as it stands
+    # copies are plain dicts that json.dumps writes, a mutated copy as it stands
     for dup in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert type(dup) is dict and dup == report
-        assert report_json(dup) == report_json(report)
+        assert json.dumps(dup, indent=2, sort_keys=True, default=list) == report_json(report)
         dup["genus"] = -1
         dup["input"]["m"] = 8
-        text = json.loads(report_json(dup))
+        text = json.loads(json.dumps(dup, indent=2, sort_keys=True, default=list))
         assert (text["genus"], text["input"]["m"]) == (-1, 8)
     copies = (
         copy.copy(comps[0]),
@@ -291,6 +288,9 @@ def test_usage_errors(capsys):
     assert run(["--m", "5", "--inertia", "\u0661,\u0663,3,3"]) == EXIT_USAGE
     assert run(["--m", "1_9", "--inertia", "1,2,3,13"]) == EXIT_USAGE
     assert run(["--m", "5", "--inertia", "1,3,3,3", "--precision", "6_4"]) == EXIT_USAGE
+    # the Galois flag belongs to corpus mode
+    assert run(["--m", "5", "--inertia", "1,3,3,3", "--allow-galois-compare"]) == EXIT_USAGE
+    assert "--allow-galois-compare applies only with --corpus" in capsys.readouterr().err
     assert run([]) == EXIT_USAGE
     capsys.readouterr()
 
@@ -345,21 +345,19 @@ def test_json_report(capsys):
     assert len(report["gram"]) == 8
     assert report["degeneration"]["triples"] == [[1, 3, 1], [4, 3, 3]]
     # serialization is canonical: parsing and re-dumping reproduces the bytes
-    assert report_json(report) == out.rstrip("\n")
+    assert json.dumps(report, indent=2, sort_keys=True) == out.rstrip("\n")
 
 
 def test_json_report_is_streamed_from_the_result(monkeypatch, capsys):
-    # --json writes the report from the result as it goes, a Gram row at a
-    # time, and never builds the report dict; the bytes are the same
+    # --json writes the report as it goes, a Gram row at a time; the bytes
+    # are report_json's
     m, a = 19, (1,) * 23 + (15,)
-    built, writes = [], []
-    monkeypatch.setattr(cyclopel.cli, "build_report", lambda *args: built.append(args))
+    writes = []
     original = sys.stdout.write
     monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(len(text)) or original(text))
     assert run(["--m", str(m), "--inertia", ",".join(map(str, a)), "--json"]) == EXIT_OK
     monkeypatch.undo()
     out = capsys.readouterr().out
-    assert built == []
     result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(m, a))
     elapsed_ms = json.loads(out)["timing_ms"]
     assert out == report_json(build_report(result, DEFAULT_PRECISION, elapsed_ms)) + "\n"
@@ -368,35 +366,24 @@ def test_json_report_is_streamed_from_the_result(monkeypatch, capsys):
     assert len(writes) > len(result.gram) and max(writes) < len(out) / 20
 
 
-_JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**200), max_value=2**200)
-    | st.text(),
-    lambda inner: st.lists(inner)
-    | st.lists(inner).map(tuple)
-    | st.dictionaries(st.text(), inner),
-    max_leaves=40,
-) | st.lists(
-    # lists of ints are written in one join: bools (ints to isinstance)
-    # must still be written as true and false
-    st.lists(st.booleans())
-    | st.lists(st.booleans() | st.integers())
-    | st.lists(st.integers()).map(tuple)
-    | st.lists(st.lists(st.lists(st.nothing())), min_size=1)
-)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_JSON_VALUES)
-def test_report_json_matches_json_dumps(value):
-    assert report_json(value) == json.dumps(value, indent=2, sort_keys=True)
-
-
 def test_report_json_rejects_other_types():
-    for value in (1.5, {1, 2}, {"a": [object()]}, {1: "non-string key"}, b"bytes"):
-        with pytest.raises(TypeError):
+    # report_json writes only a report of build_report: a plain dict, a
+    # copy, a pickle or a parsed report goes to json.dumps
+    report = _report(5, (1, 3, 3, 3))
+    others = (
+        1.5,
+        {1, 2},
+        {"a": [object()]},
+        {1: "non-string key"},
+        b"bytes",
+        dict(report),
+        copy.deepcopy(report),
+        pickle.loads(pickle.dumps(report)),
+        json.loads(report_json(report)),
+        report["components"][0],
+    )
+    for value in others:
+        with pytest.raises(TypeError, match=r"json\.dumps\(x, indent=2, sort_keys=True, default=list\)"):
             report_json(value)
 
 

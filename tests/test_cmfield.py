@@ -11,12 +11,12 @@ import pytest
 from cyclopel.cmfield import (
     CMType,
     cm_type_from_triple,
-    galois_act_cm,
     is_simple,
     subgroups_mod,
 )
 from cyclopel.cyclotomic import units_mod
 from cyclopel.monodromy import signature, validate
+from oracles import galois_act_cm
 
 
 def cm_types_of(m):

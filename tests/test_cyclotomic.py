@@ -21,10 +21,10 @@ from cyclopel.cyclotomic import (
     euler_phi,
     parse_element,
     relative_split,
-    relative_trace,
     units_mod,
 )
 from cyclopel.errors import CyclopelError, ParseError, UnsupportedModulus
+from oracles import relative_trace
 
 X = sympy.Symbol("x")
 

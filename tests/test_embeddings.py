@@ -28,9 +28,9 @@ from cyclopel.embeddings import (
     certified_sign_real,
     embed,
     is_totally_positive,
-    sign_vector,
 )
 from cyclopel.errors import NotRealElement, NotUnit
+from oracles import sign_vector
 
 
 def random_element(rng, m, bound=8):

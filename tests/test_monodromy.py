@@ -32,11 +32,11 @@ from cyclopel.monodromy import (
     cm_algebra_check,
     degenerate,
     galois_act,
-    galois_act_signature,
     genus,
     signature,
     validate,
 )
+from oracles import galois_act_signature
 
 
 def random_datum(rng, moduli=(3, 5, 7, 11), max_n=8):
@@ -100,6 +100,18 @@ def test_malformed_datum_is_typed():
         validate(5, (2, 3))
     with pytest.raises(MalformedDatum, match="reduced"):
         MonodromyDatum(5, (6, 2, 2))
+    # int() would truncate a float, parse a str and take a bool
+    for m, a in (
+        (5, [1.9, 1.2, 4.7, 4.1]),
+        (5.5, (1, 1, 4, 4)),
+        (5.0, (1, 1, 4, 4)),
+        ("5", (1, 1, 4, 4)),
+        (5, ("1", "1", "4", "4")),
+        (5, (True, True, 4, 4)),
+        (True, (1, 1, 1)),
+    ):
+        with pytest.raises(MalformedDatum, match="must be ints"):
+            validate(m, a)
 
 
 def test_genus_values():

@@ -29,7 +29,6 @@ from cyclopel.cyclotomic import (
     Cyclo,
     element_str,
     parse_element,
-    relative_trace,
     trace_table,
     units_mod,
 )
@@ -69,6 +68,7 @@ from cyclopel.polarization import (
     reference_different_generator,
     unit_generators,
 )
+from oracles import relative_trace
 
 
 def pe(s, m):

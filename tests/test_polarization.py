@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 import sympy
 
-from cyclopel.cmfield import CMType, galois_act_cm
+from cyclopel.cmfield import CMType
 from cyclopel.cyclotomic import (
     SUPPORTED_MODULI,
     Cyclo,
@@ -19,7 +19,7 @@ from cyclopel.cyclotomic import (
     units_mod,
 )
 import cyclopel.polarization as Q
-from cyclopel.embeddings import DEFAULT_PRECISION, sign_vector
+from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 from cyclopel.polarization import (
     _signs_to_bits,
@@ -37,6 +37,7 @@ from cyclopel.polarization import (
     unit_generators,
     verify_conditions,
 )
+from oracles import galois_act_cm, sign_vector
 
 BETA0_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 21, 27, 32)
 
