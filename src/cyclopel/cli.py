@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+import threading
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -82,11 +83,11 @@ def _exact_str(x: Cyclo) -> str:
 
 class _ReadOnlyDict(dict):
     """A dict of a report that refuses mutation, so the text written from
-    it cannot disagree with it.  A component or matrix entry carries its
-    own text as an item of a report list.  A copy or a pickle of it is a
+    it cannot disagree with it.  A component or matrix entry is written by
+    its text as an item of a report list.  A copy or a pickle of it is a
     plain dict."""
 
-    __slots__ = ("text",)
+    __slots__ = ("_text",)
 
     def _refuse(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} of a report is read-only")
@@ -97,14 +98,16 @@ class _ReadOnlyDict(dict):
     def __reduce__(self):
         return dict, (dict(self),)
 
-
-def _item(**fields) -> _ReadOnlyDict:
-    """A read-only dict with its text as an item of a top-level list of the
-    report: json.dumps's text indented two levels down."""
-    d = _ReadOnlyDict(**fields)
-    text = json.dumps(d, indent=2, sort_keys=True).replace("\n", "\n    ")
-    object.__setattr__(d, "text", text)
-    return d
+    @property
+    def text(self) -> str:
+        """Text of the dict as an item of a top-level list of the report:
+        json.dumps's text indented two levels down, made when first read."""
+        try:
+            return self._text
+        except AttributeError:
+            text = json.dumps(self, indent=2, sort_keys=True).replace("\n", "\n    ")
+            object.__setattr__(self, "_text", text)
+            return text
 
 
 @lru_cache(maxsize=4096)
@@ -113,7 +116,7 @@ def _element_json(x: Cyclo, precision: int) -> _ReadOnlyDict:
     only the exact string is meaningful for comparison.  Once per
     (element, precision); u0 is reported exactly and never embedded."""
     box = embed(x, 1, precision)
-    return _item(
+    return _ReadOnlyDict(
         exact=_exact_str(x),
         re=_decimal_str((box.re_lo + box.re_hi) / 2),
         im=_decimal_str((box.im_lo + box.im_hi) / 2),
@@ -130,7 +133,7 @@ def _component_json(c: ComponentResult, precision: int) -> _ReadOnlyDict:
         witness = _ReadOnlyDict(separating_cosets=tuple(cosets))
     else:
         witness = _ReadOnlyDict(inducing_subgroup=simp.inducing_subgroup)
-    return _item(
+    return _ReadOnlyDict(
         triple=c.triple.a,
         cm_type=c.phi.sorted_members(),
         simple=simp.simple,
@@ -197,11 +200,11 @@ def _write(report: _ReadOnlyDict, write) -> None:
         f'{{\n  "certainty": {encode_basestring_ascii(report["certainty"])},\n'
         f'  "components": {_seq([c.text for c in report["components"]], 1)},\n'
         '  "degeneration": {\n'
-        f'    "merge_pairs": {_seq([_ints(p, 3) for p in degeneration["merge_pairs"]], 2)},\n'
+        f'    "merge_pairs": {_seq([_int_list(p, 3) for p in degeneration["merge_pairs"]], 2)},\n'
         f'    "merged_values": {_ints(degeneration["merged_values"], 2)},\n'
-        f'    "triples": {_seq([_ints(t, 3) for t in degeneration["triples"]], 2)}\n  }},\n'
+        f'    "triples": {_seq([_int_list(t, 3) for t in degeneration["triples"]], 2)}\n  }},\n'
         f'  "determinant": {report["determinant"]},\n'
-        f'  "form_signature": {_ints(report["form_signature"], 1)},\n'
+        f'  "form_signature": {_int_list(report["form_signature"], 1)},\n'
         f'  "genus": {report["genus"]},\n  "gram": '
     )
     _write_gram(report["gram"], write)
@@ -210,7 +213,7 @@ def _write(report: _ReadOnlyDict, write) -> None:
         f'    "m": {inp["m"]}\n  }},\n'
         f'  "matrix_entries": {_seq([e.text for e in report["matrix_entries"]], 1)},\n'
         f'  "precision_bits": {report["precision_bits"]},\n'
-        f'  "signature": {_ints(report["signature"], 1)},\n'
+        f'  "signature": {_int_list(report["signature"], 1)},\n'
         f'  "signature_match": {"true" if report["signature_match"] else "false"},\n'
         f'  "timing_ms": {report["timing_ms"]}\n}}'
     )
@@ -229,16 +232,42 @@ def _ints(values: Sequence[int], depth: int) -> str:
     return _seq(list(map(int.__repr__, values)), depth)
 
 
+@lru_cache(maxsize=4096)
+def _int_list(values: tuple[int, ...], depth: int) -> str:
+    """_ints of a short tuple that reports repeat (a merge pair, a triple,
+    a signature), once per (tuple, depth)."""
+    return _ints(values, depth)
+
+
 # Separator of the numbers in a Gram row: the rows are items of the
 # report's "gram" list, so their numbers sit at depth 3.
 _GRAM_SEP = ",\n      "
 
 
-@lru_cache(maxsize=1024)
+# Text of each row of a Gram cell, keyed on the cell's id: hashing the
+# cell would read every value of it on every report.  A value holds its
+# cell, so no other object can take the id while the value is kept.
+_CELL_ROWS: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]] = {}
+_CELL_ROWS_MAX = 1024
+_CELL_ROWS_LOCK = threading.Lock()
+
+
 def _cell_rows(cell: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
     """Text of each row of a Gram cell in a report, without the zeros
-    around it: once per cell."""
-    return tuple(_GRAM_SEP.join(map(str, row)) for row in cell)
+    around it: once per cell while it is kept, the oldest of
+    _CELL_ROWS_MAX cells dropped first."""
+    kept = _CELL_ROWS.get(id(cell))
+    if kept is not None and kept[0] is cell:
+        return kept[1]
+    rows = tuple(_GRAM_SEP.join(map(str, row)) for row in cell)
+    with _CELL_ROWS_LOCK:
+        if len(_CELL_ROWS) >= _CELL_ROWS_MAX:
+            del _CELL_ROWS[next(iter(_CELL_ROWS))]
+        _CELL_ROWS[id(cell)] = (cell, rows)
+    return rows
+
+
+_cell_rows.cache_clear = _CELL_ROWS.clear  # type: ignore[attr-defined]
 
 
 def _write_gram(gram: GramView, write) -> None:

@@ -12,7 +12,6 @@ __all__ = [
     "NonMaximalOrder",
     "SignatureNotBinary",
     "NotRealElement",
-    "NotUnit",
     "Unsatisfiable",
     "Indeterminate",
     "PrecisionExhausted",
@@ -58,10 +57,6 @@ class SignatureNotBinary(CyclopelError):
 
 class NotRealElement(CyclopelError):
     """A real (conjugation-fixed) element was required."""
-
-
-class NotUnit(CyclopelError):
-    """A unit of the ring of integers was required."""
 
 
 class Unsatisfiable(CyclopelError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import compress, islice
 from math import gcd
 
 from .cyclotomic import SUPPORTED_MODULI, units_mod
@@ -113,13 +113,21 @@ class Signature:
         return frozenset(n for n in units_mod(self.m) if self.values[n] == 1)
 
 
+@lru_cache(maxsize=None)
+def _signature_columns(m: int) -> tuple[tuple[int, ...], ...]:
+    """Column x holds (-n * x) mod m for n = 0, ..., m-1: the summand of
+    one inertia value x in every value of signature(), once per modulus."""
+    return tuple(tuple((-n * x) % m for n in range(m)) for x in range(m))
+
+
 def signature(datum: MonodromyDatum) -> Signature:
     """Eigenspace dimensions by the fractional-part formula
     f(n) = sum_i <-n a(i) / m> - 1, in integers: m <x / m> = x mod m."""
-    m, a = datum.m, datum.a
+    m = datum.m
+    sums = map(sum, zip(*map(_signature_columns(m).__getitem__, datum.a)))
+    next(sums)  # f(0) = 0
     vals = [0]
-    for n in range(1, m):
-        s = sum((-n * x) % m for x in a)
+    for n, s in enumerate(sums, 1):
         if s % m:
             raise InvariantViolation(f"signature value {s}/{m} at n = {n} is not integral")
         vals.append(s // m - 1)
@@ -190,6 +198,32 @@ def _component_triple(m: int, x: int, y: int) -> MonodromyDatum:
     return t
 
 
+@lru_cache(maxsize=None)
+def _admissible(m: int) -> tuple[tuple[bool, ...], ...]:
+    """Row x, column y: whether inertia values x and y join at a single
+    node, gcd(x + y, m) == 1; once per modulus."""
+    return tuple(tuple(gcd(x + y, m) == 1 for y in range(m)) for x in range(m))
+
+
+def _choose_pair(m: int, a: list[int]) -> tuple[int, int] | None:
+    """The lexicographically least admissible pair of a that is preferred,
+    else the first admissible pair, else None.  Pairs are read off the
+    admissibility table in lexicographic order, and only admissible ones
+    are asked whether they are preferred, up to the first that is."""
+    admissible = _admissible(m)
+    first = None
+    n = len(a)
+    for i in range(n - 1):
+        x = a[i]
+        row = admissible[x]
+        for j in compress(range(i + 1, n), map(row.__getitem__, islice(a, i + 1, None))):
+            if _join_is_preferred(m, x, a[j]):
+                return i, j
+            if first is None:
+                first = (i, j)
+    return first
+
+
 def degenerate(datum: MonodromyDatum) -> DegenerationTree:
     """Fuse branch points pairwise until only 3-point covers remain.
 
@@ -211,24 +245,12 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
     # admissible means), so s is nonzero and in [1, m-1], the cover stays
     # connected and the sum mod m is unchanged.
     while len(a) > 3:
-        # admissible pairs in lexicographic order, listed only as far as
-        # the first preferred one
-        admissible = (
-            (i, j)
-            for i in range(len(a))
-            for j in range(i + 1, len(a))
-            if gcd(a[i] + a[j], m) == 1
-        )
-        first = next(admissible, None)
-        if first is None:
+        choice = _choose_pair(m, a)
+        if choice is None:
             raise NonCompactType(
                 f"no branch-point pair of {tuple(a)} joins at a single node; "
                 "every degeneration of this family has a cycle in its dual graph"
             )
-        choice = next(
-            (p for p in chain((first,), admissible) if _join_is_preferred(m, a[p[0]], a[p[1]])),
-            first,
-        )
         i, j = choice
         s = (a[i] + a[j]) % m
         triples.append(_component_triple(m, a[i], a[j]))

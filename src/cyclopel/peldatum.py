@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, prod
+from math import prod
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -165,7 +164,7 @@ def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
 # phi(d) x phi(d) Toeplitz cell per entry xi over Q(zeta_d).  Each cell and
 # its determinant are built once per distinct entry and process, the matrix
 # is a view over the cells, and the determinant is the product of the cell
-# determinants, each raised to the multiplicity of its entry.
+# determinants.
 
 
 def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
@@ -199,11 +198,6 @@ def _cell(xi: Cyclo) -> tuple[tuple[tuple[int, ...], ...], int]:
     lru_cache keeps no exceptions."""
     cell = _gram_cell(xi)
     return cell, gram_determinant(cell)
-
-
-def _entry_counts(h: HermitianDatum) -> Counter[Cyclo]:
-    """Multiplicity of each distinct entry of h, in order of appearance."""
-    return Counter(xi for block in h.blocks for xi in block.entries)
 
 
 class GramView(Sequence):
@@ -284,20 +278,32 @@ def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+@lru_cache(maxsize=1024)
+def _entry_signature(xi: Cyclo, m: int, start_prec: int) -> tuple[int, ...]:
+    """What the entry xi adds to the signature of a datum over Q(zeta_m):
+    1 at each residue n mod m of exact order d = xi.m, n = (m/d) t with t a
+    unit mod d, whose local index n mod d is in the CM-type of xi; 0
+    elsewhere.  Once per (entry, ambient modulus, start precision)."""
+    d = xi.m
+    members = entry_cm_type(xi, start_prec).members
+    values = [0] * m
+    for t in units_mod(d):
+        n = m // d * t
+        if n % d in members:
+            values[n] = 1
+    return tuple(values)
+
+
 def form_signature(h: HermitianDatum, start_prec: int = DEFAULT_PRECISION) -> Signature:
     """Signature of the Hermitian datum: the eigenvalue index n (mod m)
     lands in the block whose modulus is the exact order m/gcd(n, m) of
     zeta^n, at local index n mod that modulus; each entry contributes 1
     exactly when its CM-type contains the local index."""
     m = h.m
-    values = [0] * m
-    for xi, c in _entry_counts(h).items():
-        d = xi.m
-        for k in entry_cm_type(xi, start_prec).members:
-            for n in range(k, m, d):
-                if m // gcd(n, m) == d:
-                    values[n] += c
-    return Signature(m, tuple(values))
+    columns = (
+        _entry_signature(xi, m, start_prec) for block in h.blocks for xi in block.entries
+    )
+    return Signature(m, tuple(map(sum, zip(*columns))))
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +361,9 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
     components = tuple(_component(triple, start_prec) for triple in tree.triples)
     entries = tuple(c.point.xi() for c in components)
     hermitian = HermitianDatum(datum.m, (Block(datum.m, entries),))
-    gram = _gram_view(hermitian)
-    det = prod(_cell(xi)[1] ** k for xi, k in _entry_counts(hermitian).items())
+    cells = tuple(map(_cell, entries))
+    gram = GramView(tuple(cell for cell, _ in cells))
+    det = prod(cell_det for _, cell_det in cells)
     if abs(det) != 1:
         raise InvariantViolation(f"Gram determinant {det} is not a unit")
     form_sig = form_signature(hermitian, start_prec)

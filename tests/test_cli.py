@@ -4,6 +4,7 @@ corpus verification output."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import decimal
 import json
 import pickle
@@ -33,7 +34,7 @@ from cyclopel.cli import (
 )
 from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import CyclopelError, MalformedDatum, ParseError, Unsatisfiable
-from cyclopel.peldatum import default_corpus_path, load_corpus
+from cyclopel.peldatum import GramView, default_corpus_path, load_corpus
 from cyclopel.polarization import beta_for_type
 
 
@@ -152,6 +153,83 @@ def test_warm_report_makes_no_json_dumps_call(monkeypatch):
     assert report_json(report) == first
     # the components and matrix entries of a warm family carry their text
     assert dumped == []
+
+
+def test_report_makes_text_only_for_components_and_matrix_entries(monkeypatch):
+    # a beta is written inside its component's text, never by its own
+    dumped = []
+    original = json.dumps
+
+    def spy(o, **kwargs):
+        dumped.append(o)
+        return original(o, **kwargs)
+
+    monkeypatch.setattr(cyclopel.cli.json, "dumps", spy)
+    cyclopel.cli._component_json.cache_clear()
+    cyclopel.cli._element_json.cache_clear()
+    report = _report(13, (1, 2, 4, 5, 7, 7))
+    text = report_json(report)
+    entries = {id(e): e for e in report["matrix_entries"]}
+    components = {id(c): c for c in report["components"]}
+    assert sorted(map(id, dumped)) == sorted([*entries, *components])
+    betas = [c["beta"] for c in report["components"]]
+    assert not any(id(b) in entries for b in betas)
+    assert text == original(report, indent=2, sort_keys=True, default=list)
+
+
+def test_warm_report_writes_short_integer_lists_from_their_memo(monkeypatch):
+    # merge pairs, triples and both signatures come from the memo of short
+    # integer lists; only the input and the merged values are written anew
+    report = _report(17, (1, 2, 3, 4, 5, 6, 13))
+    text = report_json(report)
+    written = []
+    original = cyclopel.cli._ints
+    monkeypatch.setattr(
+        cyclopel.cli, "_ints", lambda values, depth: written.append(values) or original(values, depth)
+    )
+    assert report_json(report) == text
+    assert written == [report["degeneration"]["merged_values"], report["input"]["a"]]
+
+
+class _UnhashableCell(tuple):
+    """A Gram cell that fails the test when it is hashed."""
+
+    def __hash__(self):
+        raise AssertionError("a Gram cell was hashed")
+
+
+def test_report_hashes_no_gram_cell():
+    # the row texts of a cell are kept by the cell's identity: hashing a
+    # cell would read every value of it on every report
+    result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(17, (1, 2, 3, 4, 5, 6, 13)))
+    text = report_json(build_report(result, DEFAULT_PRECISION, 0))
+    cells = tuple(_UnhashableCell(cell) for cell in result.gram.cells)
+    unhashable = dataclasses.replace(result, gram=GramView(cells))
+    for _ in range(2):  # first-seen cells, then warm ones
+        assert report_json(build_report(unhashable, DEFAULT_PRECISION, 0)) == text
+    # reports whose texts are made still copy and pickle as plain dicts
+    report = build_report(result, DEFAULT_PRECISION, 0)
+    assert report_json(report) == text
+    for other in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert type(other) is dict and other == report
+        assert json.dumps(other, indent=2, sort_keys=True, default=list) == text
+    assert type(copy.deepcopy(build_report(unhashable, DEFAULT_PRECISION, 0))) is dict
+
+
+def test_cell_row_memo_is_bounded_and_keyed_on_identity(monkeypatch):
+    monkeypatch.setattr(cyclopel.cli, "_CELL_ROWS_MAX", 2)
+    cyclopel.cli._cell_rows.cache_clear()
+    cells = [((0, k), (-k, 0)) for k in range(1, 4)]
+    rows = [cyclopel.cli._cell_rows(cell) for cell in cells]
+    assert rows[0] == ("0,\n      1", "-1,\n      0")
+    assert list(cyclopel.cli._CELL_ROWS) == [id(cells[1]), id(cells[2])]
+    # an equal cell that is another object gets its own entry
+    twin = tuple(map(tuple, cells[2]))
+    assert twin == cells[2] and twin is not cells[2]
+    assert cyclopel.cli._cell_rows(twin) == rows[2]
+    assert list(cyclopel.cli._CELL_ROWS) == [id(cells[2]), id(twin)]
+    assert cyclopel.cli._cell_rows(cells[2]) is rows[2]
+    cyclopel.cli._cell_rows.cache_clear()
 
 
 def test_warm_family_builds_no_component_and_three_report_dicts(monkeypatch):

@@ -29,8 +29,8 @@ from cyclopel.embeddings import (
     embed,
     is_totally_positive,
 )
-from cyclopel.errors import NotRealElement, NotUnit
-from oracles import sign_vector
+from cyclopel.errors import NotRealElement
+from oracles import NotUnit, sign_vector
 
 
 def random_element(rng, m, bound=8):

@@ -36,6 +36,7 @@ from cyclopel.monodromy import (
     signature,
     validate,
 )
+import oracles
 from oracles import galois_act_signature
 
 
@@ -150,6 +151,39 @@ def test_signature_matches_fraction_formula():
             assert signature(d).values == _fraction_signature(d.m, d.a)
     with pytest.raises(InvariantViolation):
         signature(SimpleNamespace(m=5, a=(1, 1, 1)))
+
+
+def _raised(f, *args):
+    """f(*args), or the type and message of the library error it raises."""
+    try:
+        return f(*args)
+    except CyclopelError as exc:
+        return type(exc), str(exc)
+
+
+def test_signature_matches_oracle():
+    # the per-modulus columns give the oracle's modular sums on every
+    # supported modulus, and the same error on a non-integral value
+    rng = random.Random(67)
+    for m in sorted(SUPPORTED_MODULI):
+        for _ in range(30):
+            d = random_datum(rng, moduli=(m,), max_n=25)
+            assert signature(d) == oracles.signature(d), d
+    for bad in ((5, (1, 1, 1)), (8, (1, 2, 3, 4)), (21, (20, 1, 1))):
+        d = SimpleNamespace(m=bad[0], a=bad[1])
+        got = _raised(signature, d)
+        assert got == _raised(oracles.signature, d)
+        assert got[0] is InvariantViolation
+
+
+def test_signature_reads_each_modulus_table_once():
+    M._signature_columns.cache_clear()
+    for m in (7, 8, 21):
+        signature(validate(m, (1, 1, m - 2)))
+        signature(validate(m, (1, 2, m - 3)))
+    info = M._signature_columns.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    assert M._signature_columns(7)[3] == tuple((-n * 3) % 7 for n in range(7))
 
 
 def test_signature_rejects_malformed_values():
@@ -480,3 +514,40 @@ def test_conjugate_signature_pairing():
         for n in range(1, d.m):
             if gcd(n, d.m) == 1:
                 assert sig.values[n] + sig.values[d.m - n] == d.N - 2
+
+
+def _recorded(search, datum, monkeypatch):
+    """The full outcome of search and the (m, x, y) it asked
+    _join_is_preferred about, in order."""
+    asked = []
+    original = M._join_is_preferred
+
+    def spy(m, x, y):
+        asked.append((m, x, y))
+        return original(m, x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "_join_is_preferred", spy)
+        return _full_outcome(search, datum), asked
+
+
+def test_degenerate_matches_oracle_scan(monkeypatch):
+    # the admissibility table picks the oracle's pair at every step and asks
+    # about the preference of the same admissible pairs in the same order,
+    # on every supported modulus: at m = 8, 16 and 32 no join is preferred,
+    # at m = 21 few are
+    outcomes = Counter()
+    for m in sorted(SUPPORTED_MODULI):
+        rng = random.Random(4000 + m)
+        data = [random_datum(rng, moduli=(m,), max_n=24) for _ in range(40)]
+        k = 15 if 15 % m else 16
+        data.append(validate(m, (1,) * k + (-k % m,)))
+        preferred = set()
+        for d in data:
+            got = _recorded(degenerate, d, monkeypatch)
+            assert got == _recorded(oracles.degenerate, d, monkeypatch), d
+            outcomes[got[0][0] if isinstance(got[0][0], type) else "tree"] += 1
+            preferred.update(key for key in got[1] if M._join_is_preferred(*key))
+        if m in (8, 16, 32):
+            assert not preferred
+    assert set(outcomes) == {"tree", NonCompactType, NonMaximalOrder}

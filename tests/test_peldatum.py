@@ -37,6 +37,7 @@ from cyclopel.errors import (
     MalformedDatum,
     NonCompactType,
     NonIntegralForm,
+    NonMaximalOrder,
     UnsupportedModulus,
 )
 from cyclopel.embeddings import DEFAULT_PRECISION
@@ -68,6 +69,7 @@ from cyclopel.polarization import (
     reference_different_generator,
     unit_generators,
 )
+import oracles
 from oracles import relative_trace
 
 
@@ -314,6 +316,7 @@ def test_assemble_derives_each_entry_fact_once(monkeypatch):
             return _f(*args)
         monkeypatch.setattr(P, name, spy)
     P._cell.cache_clear()
+    P._entry_signature.cache_clear()
     entry_cm_type.cache_clear()
     datum = validate(19, (1,) * 23 + (15,))
     r = assemble(datum)
@@ -545,6 +548,65 @@ def test_form_signature_values():
         ),
     )
     assert form_signature(h).values == (0, 1, 1, 0, 1, 0, 0, 2, 0, 1)
+
+
+def _random_imaginary(rng, d):
+    """A nonzero purely imaginary element y - conj(y) of Q(zeta_d)."""
+    while True:
+        y = Cyclo(d, [rng.randint(-3, 3) for _ in range(d)], rng.randint(1, 4))
+        xi = y - y.conj()
+        if not xi.is_zero():
+            return xi
+
+
+def test_form_signature_matches_oracle():
+    # random block-diagonal data over every supported modulus, with blocks
+    # at its supported divisors and repeated entries, then the assembled
+    # data of random families at every assembly modulus
+    rng = random.Random(83)
+    for m in sorted(SUPPORTED_MODULI):
+        divisors = [d for d in sorted(SUPPORTED_MODULI) if m % d == 0]
+        for _ in range(6):
+            mods = sorted(rng.sample(divisors, rng.randint(1, len(divisors))))
+            blocks = []
+            for d in mods:
+                entries = [_random_imaginary(rng, d) for _ in range(rng.randint(1, 3))]
+                entries += rng.choices(entries, k=rng.randint(0, 2))
+                blocks.append(Block(d, tuple(entries)))
+            h = HermitianDatum(m, tuple(blocks))
+            assert form_signature(h) == oracles.form_signature(h), h
+    assembled = 0
+    for m in sorted(ASSEMBLE_MODULI):
+        for _ in range(4):
+            a = [rng.randint(1, m - 1) for _ in range(rng.randint(3, 9))]
+            if sum(a) % m == 0:
+                continue
+            try:
+                r = assemble(validate(m, a + [-sum(a) % m]))
+            except (NonCompactType, NonMaximalOrder):
+                continue
+            assert r.form_sig == oracles.form_signature(r.hermitian) == r.signature
+            assembled += 1
+    assert assembled >= 14
+
+
+def test_form_signature_matches_oracle_on_the_corpus():
+    # some corpus blocks sit at divisor moduli: 3 in m = 6, 5 in m = 10
+    for fixture in load_corpus(default_corpus_path()):
+        h = _fixture_datum(fixture)
+        got = form_signature(h)
+        assert got == oracles.form_signature(h), fixture["name"]
+        assert got.values == tuple(fixture["expected_signature"])
+
+
+def test_form_signature_reads_each_entry_type_once(monkeypatch):
+    h = HermitianDatum(5, (Block(5, (XI5_2, XI5_1, XI5_2)),))
+    P._entry_signature.cache_clear()
+    calls = []
+    monkeypatch.setattr(P, "entry_cm_type", lambda xi, p: calls.append(xi) or entry_cm_type(xi, p))
+    assert form_signature(h).values == (0, 2, 3, 0, 1)
+    assert form_signature(h).values == (0, 2, 3, 0, 1)
+    assert calls == [XI5_2, XI5_1]
 
 
 def test_dimension_is_twice_genus():
