@@ -15,11 +15,11 @@ import re
 import sys
 import threading
 import time
+from collections.abc import Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
 
 from .cyclotomic import Cyclo, element_str, euler_phi
 from .embeddings import DEFAULT_PRECISION, PRECISION_CAP, embed
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not 8 <= args.precision <= PRECISION_CAP:

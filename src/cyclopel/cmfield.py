@@ -3,9 +3,9 @@ varieties."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .cyclotomic import units_mod
 from .errors import InvariantViolation, SignatureNotBinary
 from .monodromy import MonodromyDatum, signature
@@ -19,11 +19,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CMType:
+class CMType(Record):
     """A choice of one embedding from each conjugate pair: subset of
     (Z/mZ)* containing exactly one of {n, m-n}."""
 
+    __slots__ = ("m", "members")
     m: int
     members: frozenset[int]
 
@@ -85,8 +85,7 @@ def subgroups_mod(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t)))
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(Record):
     """Whether the CM abelian variety with this type is simple.
 
     Non-simple iff the type is a union of cosets of some subgroup H of
@@ -94,6 +93,7 @@ class SimplicityReport:
     For the simple case, separating_cosets records per eligible H one coset
     meeting both the type and its complement."""
 
+    __slots__ = ("simple", "inducing_subgroup", "separating_cosets")
     simple: bool
     inducing_subgroup: tuple[int, ...] | None
     separating_cosets: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]

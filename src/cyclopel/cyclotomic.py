@@ -137,6 +137,9 @@ class Cyclo:
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Cyclo is immutable")
 
+    def __reduce__(self):  # the default slot restore would call the refusing __setattr__
+        return Cyclo, (self.m, self.num, self.den)
+
     # construction -----------------------------------------------------
 
     @classmethod

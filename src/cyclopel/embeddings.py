@@ -15,15 +15,15 @@ shared mpmath.iv precision is never written.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd
-from typing import Callable
 
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import fzero, from_int, mpci_add, mpci_div, mpci_mul, round_ceiling, round_floor
 
+from ._record import Record
 from .cyclotomic import Cyclo, real_embedding_reps
 from .errors import InvariantViolation, NotRealElement, PrecisionExhausted
 
@@ -52,10 +52,10 @@ def _mpf_to_fraction(raw) -> Fraction:
     return -v if sign else v
 
 
-@dataclass(frozen=True)
-class ComplexInterval:
+class ComplexInterval(Record):
     """Axis-aligned rectangle with exact dyadic rational endpoints."""
 
+    __slots__ = ("re_lo", "re_hi", "im_lo", "im_hi")
     re_lo: Fraction
     re_hi: Fraction
     im_lo: Fraction

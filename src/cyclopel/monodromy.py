@@ -3,11 +3,11 @@ signature, Galois action, degeneration into trees of 3-point covers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 from math import gcd
 
+from ._record import Record
 from .cyclotomic import SUPPORTED_MODULI, units_mod
 from .errors import (
     DisconnectedCover,
@@ -33,11 +33,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MonodromyDatum:
+class MonodromyDatum(Record):
     """(m, N, a): a family of mu_m-covers of P^1 branched at N points with
     local inertia a(i) at the i-th point.  Constructing one validates it."""
 
+    __slots__ = ("m", "a")
     m: int
     a: tuple[int, ...]
 
@@ -88,11 +88,11 @@ def genus(datum: MonodromyDatum) -> int:
     return 1 + tot // 2
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """f(n) = dimension of the zeta^n eigenspace of holomorphic
     differentials, indexed by all residues n mod m (f(0) = 0)."""
 
+    __slots__ = ("m", "values")
     m: int
     values: tuple[int, ...]
 
@@ -155,13 +155,13 @@ def cm_algebra_check(triple: MonodromyDatum) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class DegenerationTree:
+class DegenerationTree(Record):
     """Result of degenerating an N-point family into r = N-2 three-point
     covers joined along a tree.  merge_pairs records the index pair fused at
     each step (indices into that step's inertia vector); merged_values the
     inserted inertia of the new node."""
 
+    __slots__ = ("base", "triples", "merge_pairs", "merged_values")
     base: MonodromyDatum
     triples: tuple[MonodromyDatum, ...]
     merge_pairs: tuple[tuple[int, int], ...]

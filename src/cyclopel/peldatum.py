@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
 from pathlib import Path
-from typing import Optional, Sequence, Union
 
+from ._record import Record
 from .cmfield import CMType, SimplicityReport, cm_type_from_triple, is_simple
 from .cyclotomic import (
     Cyclo,
@@ -90,11 +90,11 @@ CERTAINTY_SIMPLE = "all-components-simple"
 CERTAINTY_FORM_UNIQUENESS = "relies-on-hermitian-form-uniqueness"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """Entries of the diagonal Hermitian form living over one cyclotomic
     level: xi_j in Q(zeta_modulus), each purely imaginary (xi = -conj xi)."""
 
+    __slots__ = ("modulus", "entries")
     modulus: int
     entries: tuple[Cyclo, ...]
 
@@ -116,11 +116,11 @@ def _is_pure_imaginary(xi: Cyclo) -> bool:
     return xi == -xi.conj()
 
 
-@dataclass(frozen=True)
-class HermitianDatum:
+class HermitianDatum(Record):
     """Block-diagonal Hermitian form over prod Z[zeta_d] for divisors d of
     the ambient modulus m, blocks in ascending modulus order."""
 
+    __slots__ = ("m", "blocks")
     m: int
     blocks: tuple[Block, ...]
 
@@ -310,10 +310,10 @@ def form_signature(h: HermitianDatum, start_prec: int = DEFAULT_PRECISION) -> Si
 # full assembly for odd prime m
 
 
-@dataclass(frozen=True)
-class ComponentResult:
+class ComponentResult(Record):
     """One 3-point component of the degeneration with its CM data."""
 
+    __slots__ = ("triple", "phi", "simplicity", "point")
     triple: MonodromyDatum
     phi: CMType
     simplicity: SimplicityReport
@@ -321,7 +321,7 @@ class ComponentResult:
 
     def __hash__(self) -> int:
         # equal components have equal triples, so this agrees with the
-        # generated __eq__, without hashing the CM data of the triple
+        # record's __eq__, without hashing the CM data of the triple
         return hash(self.triple)
 
 
@@ -333,8 +333,9 @@ def _component(triple: MonodromyDatum, start_prec: int) -> ComponentResult:
     return ComponentResult(triple, phi, is_simple(phi), beta_for_type(phi, start_prec))
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(Record):
+    __slots__ = ("datum", "genus", "signature", "tree", "components", "hermitian", "gram",
+                 "gram_det", "form_sig", "certainty")
     datum: MonodromyDatum
     genus: int
     signature: Signature
@@ -397,7 +398,7 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
 
 def _match_entries(
     left: Sequence[Cyclo], right: Sequence[Cyclo], start_prec: int
-) -> Optional[bool]:
+) -> bool | None:
     """Whether some bijection pairs each left entry with an equivalent
     right entry.  "The ratio is a totally positive unit" is an equivalence
     relation, so such a bijection exists exactly when every class holds
@@ -463,8 +464,8 @@ def equivalent_datum(
 # twice an odd prime
 
 
-@dataclass(frozen=True)
-class BridgeResult:
+class BridgeResult(Record):
+    __slots__ = ("phi", "beta", "conditions")
     phi: CMType
     beta: Cyclo
     conditions: ConditionReport
@@ -497,8 +498,9 @@ def twice_prime_bridge(
 # the m = 7 family (2,4,4,4): distinguished point over Q(zeta_21)
 
 
-@dataclass(frozen=True)
-class RelativePipelineResult:
+class RelativePipelineResult(Record):
+    __slots__ = ("phi", "phi_simplicity", "beta3", "alpha", "z", "z_conditions", "a11", "a12",
+                 "a21", "base_matrix", "twisted_matrix")
     phi: CMType
     phi_simplicity: SimplicityReport
     beta3: Cyclo
@@ -617,8 +619,8 @@ def m17_pipeline(start_prec: int = DEFAULT_PRECISION) -> RelativePipelineResult:
 # fixtures
 
 
-@dataclass(frozen=True)
-class FixtureOutcome:
+class FixtureOutcome(Record):
+    __slots__ = ("name", "passed", "failures")
     name: str
     passed: bool
     failures: tuple[str, ...]
@@ -718,7 +720,7 @@ def default_corpus_path() -> Path:
     return Path(__file__).resolve().parent / "data" / "corpus.json"
 
 
-def load_corpus(path: Union[str, Path]) -> list[dict]:
+def load_corpus(path: str | Path) -> list[dict]:
     """Read a fixture corpus: {"fixtures": [record, ...]} with records as
     in verify_fixture."""
     with open(path, encoding="utf-8") as f:

@@ -3,11 +3,11 @@ construction of beta for a CM-type, and the three polarization conditions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import lru_cache
 from math import gcd
-from typing import Sequence, Union
 
+from ._record import Record
 from .cmfield import CMType
 from .cyclotomic import Cyclo, real_embedding_reps
 from .embeddings import (
@@ -40,18 +40,18 @@ __all__ = [
 BETA_FOR_TYPE_MODULI = frozenset({3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 27, 32})
 
 
-@dataclass(frozen=True)
-class DifferentGenerator:
+class DifferentGenerator(Record, hidden=("inverse", "signs"), derived=("signs",)):
     """Closed-form generator beta0 of the different D_{F/Q}, purely
     imaginary (beta0 = -conj(beta0)), with its inverse, certified by
     element * inverse = 1, and the certified signs of Im(sigma_n(beta0)) at
     real_embedding_reps(m), none of them 0."""
 
+    __slots__ = ("m", "case", "element", "inverse", "signs")
     m: int
     case: str
     element: Cyclo
-    inverse: Cyclo = field(compare=False, repr=False)
-    signs: SignVector = field(init=False, compare=False, repr=False)
+    inverse: Cyclo
+    signs: SignVector
 
     def __post_init__(self):
         if not self.element.is_integral:
@@ -168,13 +168,13 @@ def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class _UnitTable:
+class _UnitTable(Record):
     """Per-modulus constants of the unit sign solve: the generators, their
     inverses, their sign vectors, and the span of the sign rows (bit j set
     for a negative sign at column j): every row some product of generators
     realizes -> the bit mask of those generators."""
 
+    __slots__ = ("gens", "inverses", "signs", "span")
     gens: tuple[Cyclo, ...]
     inverses: tuple[Cyclo, ...]
     signs: tuple[SignVector, ...]
@@ -229,7 +229,7 @@ def _signs_to_bits(signs: SignVector) -> int:
     return bits
 
 
-def _solve_combo(target: SignVector, m: int) -> Union[int, Unsatisfiable]:
+def _solve_combo(target: SignVector, m: int) -> int | Unsatisfiable:
     """Bit mask of the unit generators of modulus m whose product has the
     sign vector target, looked up in the span of _unit_table(m), or
     Unsatisfiable carrying the cokernel dimension."""
@@ -256,7 +256,7 @@ def _product(factors: Sequence[Cyclo], combo: int, m: int) -> Cyclo:
     return out
 
 
-def solve_sign_pattern(target: SignVector, m: int) -> Union[Cyclo, Unsatisfiable]:
+def solve_sign_pattern(target: SignVector, m: int) -> Cyclo | Unsatisfiable:
     """Find a product of unit_generators(m) whose real-embedding sign
     vector equals target, columns in ascending-representative order; on
     failure returns (not raises) Unsatisfiable carrying the cokernel
@@ -267,10 +267,10 @@ def solve_sign_pattern(target: SignVector, m: int) -> Union[Cyclo, Unsatisfiable
     return _product(_unit_table(m).gens, combo, m)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """The three polarization conditions for (beta, Phi)."""
 
+    __slots__ = ("generates_different", "antisymmetric", "signs_negative")
     generates_different: bool
     antisymmetric: bool
     signs_negative: bool
@@ -294,15 +294,15 @@ def verify_conditions(
     return ConditionReport(generates, anti, signs)
 
 
-@dataclass(frozen=True)
-class PolarizedCMPoint:
+class PolarizedCMPoint(Record, hidden=("_xi",)):
     """beta = u0 * beta0 realizing the polarization for the CM-type Phi."""
 
+    __slots__ = ("phi", "u0", "beta", "conditions", "_xi")
     phi: CMType
     u0: Cyclo
     beta: Cyclo
     conditions: ConditionReport
-    _xi: Cyclo = field(repr=False, compare=False)
+    _xi: Cyclo
 
     def xi(self) -> Cyclo:
         """The Hermitian-form entry 1/beta, built by beta_for_type without

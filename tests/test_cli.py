@@ -4,7 +4,6 @@ corpus verification output."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 import decimal
 import json
 import pickle
@@ -204,7 +203,11 @@ def test_report_hashes_no_gram_cell():
     result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(17, (1, 2, 3, 4, 5, 6, 13)))
     text = report_json(build_report(result, DEFAULT_PRECISION, 0))
     cells = tuple(_UnhashableCell(cell) for cell in result.gram.cells)
-    unhashable = dataclasses.replace(result, gram=GramView(cells))
+    r = result
+    unhashable = cyclopel.peldatum.FamilyResult(
+        r.datum, r.genus, r.signature, r.tree, r.components, r.hermitian, GramView(cells),
+        r.gram_det, r.form_sig, r.certainty,
+    )
     for _ in range(2):  # first-seen cells, then warm ones
         assert report_json(build_report(unhashable, DEFAULT_PRECISION, 0)) == text
     # reports whose texts are made still copy and pickle as plain dicts

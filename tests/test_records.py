@@ -1,0 +1,170 @@
+"""The records of cyclopel share one frozen base: value equality and hash,
+no mutation, copies and pickles, a checked constructor arity, hidden
+fields and the typed errors of each validating record.  A fresh import
+of the command line loads neither dataclasses, inspect nor typing."""
+
+from __future__ import annotations
+
+import copy
+import importlib
+import os
+import pickle
+import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import cyclopel
+from cyclopel._record import Record
+from cyclopel.cmfield import CMType
+from cyclopel.cyclotomic import Cyclo, parse_element
+from cyclopel.embeddings import ComplexInterval, embed
+from cyclopel.errors import (
+    DisconnectedCover,
+    InvariantViolation,
+    MalformedDatum,
+    UnbalancedInertia,
+    UnsupportedModulus,
+    ZeroInertia,
+)
+from cyclopel.monodromy import MonodromyDatum, Signature, validate
+from cyclopel.peldatum import (
+    Block,
+    HermitianDatum,
+    assemble,
+    default_corpus_path,
+    load_corpus,
+    m17_pipeline,
+    twice_prime_bridge,
+    verify_fixture,
+)
+from cyclopel.polarization import DifferentGenerator, PolarizedCMPoint, _unit_table, beta0
+
+
+def _records() -> list:
+    """One record of every class, as the pipeline builds them."""
+    family = assemble(validate(7, (2, 4, 4, 4)))
+    component = family.components[0]
+    fixture = load_corpus(default_corpus_path())[0]
+    return [
+        family,
+        family.datum,
+        family.signature,
+        family.tree,
+        family.hermitian,
+        family.hermitian.blocks[0],
+        component,
+        component.phi,
+        component.simplicity,
+        component.point,
+        component.point.conditions,
+        embed(parse_element("2*z + 1", 3), 1),
+        beta0(5),
+        _unit_table(5),
+        twice_prime_bridge(CMType(3, frozenset({2})), parse_element("2*z + 1", 3)),
+        m17_pipeline(),
+        verify_fixture(fixture),
+    ]
+
+
+def _record_classes() -> set:
+    for info in pkgutil.iter_modules(cyclopel.__path__):
+        importlib.import_module(f"cyclopel.{info.name}")
+    return {c for c in Record.__subclasses__() if c.__module__.startswith("cyclopel.")}
+
+
+RECORDS = _records()
+
+
+def test_every_record_class_has_an_example():
+    assert {type(r) for r in RECORDS} == _record_classes()
+    assert len(RECORDS) == 17
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_semantics(record):
+    cls, fields = type(record), type(record).__slots__
+    copies = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    for other in copies:
+        assert type(other) is cls and other == record and not other != record
+        assert all(getattr(other, f) == getattr(record, f) for f in fields)
+        if cls.__name__ == "_UnitTable":  # its span is a dict
+            with pytest.raises(TypeError):
+                hash(other)
+        else:
+            assert hash(other) == hash(record)
+    # a record of another class with the same values is not equal
+    twin_cls = type("Twin", (Record,), {"__slots__": fields})
+    twin = twin_cls(*(getattr(record, f) for f in fields))
+    assert twin != record and record != twin and record != tuple(getattr(record, f) for f in fields)
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    args = record.__reduce__()[1]
+    assert cls(*args) == record
+    for wrong in (args[:-1], (*args, None)):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+
+
+def test_hidden_fields_take_no_part_in_equality_or_repr():
+    g = beta0(5)
+    assert repr(g) == f"DifferentGenerator(m=5, case='odd-prime', element={g.element!r})"
+    for name, value in (("inverse", Cyclo.one(5)), ("signs", ())):
+        other = copy.copy(g)
+        object.__setattr__(other, name, value)
+        assert other == g and hash(other) == hash(g) and repr(other) == repr(g)
+    other = copy.copy(g)
+    object.__setattr__(other, "case", "other")
+    assert other != g
+    point = assemble(validate(5, (1, 3, 3, 3))).components[0].point
+    other = PolarizedCMPoint(point.phi, point.u0, point.beta, point.conditions, Cyclo.one(5))
+    assert other == point and hash(other) == hash(point)
+    assert "_xi" not in repr(point) and repr(other) == repr(point)
+    assert repr(MonodromyDatum(5, (1, 3, 3, 3))) == "MonodromyDatum(m=5, a=(1, 3, 3, 3))"
+
+
+_INVALID = [
+    (lambda: MonodromyDatum(12, (1, 2, 9)), UnsupportedModulus),
+    (lambda: MonodromyDatum(5, (1, 4)), MalformedDatum),
+    (lambda: MonodromyDatum(5, (0, 1, 4)), ZeroInertia),
+    (lambda: MonodromyDatum(5, (1, 6, 3)), MalformedDatum),
+    (lambda: MonodromyDatum(5, (1, 1, 1)), UnbalancedInertia),
+    (lambda: MonodromyDatum(9, (3, 3, 3)), DisconnectedCover),
+    (lambda: Signature(5, (0, 1, 2)), InvariantViolation),
+    (lambda: Signature(3, (1, 0, 0)), InvariantViolation),
+    (lambda: CMType(5, frozenset({1, 4})), InvariantViolation),
+    (lambda: CMType(5, frozenset({1, 5})), InvariantViolation),
+    (lambda: ComplexInterval(Fraction(1), Fraction(0), Fraction(0), Fraction(0)), InvariantViolation),
+    (lambda: DifferentGenerator(5, "odd-prime", beta0(5).element, Cyclo.one(5)), InvariantViolation),
+    (lambda: DifferentGenerator(5, "x", Cyclo.one(5), Cyclo.one(5)), InvariantViolation),
+    (lambda: Block(5, ()), InvariantViolation),
+    (lambda: Block(5, (Cyclo.one(5),)), InvariantViolation),
+    (lambda: Block(7, (beta0(5).element,)), InvariantViolation),
+    (lambda: HermitianDatum(5, ()), InvariantViolation),
+    (lambda: HermitianDatum(5, (Block(5, (beta0(5).element,)),) * 2), InvariantViolation),
+    (lambda: HermitianDatum(5, (Block(3, (beta0(3).element,)),)), InvariantViolation),
+]
+
+
+@pytest.mark.parametrize("build, error", _INVALID)
+def test_validating_records_raise_their_typed_error(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # compared with what the interpreter had loaded before the import, so
+    # a site that loads typing itself does not hide an import of it
+    code = (
+        "import sys; before = set(sys.modules); import cyclopel.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before))))"
+    )
+    src = os.path.dirname(cyclopel.__path__[0])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == []
