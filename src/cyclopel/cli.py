@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from .cyclotomic import Cyclo, element_str, euler_phi
+from .cyclotomic import Cyclo, element_str, modulus
 from .embeddings import DEFAULT_PRECISION, PRECISION_CAP, embed
 from .errors import (
     CyclopelError,
@@ -74,13 +74,6 @@ def _decimal_str(q: Fraction) -> str:
         return str(Decimal(int(q.numerator)) / Decimal(int(q.denominator)))
 
 
-@lru_cache(maxsize=4096)
-def _exact_str(x: Cyclo) -> str:
-    """Exact string of x; reports repeat betas, u0s and entries, so each
-    element is written once."""
-    return element_str(x)
-
-
 class _ReadOnlyDict(dict):
     """A dict of a report that refuses mutation, so the text written from
     it cannot disagree with it.  A component or matrix entry is written by
@@ -117,7 +110,7 @@ def _element_json(x: Cyclo, precision: int) -> _ReadOnlyDict:
     (element, precision); u0 is reported exactly and never embedded."""
     box = embed(x, 1, precision)
     return _ReadOnlyDict(
-        exact=_exact_str(x),
+        exact=element_str(x),
         re=_decimal_str((box.re_lo + box.re_hi) / 2),
         im=_decimal_str((box.im_lo + box.im_hi) / 2),
     )
@@ -139,7 +132,7 @@ def _component_json(c: ComponentResult, precision: int) -> _ReadOnlyDict:
         simple=simp.simple,
         simplicity_witness=witness,
         beta=_element_json(c.point.beta, precision),
-        u0=_exact_str(c.point.u0),
+        u0=element_str(c.point.u0),
     )
 
 
@@ -334,7 +327,7 @@ def run_family(m: int, inertia: Sequence[int], precision: int, as_json: bool) ->
     t0 = time.monotonic()
     try:
         datum = validate(m, inertia)
-        entries = ((datum.N - 2) * euler_phi(m)) ** 2
+        entries = ((datum.N - 2) * modulus(m).phi) ** 2
         if m in ASSEMBLE_MODULI and entries > MAX_REPORT_ENTRIES:
             too_many = f"{entries} Gram entries, more than {MAX_REPORT_ENTRIES}"
             print(f"error: the report would hold {too_many}", file=sys.stderr)

@@ -3,10 +3,8 @@ varieties."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ._record import Record
-from .cyclotomic import units_mod
+from .cyclotomic import modulus
 from .errors import InvariantViolation, SignatureNotBinary
 from .monodromy import MonodromyDatum, signature
 
@@ -15,7 +13,6 @@ __all__ = [
     "SimplicityReport",
     "cm_type_from_triple",
     "is_simple",
-    "subgroups_mod",
 ]
 
 
@@ -28,7 +25,7 @@ class CMType(Record):
     members: frozenset[int]
 
     def __post_init__(self):
-        units = set(units_mod(self.m))
+        units = set(modulus(self.m).units)
         if not self.members <= units:
             raise InvariantViolation("CM-type members must be units mod m")
         for n in units:
@@ -45,44 +42,16 @@ class CMType(Record):
         return CMType(self.m, frozenset((self.m - n) for n in self.members))
 
 
-@lru_cache(maxsize=4096)
 def cm_type_from_triple(triple: MonodromyDatum) -> CMType:
     """CM-type of the Jacobian of a 3-point cover: the embeddings where the
-    signature is 1.  Memoized per triple (a modulus has fewer than m^2);
-    the result is immutable."""
+    signature is 1."""
     if triple.N != 3:
         raise ValueError("CM-types arise from 3-point covers")
     sig = signature(triple)
-    bad = [n for n in units_mod(triple.m) if sig.values[n] not in (0, 1)]
+    bad = [n for n in modulus(triple.m).units if sig.values[n] not in (0, 1)]
     if bad:
         raise SignatureNotBinary(f"signature takes values outside {{0,1}} at {bad}")
     return CMType(triple.m, sig.cm_type_members())
-
-
-@lru_cache(maxsize=None)
-def subgroups_mod(m: int) -> tuple[tuple[int, ...], ...]:
-    """All subgroups of (Z/mZ)*, each as a sorted tuple.  The group is
-    abelian, so every subgroup is the product of its cyclic subgroups:
-    start from the cyclic subgroups <g> and close under products HK."""
-    cyclic = {frozenset({1})}
-    for g in units_mod(m):
-        h, x = [1], g
-        while x != 1:
-            h.append(x)
-            x = (x * g) % m
-        cyclic.add(frozenset(h))
-    found = set(cyclic)
-    frontier = list(cyclic)
-    while frontier:
-        h = frontier.pop()
-        for k in cyclic:
-            if h <= k or k <= h:
-                continue
-            hk = frozenset((x * y) % m for x in h for y in k)
-            if hk not in found:
-                found.add(hk)
-                frontier.append(hk)
-    return tuple(sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t)))
 
 
 class SimplicityReport(Record):
@@ -99,13 +68,12 @@ class SimplicityReport(Record):
     separating_cosets: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-@lru_cache(maxsize=4096)
 def is_simple(phi: CMType) -> SimplicityReport:
-    """Simplicity of the CM-type with its witness.  Memoized per CM-type;
-    the report is immutable."""
+    """Simplicity of the CM-type with its witness, read against
+    modulus(m).subgroups."""
     m = phi.m
     separating: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for h in subgroups_mod(m):
+    for h in modulus(m).subgroups:
         if len(h) == 1 or (m - 1) in h:
             continue
         witness = None

@@ -12,40 +12,22 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from ._record import Record
 from .errors import InvariantViolation, ParseError, UnsupportedModulus
 
 __all__ = [
     "SUPPORTED_MODULI",
     "Cyclo",
-    "cyclotomic_poly",
+    "Modulus",
     "element_str",
-    "euler_phi",
+    "modulus",
     "parse_element",
-    "real_embedding_reps",
     "relative_split",
-    "trace_table",
-    "units_mod",
 ]
 
 # Moduli with full element arithmetic.  Class-number-sensitive operations
 # (beta0, sign solving, assembly) impose their own narrower lists.
 SUPPORTED_MODULI = frozenset({3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 19, 21, 25, 27, 32})
-
-
-def euler_phi(m: int) -> int:
-    """Order of (Z/mZ)^*, with phi(1) = 1."""
-    return 1 if m == 1 else len(units_mod(m))
-
-
-@lru_cache(maxsize=64)
-def units_mod(m: int) -> tuple[int, ...]:
-    """Units of Z/mZ in ascending order."""
-    return tuple(k for k in range(1, m) if gcd(k, m) == 1)
-
-
-def real_embedding_reps(m: int) -> tuple[int, ...]:
-    """One representative n < m/2 per conjugate pair {n, m-n} of units."""
-    return tuple(n for n in units_mod(m) if 2 * n < m)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +40,7 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_divmod_monic(a: list[int], d: list[int]) -> tuple[list[int], list[int]]:
+def _poly_divmod_monic(a: list[int], d: list[int] | tuple[int, ...]) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of a by d, d monic with integer coefficients;
     exact over Z."""
     if not d or d[-1] != 1:
@@ -77,25 +59,122 @@ def _poly_divmod_monic(a: list[int], d: list[int]) -> tuple[list[int], list[int]
     return _poly_trim(q), _poly_trim(r)
 
 
-def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
+# ---------------------------------------------------------------------------
+# per-modulus facts
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, ascending.  Computed by exact division of
-    x^m - 1 by the product of Phi_d over proper divisors d of m."""
+class Modulus(Record):
+    """The facts of (Z/mZ)^* and Phi_m that every stage reads, built
+    together by modulus(m)."""
+
+    __slots__ = ("m", "units", "reps", "phi", "poly", "chain", "traces", "columns", "admissible",
+                 "subgroups")
+    m: int
+    units: tuple[int, ...]  # the units of Z/mZ, ascending
+    reps: tuple[int, ...]  # one n < m/2 per conjugate pair {n, m-n} of units: the real embeddings
+    phi: int  # |(Z/mZ)^*|, with phi(1) = 1
+    poly: tuple[int, ...]  # the coefficients of Phi_m, ascending
+    chain: tuple[tuple[int, int], ...]  # the Galois chain, see _chain
+    traces: tuple[int, ...]  # tr(zeta^j) for every residue j mod m
+    columns: tuple[tuple[int, ...], ...]  # x -> (-n * x) mod m for n < m, see monodromy.signature
+    admissible: tuple[tuple[bool, ...], ...]  # x, y -> gcd(x + y, m) == 1: x and y join at one node
+    subgroups: tuple[tuple[int, ...], ...]  # each subgroup of (Z/mZ)^* sorted, by size then entries
+
+
+@lru_cache(maxsize=64)
+def modulus(m: int) -> Modulus:
+    """The Modulus record of m, built once per modulus and process."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m)[:-1]:
-        q, r = _poly_divmod_monic(num, list(cyclotomic_poly(d)))
-        if r:
-            raise InvariantViolation(f"Phi_{d} does not divide x^{m}-1 exactly")
-        num = q
-    return tuple(num)
+    units = tuple(k for k in range(1, m) if gcd(k, m) == 1)
+    phi = 1 if m == 1 else len(units)
+    poly = tuple(_phi_poly(m))
+    # tr(zeta^j) depends on gcd(j, m) alone: zeta^j is conjugate to zeta^gcd
+    by_gcd: dict[int, int] = {}
+    for g in (gcd(j, m) for j in range(m)):
+        if g not in by_gcd:
+            acc = [0] * m
+            for u in units:
+                acc[(g * u) % m] += 1
+            _, red = _poly_divmod_monic(acc, poly)
+            if any(red[1:]):
+                raise InvariantViolation(f"tr(zeta^{g}) not rational")
+            by_gcd[g] = red[0] if red else 0
+    return Modulus(
+        m,
+        units,
+        tuple(n for n in units if 2 * n < m),
+        phi,
+        poly,
+        _chain(m, units),
+        tuple(by_gcd[gcd(j, m)] for j in range(m)),
+        tuple(tuple((-n * x) % m for n in range(m)) for x in range(m)),
+        tuple(tuple(gcd(x + y, m) == 1 for y in range(m)) for x in range(m)),
+        _subgroups(m, units),
+    )
+
+
+def _phi_poly(m: int) -> list[int]:
+    """Phi_m, by exact division of x^d - 1 by Phi_e over the proper
+    divisors e of d, for each divisor d of m in ascending order."""
+    polys: dict[int, list[int]] = {}
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        num = [-1] + [0] * (d - 1) + [1]
+        for e, p in polys.items():
+            if d % e == 0:
+                num, r = _poly_divmod_monic(num, p)
+                if r:
+                    raise InvariantViolation(f"Phi_{e} does not divide x^{d}-1 exactly")
+        polys[d] = num
+    return polys[m]
+
+
+def _chain(m: int, units: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Generators g_i of (Z/m)^*, each with the order n_i of g_i modulo the
+    subgroup of g_1, ..., g_(i-1), so that the n_i multiply to phi(m).
+    Each takes the least unit of largest order modulo the subgroup built
+    so far; on every supported modulus this needs as few multiplications
+    in Cyclo._norm_and_other_conjugates as any chain."""
+    sub, chain = {1}, []
+    while len(sub) < len(units):
+        best = (0, 0)
+        for g in units:
+            n, power = 1, g
+            while power not in sub:
+                power = power * g % m
+                n += 1
+            if n > best[1]:
+                best = (g, n)
+        g, n = best
+        chain.append(best)
+        sub = {h * pow(g, j, m) % m for h in sub for j in range(n)}
+    return tuple(chain)
+
+
+def _subgroups(m: int, units: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The subgroups of the abelian group (Z/mZ)^*: each is the product of
+    its cyclic subgroups, so close the cyclic subgroups <g> under HK."""
+    cyclic = {frozenset({1})}
+    for g in units:
+        h, x = [1], g
+        while x != 1:
+            h.append(x)
+            x = (x * g) % m
+        cyclic.add(frozenset(h))
+    found = set(cyclic)
+    frontier = list(cyclic)
+    while frontier:
+        h = frontier.pop()
+        for k in cyclic:
+            if h <= k or k <= h:
+                continue
+            hk = frozenset((x * y) % m for x in h for y in k)
+            if hk not in found:
+                found.add(hk)
+                frontier.append(hk)
+    return tuple(sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t)))
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +191,9 @@ class Cyclo:
             raise UnsupportedModulus(f"modulus {m} not supported for field arithmetic")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        phi = euler_phi(m)
-        _, coeffs = _poly_divmod_monic([int(c) for c in num], list(cyclotomic_poly(m)))
-        coeffs += [0] * (phi - len(coeffs))
+        facts = modulus(m)
+        _, coeffs = _poly_divmod_monic([int(c) for c in num], facts.poly)
+        coeffs += [0] * (facts.phi - len(coeffs))
         den = int(den)
         if den < 0:
             den = -den
@@ -336,7 +415,7 @@ class Cyclo:
 
     def trace(self) -> Fraction:
         """tr_{Q(zeta_m)/Q}."""
-        tv = trace_table(self.m)
+        tv = modulus(self.m).traces
         return Fraction(sum(c * t for c, t in zip(self.num, tv)), self.den)
 
     def norm(self) -> Fraction:
@@ -346,7 +425,7 @@ class Cyclo:
     def _norm_and_other_conjugates(self) -> tuple[Fraction, "Cyclo"]:
         """(N(x), prod_{u != 1} sigma_u(x)), u over the units of Z/mZ.
 
-        Built level by level along _galois_chain(m).  At a level (g, n)
+        Built level by level along modulus(m).chain.  At a level (g, n)
         with input y, the prefix products P(j) = prod_{i<j} sigma_g^i(y)
         double: P(2j) = P(j) sigma_g^j(P(j)) and P(j+1) = P(j) sigma_g^j(y).
         The level's other conjugates are sigma_g(P(n-1)); their product
@@ -354,7 +433,7 @@ class Cyclo:
         levels is prod_{u != 1} sigma_u(x)."""
         m = self.m
         y, others = self, None
-        for g, n in _galois_chain(m):
+        for g, n in modulus(m).chain:
             p, j = y, 1
             for bit in bin(n - 1)[3:]:
                 p = p * p.galois(pow(g, j, m))
@@ -393,49 +472,6 @@ class Cyclo:
         raise ValueError(f"no supported identification of Q(zeta_{self.m}) inside Q(zeta_{big_m})")
 
 
-@lru_cache(maxsize=None)
-def _galois_chain(m: int) -> tuple[tuple[int, int], ...]:
-    """A decomposition of (Z/m)^*: generators g_i, each with the order n_i
-    of g_i modulo the subgroup generated by g_1, ..., g_(i-1), so that the
-    n_i multiply to phi(m).  Each level takes the least unit of largest
-    order modulo the subgroup built so far; on every supported modulus
-    this needs as few multiplications in _norm_and_other_conjugates as
-    any chain."""
-    units = units_mod(m)
-    sub, chain = {1}, []
-    while len(sub) < len(units):
-        best = (0, 0)
-        for g in units:
-            n, power = 1, g
-            while power not in sub:
-                power = power * g % m
-                n += 1
-            if n > best[1]:
-                best = (g, n)
-        g, n = best
-        chain.append(best)
-        sub = {h * pow(g, j, m) % m for h in sub for j in range(n)}
-    return tuple(chain)
-
-
-@lru_cache(maxsize=None)
-def trace_table(m: int) -> tuple[int, ...]:
-    """tr(zeta^j) for every residue j mod m; the first phi(m) entries are
-    the traces of the power-basis monomials."""
-    phi = euler_phi(m)
-    out = []
-    for j in range(m):
-        acc = [0] * m
-        for u in units_mod(m):
-            acc[(j * u) % m] += 1
-        _, red = _poly_divmod_monic(acc, list(cyclotomic_poly(m)))
-        red += [0] * (phi - len(red))
-        if any(red[1:]):
-            raise InvariantViolation(f"tr(zeta^{j}) not rational")
-        out.append(red[0] if red else 0)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # relative structure of Q(zeta_3m) / Q(zeta_m), m odd and coprime to 3
 
@@ -467,7 +503,7 @@ def _relative_conjugator(big: int) -> int:
     """The unit t mod 3m with t = 1 mod m and t = 2 mod 3 (generator of
     Gal(Q(zeta_3m)/Q(zeta_m)))."""
     m = big // 3
-    for t in units_mod(big):
+    for t in modulus(big).units:
         if t % m == 1 and t % 3 == 2:
             return t
     raise InvariantViolation("no relative conjugator found")
@@ -589,7 +625,7 @@ def parse_element(s: str, m: int) -> Cyclo:
             elif rhs.is_zero():
                 raise ParseError("division by zero in element string")
             else:
-                charge(_bits(out) + euler_phi(m) * _bits(rhs))
+                charge(_bits(out) + modulus(m).phi * _bits(rhs))
                 out = out / rhs
         return out
 

@@ -24,7 +24,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import fzero, from_int, mpci_add, mpci_div, mpci_mul, round_ceiling, round_floor
 
 from ._record import Record
-from .cyclotomic import Cyclo, real_embedding_reps
+from .cyclotomic import Cyclo, modulus
 from .errors import InvariantViolation, NotRealElement, PrecisionExhausted
 
 __all__ = [
@@ -214,5 +214,5 @@ def is_totally_positive(u: Cyclo, start_prec: int = DEFAULT_PRECISION) -> bool:
     if u.is_zero():
         return False
     return all(
-        certified_sign_real(u, n, start_prec) > 0 for n in real_embedding_reps(u.m)
+        certified_sign_real(u, n, start_prec) > 0 for n in modulus(u.m).reps
     )

@@ -8,7 +8,7 @@ from itertools import compress, islice
 from math import gcd
 
 from ._record import Record
-from .cyclotomic import SUPPORTED_MODULI, units_mod
+from .cyclotomic import SUPPORTED_MODULI, modulus
 from .errors import (
     DisconnectedCover,
     InvariantViolation,
@@ -110,21 +110,15 @@ class Signature(Record):
 
     def cm_type_members(self) -> frozenset[int]:
         """Residues coprime to m with f(n) = 1 (meaningful for 3-point data)."""
-        return frozenset(n for n in units_mod(self.m) if self.values[n] == 1)
-
-
-@lru_cache(maxsize=None)
-def _signature_columns(m: int) -> tuple[tuple[int, ...], ...]:
-    """Column x holds (-n * x) mod m for n = 0, ..., m-1: the summand of
-    one inertia value x in every value of signature(), once per modulus."""
-    return tuple(tuple((-n * x) % m for n in range(m)) for x in range(m))
+        return frozenset(n for n in modulus(self.m).units if self.values[n] == 1)
 
 
 def signature(datum: MonodromyDatum) -> Signature:
     """Eigenspace dimensions by the fractional-part formula
-    f(n) = sum_i <-n a(i) / m> - 1, in integers: m <x / m> = x mod m."""
+    f(n) = sum_i <-n a(i) / m> - 1, in integers: m <x / m> = x mod m,
+    summed over the per-modulus columns of the inertia values."""
     m = datum.m
-    sums = map(sum, zip(*map(_signature_columns(m).__getitem__, datum.a)))
+    sums = map(sum, zip(*map(modulus(m).columns.__getitem__, datum.a)))
     next(sums)  # f(0) = 0
     vals = [0]
     for n, s in enumerate(sums, 1):
@@ -169,28 +163,31 @@ class DegenerationTree(Record):
 
 
 @lru_cache(maxsize=4096)
-def _join_is_preferred(m: int, x: int, y: int) -> bool:
-    # Prefer joining inertia values x, y when the component they form stays
-    # inside the single-field maximal-order case with a simple CM-type; ties
-    # are broken lexicographically by the caller.  Simple components make
-    # the Hermitian-form argument unconditional, and this reproduces the
-    # published degenerations.  The answer depends on (m, x, y) alone.
+def _join(m: int, x: int, y: int) -> tuple:
+    """(triple, preferred, CM-type, simplicity) of joining inertia values x
+    and y, once per key.  The triple (x, y, -(x + y) mod m) is the
+    component the join emits.  Its CM-type and simplicity are None when
+    its CM algebra is not the single field Q(zeta_m); degenerate raises
+    NonMaximalOrder wherever it emits such a triple.  The join is preferred
+    when its triple has single-field maximal-order CM with a simple
+    CM-type, ties broken lexicographically by the caller: simple
+    components make the Hermitian-form argument unconditional, and this
+    reproduces the published degenerations."""
     from .cmfield import cm_type_from_triple, is_simple
 
-    try:
-        triple = _component_triple(m, x, y)
-    except NonMaximalOrder:
-        return False
-    return is_simple(cm_type_from_triple(triple)).simple
-
-
-@lru_cache(maxsize=4096)
-def _component_triple(m: int, x: int, y: int) -> MonodromyDatum:
-    """The component (x, y, -(x + y) mod m) a join emits, checked once per key:
-    NonMaximalOrder unless its CM algebra is the single field Q(zeta_m); a
-    failing triple raises again on every call, as lru_cache keeps no errors."""
     t = MonodromyDatum(m, (x, y, -(x + y) % m))
     if cm_algebra_check(t) != (m,):
+        return t, False, None, None
+    phi = cm_type_from_triple(t)
+    simplicity = is_simple(phi)
+    return t, simplicity.simple, phi, simplicity
+
+
+def _emit(m: int, x: int, y: int) -> MonodromyDatum:
+    """The triple of the join of x and y; NonMaximalOrder unless its CM
+    algebra is the single field Q(zeta_m)."""
+    t, _, phi, _ = _join(m, x, y)
+    if phi is None:
         raise NonMaximalOrder(
             f"component {t.a} has CM algebra indexed by {cm_algebra_check(t)}; "
             "the mu_m-action does not extend to a single maximal order"
@@ -198,26 +195,19 @@ def _component_triple(m: int, x: int, y: int) -> MonodromyDatum:
     return t
 
 
-@lru_cache(maxsize=None)
-def _admissible(m: int) -> tuple[tuple[bool, ...], ...]:
-    """Row x, column y: whether inertia values x and y join at a single
-    node, gcd(x + y, m) == 1; once per modulus."""
-    return tuple(tuple(gcd(x + y, m) == 1 for y in range(m)) for x in range(m))
-
-
 def _choose_pair(m: int, a: list[int]) -> tuple[int, int] | None:
     """The lexicographically least admissible pair of a that is preferred,
     else the first admissible pair, else None.  Pairs are read off the
     admissibility table in lexicographic order, and only admissible ones
     are asked whether they are preferred, up to the first that is."""
-    admissible = _admissible(m)
+    admissible = modulus(m).admissible
     first = None
     n = len(a)
     for i in range(n - 1):
         x = a[i]
         row = admissible[x]
         for j in compress(range(i + 1, n), map(row.__getitem__, islice(a, i + 1, None))):
-            if _join_is_preferred(m, x, a[j]):
+            if _join(m, x, a[j])[1]:
                 return i, j
             if first is None:
                 first = (i, j)
@@ -231,7 +221,7 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
     the join meet at gcd(a(i)+a(j), m) points, so any larger gcd creates a
     cycle in the dual graph and the limit curve is not of compact type.
     Among admissible pairs the lexicographically least preferred one is
-    taken (see _join_is_preferred).  Every emitted triple must have
+    taken (see _join).  Every emitted triple must have
     single-field maximal-order CM, else NonMaximalOrder.
     """
     m = datum.m
@@ -253,11 +243,11 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
             )
         i, j = choice
         s = (a[i] + a[j]) % m
-        triples.append(_component_triple(m, a[i], a[j]))
+        triples.append(_emit(m, a[i], a[j]))
         pairs.append(choice)
         merged.append(s)
         del a[j], a[i]
         a.insert(0, s)
 
-    triples.append(_component_triple(m, a[0], a[1]))  # a[2] == -(a[0] + a[1]) % m
+    triples.append(_emit(m, a[0], a[1]))  # a[2] == -(a[0] + a[1]) % m
     return DegenerationTree(datum, tuple(triples), tuple(pairs), tuple(merged))

@@ -20,12 +20,9 @@ from .cyclotomic import (
     Cyclo,
     _relative_conjugator,
     element_str,
-    euler_phi,
+    modulus,
     parse_element,
-    real_embedding_reps,
     relative_split,
-    trace_table,
-    units_mod,
 )
 from .embeddings import DEFAULT_PRECISION, certified_sign_im
 from .errors import (
@@ -40,6 +37,7 @@ from .monodromy import (
     DegenerationTree,
     MonodromyDatum,
     Signature,
+    _join,
     degenerate,
     genus,
     signature,
@@ -136,19 +134,17 @@ class HermitianDatum(Record):
 
     def dimension(self) -> int:
         """Z-rank of the lattice = 2 * genus."""
-        return sum(euler_phi(b.modulus) * len(b.entries) for b in self.blocks)
+        return sum(modulus(b.modulus).phi * len(b.entries) for b in self.blocks)
 
 
-@lru_cache(maxsize=1024)
 def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
     """CM-type carried by a diagonal entry: n with Im(sigma_n(1/xi)) < 0,
     equivalently Im(sigma_n(xi)) > 0.  Signs are certified at one n per
     conjugate pair: sigma_(m-n) is the complex conjugate of sigma_n, so
-    sign(Im sigma_(m-n)(xi)) = -sign(Im sigma_n(xi)).  Memoized per
-    (entry, start_prec); the type is immutable."""
+    sign(Im sigma_(m-n)(xi)) = -sign(Im sigma_n(xi))."""
     m = xi.m
     members = set()
-    for n in real_embedding_reps(m):
+    for n in modulus(m).reps:
         s = certified_sign_im(xi, n, start_prec)
         if s == 1:
             members.add(n)
@@ -173,8 +169,9 @@ def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
     off the trace table of the modulus.  Raises NonIntegralForm when a
     value is not a rational integer and InvariantViolation when the cell
     is not skew."""
-    m, d = xi.m, euler_phi(xi.m)
-    table = trace_table(m)
+    m = xi.m
+    facts = modulus(m)
+    d, table = facts.phi, facts.traces
     tr: dict[int, int] = {}
     for k in range(-(d - 1), d):
         num = sum(c * table[(i + k) % m] for i, c in enumerate(xi.num))
@@ -287,7 +284,7 @@ def _entry_signature(xi: Cyclo, m: int, start_prec: int) -> tuple[int, ...]:
     d = xi.m
     members = entry_cm_type(xi, start_prec).members
     values = [0] * m
-    for t in units_mod(d):
+    for t in modulus(d).units:
         n = m // d * t
         if n % d in members:
             values[n] = 1
@@ -327,10 +324,11 @@ class ComponentResult(Record):
 
 @lru_cache(maxsize=4096)
 def _component(triple: MonodromyDatum, start_prec: int) -> ComponentResult:
-    """The component of a degeneration triple with its CM-type, simplicity
-    and polarization element, built once per (triple, start_prec)."""
-    phi = cm_type_from_triple(triple)
-    return ComponentResult(triple, phi, is_simple(phi), beta_for_type(phi, start_prec))
+    """The component of a degeneration triple with its polarization
+    element, built once per (triple, start_prec); its CM-type and
+    simplicity are read off the join that emitted it."""
+    _, _, phi, simplicity = _join(triple.m, triple.a[0], triple.a[1])
+    return ComponentResult(triple, phi, simplicity, beta_for_type(phi, start_prec))
 
 
 class FamilyResult(Record):
@@ -442,7 +440,7 @@ def equivalent_datum(
     shape2 = [(b.modulus, len(b.entries)) for b in h2.blocks]
     if shape1 != shape2:
         return False
-    twists = sorted(units_mod(h1.m)) if allow_galois else (1,)
+    twists = modulus(h1.m).units if allow_galois else (1,)
     undecided = False
     for i in twists:
         verdicts = []
@@ -486,7 +484,7 @@ def twice_prime_bridge(
     if not verify_conditions(beta, phi, start_prec).all_pass():
         raise ValueError("input beta fails its own conditions")
     m2 = 2 * m0
-    lifted = CMType(m2, frozenset(j for j in units_mod(m2) if j % m0 in phi.members))
+    lifted = CMType(m2, frozenset(j for j in modulus(m2).units if j % m0 in phi.members))
     beta2 = beta.to_modulus(m2)
     report = verify_conditions(beta2, lifted, start_prec)
     if not report.all_pass():

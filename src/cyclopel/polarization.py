@@ -9,7 +9,7 @@ from math import gcd
 
 from ._record import Record
 from .cmfield import CMType
-from .cyclotomic import Cyclo, real_embedding_reps
+from .cyclotomic import Cyclo, modulus
 from .embeddings import (
     DEFAULT_PRECISION,
     SignVector,
@@ -44,7 +44,7 @@ class DifferentGenerator(Record, hidden=("inverse", "signs"), derived=("signs",)
     """Closed-form generator beta0 of the different D_{F/Q}, purely
     imaginary (beta0 = -conj(beta0)), with its inverse, certified by
     element * inverse = 1, and the certified signs of Im(sigma_n(beta0)) at
-    real_embedding_reps(m), none of them 0."""
+    modulus(m).reps, none of them 0."""
 
     __slots__ = ("m", "case", "element", "inverse", "signs")
     m: int
@@ -62,13 +62,13 @@ class DifferentGenerator(Record, hidden=("inverse", "signs"), derived=("signs",)
             )
         if self.element * self.inverse != 1:
             raise InvariantViolation(f"given inverse of beta0 for m = {self.m} does not invert it")
-        signs = tuple(certified_sign_im(self.element, n) for n in real_embedding_reps(self.m))
+        signs = tuple(certified_sign_im(self.element, n) for n in modulus(self.m).reps)
         if 0 in signs:
             raise InvariantViolation(f"beta0 has an embedding sign 0 mod {self.m}")
         object.__setattr__(self, "signs", signs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def beta0(m: int) -> DifferentGenerator:
     """Different generator and its inverse by closed form.  Cases, in match
     order: odd prime; 2^k; 3^k; product of two distinct odd primes (the
@@ -170,18 +170,20 @@ def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
 
 class _UnitTable(Record):
     """Per-modulus constants of the unit sign solve: the generators, their
-    inverses, their sign vectors, and the span of the sign rows (bit j set
-    for a negative sign at column j): every row some product of generators
-    realizes -> the bit mask of those generators."""
+    inverses, their sign vectors, the span of the sign rows and its rank.
+    A sign row is a bit mask, bit j set for a negative sign at column j;
+    span[row] is the bit mask of generators whose product realizes the
+    row, or None when no product does, and 2^rank rows are realized."""
 
-    __slots__ = ("gens", "inverses", "signs", "span")
+    __slots__ = ("gens", "inverses", "signs", "span", "rank")
     gens: tuple[Cyclo, ...]
     inverses: tuple[Cyclo, ...]
     signs: tuple[SignVector, ...]
-    span: dict[int, int]
+    span: tuple[int | None, ...]
+    rank: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _unit_table(m: int) -> _UnitTable:
     """Build the unit table of modulus m once.  Each generator g is
     certified a real unit by g * g^-1 = 1 with both factors integral, so
@@ -193,16 +195,20 @@ def _unit_table(m: int) -> _UnitTable:
         if not (g.is_integral and h.is_integral and g * h == 1 and g.is_real()):
             raise InvariantViolation(f"generator {g!r} is not a real unit")
     gens = tuple(g for g, _ in pairs)
-    reps = real_embedding_reps(m)
+    reps = modulus(m).reps
     signs = tuple(
         tuple(certified_sign_real(g, n, DEFAULT_PRECISION) for n in reps) for g in gens
     )
-    span = {0: 0}
+    span: list[int | None] = [None] * (1 << len(reps))
+    span[0], reached = 0, [0]
     for i, s in enumerate(signs):
         bits = _signs_to_bits(s)
-        for row, combo in list(span.items()):
-            span.setdefault(row ^ bits, combo | 1 << i)
-    return _UnitTable(gens, tuple(h for _, h in pairs), signs, span)
+        for row in reached[:]:
+            if span[row ^ bits] is None:
+                span[row ^ bits] = span[row] | 1 << i
+                reached.append(row ^ bits)
+    rank = len(reached).bit_length() - 1
+    return _UnitTable(gens, tuple(h for _, h in pairs), signs, tuple(span), rank)
 
 
 def unit_generators(m: int) -> tuple[Cyclo, ...]:
@@ -216,7 +222,7 @@ def has_independent_signs(m: int) -> bool:
     """Whether units of the real subfield realize every sign pattern, read
     off the span of unit_generators(m): then the totally-positive-unit
     test for beta-equivalence is exact."""
-    return len(_unit_table(m).span) == 2 ** len(real_embedding_reps(m))
+    return _unit_table(m).rank == len(modulus(m).reps)
 
 
 def _signs_to_bits(signs: SignVector) -> int:
@@ -233,17 +239,17 @@ def _solve_combo(target: SignVector, m: int) -> int | Unsatisfiable:
     """Bit mask of the unit generators of modulus m whose product has the
     sign vector target, looked up in the span of _unit_table(m), or
     Unsatisfiable carrying the cokernel dimension."""
-    ncols = len(real_embedding_reps(m))
+    ncols = len(modulus(m).reps)
     if len(target) != ncols:
         raise ValueError(f"target has {len(target)} components, expected {ncols}")
     if any(s not in (-1, 1) for s in target):
         raise ValueError(f"target {target} has an entry other than +-1")
-    span = _unit_table(m).span
-    combo = span.get(_signs_to_bits(target))
+    table = _unit_table(m)
+    combo = table.span[_signs_to_bits(target)]
     if combo is None:
         return Unsatisfiable(
             f"sign pattern {target} not realized by units for m = {m}",
-            cokernel_dim=ncols - (len(span).bit_length() - 1),
+            cokernel_dim=ncols - table.rank,
         )
     return combo
 
@@ -310,7 +316,7 @@ class PolarizedCMPoint(Record, hidden=("_xi",)):
         return self._xi
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> PolarizedCMPoint:
     """Construct beta satisfying all three conditions for Phi by solving
     for the unit sign pattern: Im(sigma_n(u * beta0)) must be negative
@@ -325,7 +331,7 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
             f"beta construction needs a closed-form beta0 and independent signs; m = {m} has neither or only one"
         )
     b0 = beta0(m)
-    target = tuple(-s if n in phi else s for n, s in zip(real_embedding_reps(m), b0.signs))
+    target = tuple(-s if n in phi else s for n, s in zip(modulus(m).reps, b0.signs))
     table = _unit_table(m)
     combo = _solve_combo(target, m)
     if isinstance(combo, Unsatisfiable):

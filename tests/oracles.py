@@ -3,13 +3,17 @@ itself has no use for them, so they live with the tests."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import sys
 from collections import Counter
 from itertools import chain
 from math import gcd
 
+import cyclopel
 import cyclopel.monodromy as M
 from cyclopel.cmfield import CMType
-from cyclopel.cyclotomic import Cyclo, real_embedding_reps, relative_split
+from cyclopel.cyclotomic import Cyclo, _poly_divmod_monic, modulus, relative_split
 from cyclopel.embeddings import DEFAULT_PRECISION, SignVector, certified_sign_real
 from cyclopel.errors import CyclopelError, InvariantViolation, NonCompactType
 from cyclopel.monodromy import DegenerationTree, MonodromyDatum, Signature
@@ -27,7 +31,7 @@ def sign_vector(u: Cyclo, start_prec: int = DEFAULT_PRECISION) -> SignVector:
         raise ZeroDivisionError("sign vector of zero")
     if not u.is_unit():
         raise NotUnit("sign vectors are defined for units of the real subfield")
-    return tuple(certified_sign_real(u, n, start_prec) for n in real_embedding_reps(u.m))
+    return tuple(certified_sign_real(u, n, start_prec) for n in modulus(u.m).reps)
 
 
 def relative_trace(x: Cyclo) -> Cyclo:
@@ -104,15 +108,146 @@ def degenerate(datum: MonodromyDatum) -> DegenerationTree:
                 "every degeneration of this family has a cycle in its dual graph"
             )
         choice = next(
-            (p for p in chain((first,), admissible) if M._join_is_preferred(m, a[p[0]], a[p[1]])),
+            (p for p in chain((first,), admissible) if M._join(m, a[p[0]], a[p[1]])[1]),
             first,
         )
         i, j = choice
         s = (a[i] + a[j]) % m
-        triples.append(M._component_triple(m, a[i], a[j]))
+        triples.append(M._emit(m, a[i], a[j]))
         pairs.append(choice)
         merged.append(s)
         del a[j], a[i]
         a.insert(0, s)
-    triples.append(M._component_triple(m, a[0], a[1]))
+    triples.append(M._emit(m, a[0], a[1]))
     return DegenerationTree(datum, tuple(triples), tuple(pairs), tuple(merged))
+
+
+# ---------------------------------------------------------------------------
+# the facts of a modulus, each computed on its own: cyclotomic.modulus(m)
+# builds them together
+
+
+def units_mod(m: int) -> tuple[int, ...]:
+    """Units of Z/mZ in ascending order."""
+    return tuple(k for k in range(1, m) if gcd(k, m) == 1)
+
+
+def euler_phi(m: int) -> int:
+    """Order of (Z/mZ)^*, with phi(1) = 1."""
+    return 1 if m == 1 else len(units_mod(m))
+
+
+def real_embedding_reps(m: int) -> tuple[int, ...]:
+    """One representative n < m/2 per conjugate pair {n, m-n} of units."""
+    return tuple(n for n in units_mod(m) if 2 * n < m)
+
+
+def cyclotomic_poly(m: int) -> tuple[int, ...]:
+    """Coefficients of Phi_m, ascending.  Computed by exact division of
+    x^m - 1 by the product of Phi_d over proper divisors d of m."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    if m == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in [d for d in range(1, m) if m % d == 0]:
+        q, r = _poly_divmod_monic(num, list(cyclotomic_poly(d)))
+        if r:
+            raise InvariantViolation(f"Phi_{d} does not divide x^{m}-1 exactly")
+        num = q
+    return tuple(num)
+
+
+def galois_chain(m: int) -> tuple[tuple[int, int], ...]:
+    """Generators g_i of (Z/m)^*, each with the order n_i of g_i modulo the
+    subgroup generated by g_1, ..., g_(i-1); each level takes the least
+    unit of largest order modulo the subgroup built so far."""
+    units = units_mod(m)
+    sub, chain = {1}, []
+    while len(sub) < len(units):
+        best = (0, 0)
+        for g in units:
+            n, power = 1, g
+            while power not in sub:
+                power = power * g % m
+                n += 1
+            if n > best[1]:
+                best = (g, n)
+        g, n = best
+        chain.append(best)
+        sub = {h * pow(g, j, m) % m for h in sub for j in range(n)}
+    return tuple(chain)
+
+
+def trace_table(m: int) -> tuple[int, ...]:
+    """tr(zeta^j) for every residue j mod m, each reduced mod Phi_m."""
+    phi = euler_phi(m)
+    out = []
+    for j in range(m):
+        acc = [0] * m
+        for u in units_mod(m):
+            acc[(j * u) % m] += 1
+        _, red = _poly_divmod_monic(acc, list(cyclotomic_poly(m)))
+        red += [0] * (phi - len(red))
+        if any(red[1:]):
+            raise InvariantViolation(f"tr(zeta^{j}) not rational")
+        out.append(red[0] if red else 0)
+    return tuple(out)
+
+
+def signature_columns(m: int) -> tuple[tuple[int, ...], ...]:
+    """Column x holds (-n * x) mod m for n = 0, ..., m-1."""
+    return tuple(tuple((-n * x) % m for n in range(m)) for x in range(m))
+
+
+def admissible(m: int) -> tuple[tuple[bool, ...], ...]:
+    """Row x, column y: gcd(x + y, m) == 1."""
+    return tuple(tuple(gcd(x + y, m) == 1 for y in range(m)) for x in range(m))
+
+
+def subgroups_mod(m: int) -> tuple[tuple[int, ...], ...]:
+    """All subgroups of (Z/mZ)*, each as a sorted tuple: the cyclic
+    subgroups <g> closed under products HK."""
+    cyclic = {frozenset({1})}
+    for g in units_mod(m):
+        h, x = [1], g
+        while x != 1:
+            h.append(x)
+            x = (x * g) % m
+        cyclic.add(frozenset(h))
+    found = set(cyclic)
+    frontier = list(cyclic)
+    while frontier:
+        h = frontier.pop()
+        for k in cyclic:
+            if h <= k or k <= h:
+                continue
+            hk = frozenset((x * y) % m for x in h for y in k)
+            if hk not in found:
+                found.add(hk)
+                frontier.append(hk)
+    return tuple(sorted((tuple(sorted(h)) for h in found), key=lambda t: (len(t), t)))
+
+
+# ---------------------------------------------------------------------------
+# memos
+
+
+def memos() -> list:
+    """Every memo of the cyclopel modules, each once: the functions with a
+    cache_clear, after importing every module of the package."""
+    for info in pkgutil.iter_modules(cyclopel.__path__):
+        importlib.import_module(f"cyclopel.{info.name}")
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "cyclopel" or name.startswith("cyclopel."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    found[id(value)] = value
+    return list(found.values())
+
+
+def clear_memos() -> None:
+    """Empty every memo of the cyclopel modules."""
+    for memo in memos():
+        memo.cache_clear()

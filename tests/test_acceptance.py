@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import cyclopel
 from cyclopel.cmfield import CMType, cm_type_from_triple, is_simple
-from cyclopel.cyclotomic import Cyclo, parse_element, real_embedding_reps, units_mod
+from cyclopel.cyclotomic import Cyclo, modulus, parse_element
 from cyclopel.embeddings import embed
 from cyclopel.errors import Unsatisfiable
 from cyclopel.monodromy import galois_act, genus, signature, validate
@@ -177,7 +177,7 @@ def test_composite_fixtures():
 
 def test_unit_sign_surjectivity():
     for m in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 25, 27):
-        ncols = len(real_embedding_reps(m))
+        ncols = len(modulus(m).reps)
         sample = []
         for target in itertools.product((1, -1), repeat=ncols):
             u = solve_sign_pattern(target, m)
@@ -236,25 +236,23 @@ def test_property_signature_total_is_genus(d):
 @given(data())
 def test_property_conjugate_pairs_sum(d):
     sig = signature(d)
-    for n in units_mod(d.m):
+    for n in modulus(d.m).units:
         assert sig.values[n] + sig.values[d.m - n] == d.N - 2
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data(), st.integers(1, 10))
 def test_property_signature_galois_equivariance(d, k):
-    i = [n for n in units_mod(d.m)][k % len(units_mod(d.m))]
+    i = [n for n in modulus(d.m).units][k % len(modulus(d.m).units)]
     assert signature(galois_act(i, d)) == galois_act_signature(i, signature(d))
 
 
 @st.composite
 def elements(draw, moduli=(3, 5, 7, 11), count=1):
-    from cyclopel.cyclotomic import euler_phi
-
     m = draw(st.sampled_from(moduli))
     out = []
     for _ in range(count):
-        coeffs = [draw(st.integers(-9, 9)) for _ in range(euler_phi(m))]
+        coeffs = [draw(st.integers(-9, 9)) for _ in range(modulus(m).phi)]
         den = draw(st.integers(1, 6))
         out.append(Cyclo(m, coeffs, den))
     return out[0] if count == 1 else tuple(out)
@@ -305,7 +303,7 @@ def test_property_assembled_form(d):
 @settings(max_examples=70, deadline=None, derandomize=True)
 @given(data(max_n=4), st.integers(1, 10))
 def test_property_assemble_galois_stability(d, k):
-    units = units_mod(d.m)
+    units = modulus(d.m).units
     i = units[k % len(units)]
     r1 = assemble(d)
     r2 = assemble(galois_act(i, d))

@@ -85,7 +85,6 @@ def test_report_renders_each_element_once(monkeypatch):
 
     monkeypatch.setattr(cyclopel.cli, "element_str", counted_str)
     monkeypatch.setattr(cyclopel.cli, "embed", counted_embed)
-    cyclopel.cli._exact_str.cache_clear()
     cyclopel.cli._element_json.cache_clear()
     cyclopel.cli._component_json.cache_clear()
     report = cyclopel.cli.build_report(result, DEFAULT_PRECISION, 0)
@@ -241,8 +240,11 @@ def test_warm_family_builds_no_component_and_three_report_dicts(monkeypatch):
     # their memoized dicts
     first, second = (13, (1, 2, 4, 5, 7, 7)), (13, (1, 2, 4, 6))
     report_json(_report(*first))
-    lookups = (cyclopel.cmfield.cm_type_from_triple, cyclopel.cmfield.is_simple, beta_for_type)
-    seen = [f.cache_info()[:2] for f in lookups]
+    derived = []
+    for name in ("cm_type_from_triple", "is_simple"):
+        original = getattr(cyclopel.cmfield, name)
+        monkeypatch.setattr(cyclopel.cmfield, name, lambda x, _f=original: derived.append(x) or _f(x))
+    seen = beta_for_type.cache_info()[:2]
     components, dicts = [], []
     component_init = cyclopel.peldatum.ComponentResult.__init__
     monkeypatch.setattr(
@@ -256,8 +258,8 @@ def test_warm_family_builds_no_component_and_three_report_dicts(monkeypatch):
         lambda self, **kwargs: dicts.append(kwargs) or dict.__init__(self, **kwargs),
     )
     result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(*second))
-    assert components == []
-    assert [f.cache_info()[:2] for f in lookups] == seen
+    assert components == [] and derived == []
+    assert beta_for_type.cache_info()[:2] == seen
     report = build_report(result, DEFAULT_PRECISION, 0)
     assert len(dicts) == 3
     assert report_json(report) == json.dumps(report, indent=2, sort_keys=True, default=list)

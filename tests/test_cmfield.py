@@ -12,16 +12,15 @@ from cyclopel.cmfield import (
     CMType,
     cm_type_from_triple,
     is_simple,
-    subgroups_mod,
 )
-from cyclopel.cyclotomic import units_mod
+from cyclopel.cyclotomic import modulus
 from cyclopel.monodromy import signature, validate
 from oracles import galois_act_cm
 
 
 def cm_types_of(m):
     """All 2^(phi(m)/2) CM-types of Q(zeta_m)."""
-    units = units_mod(m)
+    units = modulus(m).units
     pairs = sorted({frozenset({n, m - n}) for n in units}, key=min)
     pairs = [tuple(sorted(p)) for p in pairs]
     out = []
@@ -35,7 +34,7 @@ def cyclic_subgroups(m):
     """Independent subgroup enumeration: closures of single generators.
     (Z/mZ)* is cyclic for the prime m used here, so this finds everything."""
     out = set()
-    for x in units_mod(m):
+    for x in modulus(m).units:
         h = {1}
         y = x
         while y not in h:
@@ -70,7 +69,7 @@ def test_cm_type_matches_signature_ones():
         t = validate(m, (x, y, z))
         phi = cm_type_from_triple(t)
         sig = signature(t)
-        assert phi.members == frozenset(n for n in units_mod(m) if sig.values[n] == 1)
+        assert phi.members == frozenset(n for n in modulus(m).units if sig.values[n] == 1)
 
 
 def test_cm_type_constructor_rejects_bad_sets():
@@ -107,18 +106,18 @@ def test_galois_act_by_minus_one_is_conjugation():
 
 
 def test_subgroups_mod_seven():
-    assert subgroups_mod(7) == ((1,), (1, 6), (1, 2, 4), (1, 2, 3, 4, 5, 6))
+    assert modulus(7).subgroups == ((1,), (1, 6), (1, 2, 4), (1, 2, 3, 4, 5, 6))
 
 
 def test_subgroups_mod_matches_cyclic_enumeration():
     for m in (5, 7, 11, 13, 17, 19):
-        assert set(subgroups_mod(m)) == cyclic_subgroups(m)
+        assert set(modulus(m).subgroups) == cyclic_subgroups(m)
 
 
 def closure_subgroups(m):
     """Reference search: grow subgroups one element at a time, closing
     under multiplication, from {1} until nothing new appears."""
-    units = units_mod(m)
+    units = modulus(m).units
     found = {frozenset({1})}
     frontier = [frozenset({1})]
     while frontier:
@@ -144,7 +143,7 @@ def closure_subgroups(m):
 def test_subgroups_mod_matches_closure_search():
     # composite m covers the non-cyclic groups, e.g. (Z/8)* and (Z/24)*
     for m in range(1, 65):
-        assert subgroups_mod(m) == closure_subgroups(m), m
+        assert modulus(m).subgroups == closure_subgroups(m), m
 
 
 def test_m5_types_all_simple():
@@ -194,7 +193,7 @@ def test_simplicity_reports_are_internally_valid():
             rep = is_simple(phi)
             if rep.simple:
                 for h, coset in rep.separating_cosets:
-                    assert h in subgroups_mod(m)
+                    assert h in modulus(m).subgroups
                     assert frozenset((coset[0] * y) % m for y in h) == frozenset(coset)
                     assert set(coset) & phi.members
                     assert not set(coset) <= phi.members
@@ -226,7 +225,7 @@ def test_simplicity_is_galois_invariant():
     for m in (7, 13, 21):
         for phi in rng.sample(cm_types_of(m), 8):
             base = is_simple(phi).simple
-            for i in units_mod(m):
+            for i in modulus(m).units:
                 assert is_simple(galois_act_cm(i, phi)).simple == base
 
 
@@ -235,7 +234,7 @@ def test_galois_action_composes():
     for _ in range(30):
         m = rng.choice((5, 7, 21))
         phi = rng.choice(cm_types_of(m))
-        units = units_mod(m)
+        units = modulus(m).units
         i, j = rng.choice(units), rng.choice(units)
         assert galois_act_cm(i, galois_act_cm(j, phi)) == galois_act_cm((i * j) % m, phi)
         assert gcd(i * j, m) == 1

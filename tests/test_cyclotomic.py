@@ -15,29 +15,28 @@ from hypothesis import strategies as st
 from cyclopel.cyclotomic import (
     SUPPORTED_MODULI,
     Cyclo,
-    _galois_chain,
-    cyclotomic_poly,
+    Modulus,
     element_str,
-    euler_phi,
+    modulus,
     parse_element,
     relative_split,
-    units_mod,
 )
 from cyclopel.errors import CyclopelError, ParseError, UnsupportedModulus
+import oracles
 from oracles import relative_trace
 
 X = sympy.Symbol("x")
 
 
 def random_element(rng, m, bound=10, den_max=6):
-    deg = euler_phi(m)
+    deg = modulus(m).phi
     num = [rng.randint(-bound, bound) for _ in range(deg)]
     return Cyclo(m, num, rng.randint(1, den_max))
 
 
 def test_cyclotomic_poly_small_cases():
-    assert cyclotomic_poly(3) == (1, 1, 1)
-    assert cyclotomic_poly(4) == (1, 0, 1)
+    assert modulus(3).poly == (1, 1, 1)
+    assert modulus(4).poly == (1, 0, 1)
 
 
 def test_cyclotomic_poly_degree_12_by_long_division():
@@ -46,7 +45,7 @@ def test_cyclotomic_poly_degree_12_by_long_division():
     den = sympy.Poly((X**3 - 1) * (X**7 - 1), X)
     quo, rem = sympy.div(num, den)
     assert rem.is_zero
-    got = cyclotomic_poly(21)
+    got = modulus(21).poly
     assert len(got) == 13
     assert got == tuple(int(c) for c in reversed(quo.all_coeffs()))
 
@@ -54,7 +53,33 @@ def test_cyclotomic_poly_degree_12_by_long_division():
 def test_cyclotomic_poly_matches_sympy_everywhere():
     for m in sorted(SUPPORTED_MODULI):
         want = sympy.Poly(sympy.cyclotomic_poly(m, X), X).all_coeffs()
-        assert cyclotomic_poly(m) == tuple(int(c) for c in reversed(want))
+        assert modulus(m).poly == tuple(int(c) for c in reversed(want))
+
+
+@pytest.mark.parametrize("m", sorted(SUPPORTED_MODULI | {1, 2, 14}))
+def test_modulus_record_matches_reference_facts(m):
+    # 14 is the modulus twice_prime_bridge reaches from 7
+    facts = modulus(m)
+    assert {f: getattr(facts, f) for f in Modulus.__slots__} == {
+        "m": m,
+        "units": oracles.units_mod(m),
+        "reps": oracles.real_embedding_reps(m),
+        "phi": oracles.euler_phi(m),
+        "poly": oracles.cyclotomic_poly(m),
+        "chain": oracles.galois_chain(m),
+        "traces": oracles.trace_table(m),
+        "columns": oracles.signature_columns(m),
+        "admissible": oracles.admissible(m),
+        "subgroups": oracles.subgroups_mod(m),
+    }
+
+
+def test_modulus_builds_no_record_for_a_divisor():
+    modulus.cache_clear()
+    assert modulus(32).poly == (1,) + (0,) * 15 + (1,)
+    assert modulus.cache_info().misses == 1
+    with pytest.raises(ValueError):
+        modulus(0)
 
 
 def test_unsupported_modulus_rejected():
@@ -77,12 +102,12 @@ def test_square_root_minus_three_squares():
 def _schoolbook_product(x, y):
     """(num, den) of x * y by the quadratic product of the coefficient
     vectors, long division by Phi_m and reduction to lowest terms."""
-    m, phi = x.m, euler_phi(x.m)
+    m, phi = x.m, modulus(x.m).phi
     prod = [0] * (2 * phi - 1)
     for i, a in enumerate(x.num):
         for j, b in enumerate(y.num):
             prod[i + j] += a * b
-    phi_m = cyclotomic_poly(m)
+    phi_m = modulus(m).poly
     for top in range(len(prod) - 1, phi - 1, -1):
         c = prod[top]
         for j, d in enumerate(phi_m):
@@ -98,7 +123,7 @@ def test_product_matches_schoolbook_on_every_modulus():
 
     def element(m):
         bound = rng.choice((0, 1, 9, 2**20, 2**300))
-        num = [rng.randint(-bound, bound) for _ in range(euler_phi(m))]
+        num = [rng.randint(-bound, bound) for _ in range(modulus(m).phi)]
         if rng.random() < 0.3:
             num = [c if rng.random() < 0.3 else 0 for c in num]
         return Cyclo(m, num, rng.choice((1, 3**40, rng.randint(1, 3**40))))
@@ -211,7 +236,7 @@ def test_galois_composition_inverse_pair_mod_7():
 def test_galois_composition_law_random():
     rng = random.Random(7)
     for m in (7, 9, 16, 21):
-        units = units_mod(m)
+        units = modulus(m).units
         for _ in range(25):
             x = random_element(rng, m)
             i, j = rng.choice(units), rng.choice(units)
@@ -242,7 +267,7 @@ def test_trace_equals_conjugate_sum():
         for _ in range(20):
             x = random_element(rng, m)
             total = Cyclo.zero(m)
-            for n in units_mod(m):
+            for n in modulus(m).units:
                 total = total + x.galois(n)
             assert total.is_rational()
             assert total.as_fraction() == x.trace()
@@ -281,21 +306,21 @@ def test_norm_matches_sympy_resultant():
             if x.is_zero():
                 continue
             num = sympy.Poly(list(reversed(x.num)), X)
-            want = Fraction(int(sympy.resultant(phi_m, num)), x.den ** euler_phi(m))
+            want = Fraction(int(sympy.resultant(phi_m, num)), x.den ** modulus(m).phi)
             assert x.norm() == want
 
 
 def _product_of_other_conjugates(x):
     """prod_{u != 1} sigma_u(x) as phi(m) - 1 successive products."""
     out = Cyclo.one(x.m)
-    for u in units_mod(x.m)[1:]:
+    for u in modulus(x.m).units[1:]:
         out = out * x.galois(u)
     return out
 
 
 def nonzero_elements(m):
     """Nonzero elements of Q(zeta_m) with denominators, dense or sparse."""
-    phi = euler_phi(m)
+    phi = modulus(m).phi
     coeffs = st.lists(st.integers(-20, 20), min_size=phi, max_size=phi)
 
     def build(num, sparse, den):
@@ -321,7 +346,7 @@ def test_galois_chain_norm_and_inverse_match_oracles(m, data):
     assert x * x.inverse() == 1
     phi_m = sympy.Poly(sympy.cyclotomic_poly(m, X), X)
     num = sympy.Poly(list(reversed(x.num)), X)
-    assert norm == Fraction(int(sympy.resultant(phi_m, num)), x.den ** euler_phi(m))
+    assert norm == Fraction(int(sympy.resultant(phi_m, num)), x.den ** modulus(m).phi)
 
 
 @pytest.mark.parametrize("m", sorted(SUPPORTED_MODULI))
@@ -334,9 +359,9 @@ def test_trace_and_galois_match_sympy_reduction(m, data):
     phi_m = sympy.Poly(sympy.cyclotomic_poly(m, X), X)
     lifts = {
         u: sympy.Poly.from_dict({(a * u,): c for a, c in enumerate(x.num) if c}, X)
-        for u in units_mod(m)
+        for u in modulus(m).units
     }
-    i = data.draw(st.sampled_from(units_mod(m)))
+    i = data.draw(st.sampled_from(modulus(m).units))
     want = [int(c) for c in reversed(sympy.rem(lifts[i], phi_m).all_coeffs())]
     assert x.galois(i) == Cyclo(m, want, x.den)
     trace = sympy.rem(sum(lifts.values(), sympy.Poly(0, X)), phi_m)
@@ -356,13 +381,13 @@ def test_galois_chain_decomposes_the_unit_group(monkeypatch):
     # each generator has the stated order modulo the earlier ones, and the
     # orders multiply to phi(m)
     for m in sorted(SUPPORTED_MODULI):
-        chain = _galois_chain(m)
+        chain = modulus(m).chain
         sub = {1}
         for g, n in chain:
             powers = [pow(g, j, m) for j in range(n + 1)]
             assert all(p not in sub for p in powers[1:n]) and powers[n] in sub
             sub = {h * p % m for h in sub for p in powers[:n]}
-        assert sub == set(units_mod(m))
+        assert sub == set(modulus(m).units)
 
     calls = []
     original = Cyclo.__mul__
@@ -374,7 +399,7 @@ def test_galois_chain_decomposes_the_unit_group(monkeypatch):
     monkeypatch.setattr(Cyclo, "__mul__", counted)
     counts = {}
     for m in sorted(SUPPORTED_MODULI):
-        x = Cyclo(m, range(1, euler_phi(m) + 1), 3)
+        x = Cyclo(m, range(1, modulus(m).phi + 1), 3)
         calls.clear()
         x._norm_and_other_conjugates()
         counts[m] = len(calls)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclopel
-from cyclopel.cyclotomic import SUPPORTED_MODULI, Cyclo, euler_phi, units_mod, real_embedding_reps
+from cyclopel.cyclotomic import SUPPORTED_MODULI, Cyclo, modulus
 from cyclopel.embeddings import (
     PRECISION_CAP,
     ComplexInterval,
@@ -34,7 +34,7 @@ from oracles import NotUnit, sign_vector
 
 
 def random_element(rng, m, bound=8):
-    return Cyclo(m, [rng.randint(-bound, bound) for _ in range(euler_phi(m))],
+    return Cyclo(m, [rng.randint(-bound, bound) for _ in range(modulus(m).phi)],
                  rng.randint(1, 4))
 
 
@@ -82,7 +82,7 @@ def test_embed_matches_independent_float_evaluation():
     for m in (5, 7, 9, 21):
         for _ in range(15):
             x = random_element(rng, m)
-            n = rng.choice(units_mod(m))
+            n = rng.choice(modulus(m).units)
             iv = embed(x, n, 64)
             v = mp_value(x, n)
             slack = Fraction(1, 2**100)
@@ -111,9 +111,9 @@ def test_embed_is_the_context_horner_box(prec):
     # the division rounds at prec + 20 bits
     rng = random.Random(prec)
     for m in sorted(SUPPORTED_MODULI):
-        for k, n in enumerate(units_mod(m)):
+        for k, n in enumerate(modulus(m).units):
             bound, den = ((9, rng.randint(1, 9)), (2**300, rng.randint(2**20, 3**40)))[k % 2]
-            x = Cyclo(m, [rng.randint(-bound, bound) for _ in range(euler_phi(m))], den)
+            x = Cyclo(m, [rng.randint(-bound, bound) for _ in range(modulus(m).phi)], den)
             if not x.is_rational():
                 assert embed(x, n, prec) == context_horner(x, n, prec)
 
@@ -137,7 +137,7 @@ def test_interval_soundness_under_refinement():
     while cases < 1000:
         m = rng.choice((3, 5, 7, 8, 16, 21))
         x = random_element(rng, m)
-        n = rng.choice(units_mod(m))
+        n = rng.choice(modulus(m).units)
         coarse = embed(x, n, 48)
         fine = embed(x, n, 192)
         assert coarse.re_lo <= fine.re_lo and fine.re_hi <= coarse.re_hi
@@ -163,7 +163,7 @@ def test_start_precision_above_the_cap_is_rejected():
 
 def test_certified_sign_im_rational_is_zero():
     q = Cyclo.from_fraction(7, Fraction(-5, 3))
-    for n in units_mod(7):
+    for n in modulus(7).units:
         assert certified_sign_im(q, n) == 0
 
 
@@ -181,7 +181,7 @@ def test_sign_antisymmetry_identities():
     for m in (5, 7, 16):
         for _ in range(20):
             x = random_element(rng, m)
-            n = rng.choice(units_mod(m))
+            n = rng.choice(modulus(m).units)
             s = certified_sign_im(x, n)
             assert certified_sign_im(x.conj(), n) == -s
             assert certified_sign_im(x, m - n) == -s
@@ -193,7 +193,7 @@ def test_exact_zero_detection_for_real_combinations():
     for _ in range(25):
         x = random_element(rng, 7)
         r = x + x.conj()
-        for n in units_mod(7):
+        for n in modulus(7).units:
             assert certified_sign_im(r, n) == 0
 
 
@@ -257,8 +257,8 @@ def test_sign_vector_is_multiplicative():
 
 def test_sign_vector_length_matches_real_embedding_count():
     for m in (5, 7, 8, 21):
-        assert len(sign_vector(Cyclo.from_int(m, -1))) == len(real_embedding_reps(m))
-        assert len(real_embedding_reps(m)) == euler_phi(m) // 2
+        assert len(sign_vector(Cyclo.from_int(m, -1))) == len(modulus(m).reps)
+        assert len(modulus(m).reps) == modulus(m).phi // 2
 
 
 def _sign(v) -> int:
@@ -274,7 +274,7 @@ def sign_cases(draw):
     a + 2 b cos theta are tiny next to the coefficients, so low start
     precisions must double."""
     m = draw(st.sampled_from(sorted(SUPPORTED_MODULI)))
-    n = draw(st.sampled_from(units_mod(m)))
+    n = draw(st.sampled_from(modulus(m).units))
     den = draw(st.integers(1, 6))
     bits = draw(st.sampled_from((0, 30, 90)))
     if bits:
@@ -284,7 +284,7 @@ def sign_cases(draw):
         x = Cyclo(m, [0, a, b], den)
         r = Cyclo(m, [a], den) + b * (Cyclo.zeta(m) + Cyclo.zeta(m, -1)) / den
     else:
-        x = Cyclo(m, [draw(st.integers(-9, 9)) for _ in range(euler_phi(m))], den)
+        x = Cyclo(m, [draw(st.integers(-9, 9)) for _ in range(modulus(m).phi)], den)
         r = x + x.conj()
     return x, r, n, draw(st.sampled_from((8, 16, 64, 256)))
 

@@ -30,6 +30,7 @@ from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import NonCompactType
 from cyclopel.monodromy import validate
 from cyclopel.peldatum import ASSEMBLE_MODULI, assemble, default_corpus_path, load_corpus
+from oracles import clear_memos
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 
@@ -84,19 +85,10 @@ def test_report_bytes_match_golden_digest(m, a):
     assert _report_digest(m, a) == _golden()["reports"][_key(m, a)]
 
 
-def _clear_memos() -> None:
-    """Empty every lru_cache of the cyclopel modules."""
-    for name, module in list(sys.modules.items()):
-        if name == "cyclopel" or name.startswith("cyclopel."):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
-
-
 def test_report_bytes_do_not_depend_on_memo_state():
     golden = _golden()["reports"]
     for m, a in FAMILIES:
-        _clear_memos()
+        clear_memos()
         assert _report_digest(m, a) == golden[_key(m, a)], ("cold", m, a)
     for order in (FAMILIES, FAMILIES[::-1]):
         for m, a in order:
@@ -107,7 +99,7 @@ def test_report_bytes_from_cold_memos_match_golden_in_threads():
     # four threads fill the shared memos together; a forced switch every
     # microsecond interleaves them mid-computation
     golden = _golden()["reports"]
-    _clear_memos()
+    clear_memos()
     digests: list[dict] = [{} for _ in range(4)]
     barrier = threading.Barrier(len(digests))
 

@@ -14,7 +14,7 @@ import pytest
 
 import cyclopel.cmfield
 import cyclopel.monodromy as M
-from cyclopel.cyclotomic import SUPPORTED_MODULI
+from cyclopel.cyclotomic import SUPPORTED_MODULI, modulus
 from cyclopel.errors import (
     DisconnectedCover,
     CyclopelError,
@@ -177,13 +177,13 @@ def test_signature_matches_oracle():
 
 
 def test_signature_reads_each_modulus_table_once():
-    M._signature_columns.cache_clear()
+    modulus.cache_clear()
     for m in (7, 8, 21):
         signature(validate(m, (1, 1, m - 2)))
         signature(validate(m, (1, 2, m - 3)))
-    info = M._signature_columns.cache_info()
+    info = modulus.cache_info()
     assert (info.misses, info.hits) == (3, 3)
-    assert M._signature_columns(7)[3] == tuple((-n * 3) % 7 for n in range(7))
+    assert modulus(7).columns[3] == tuple((-n * 3) % 7 for n in range(7))
 
 
 def test_signature_rejects_malformed_values():
@@ -293,7 +293,7 @@ def test_degenerate_triples_validate_and_sum_genus():
 
 def test_degenerate_decides_each_triple_once(monkeypatch):
     d = validate(19, (1,) * 23 + (15,))
-    M._join_is_preferred.cache_clear()
+    M._join.cache_clear()
     tree = degenerate(d)
     calls = []
     original = cyclopel.cmfield.is_simple
@@ -329,7 +329,7 @@ def eager_degenerate(datum: MonodromyDatum) -> M.DegenerationTree:
             i, j = p
             return MonodromyDatum(m, (a[i], a[j], (-(a[i] + a[j])) % m))
 
-        preferred = (p for p in candidates if M._join_is_preferred(m, a[p[0]], a[p[1]]))
+        preferred = (p for p in candidates if M._join(m, a[p[0]], a[p[1]])[1])
         choice = next(preferred, candidates[0])
         i, j = choice
         s = (a[i] + a[j]) % m
@@ -368,7 +368,7 @@ def test_degenerate_falls_back_to_first_admissible_pair(m, a):
     d = validate(m, a)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     admissible = [(i, j) for i, j in pairs if gcd(a[i] + a[j], m) == 1]
-    assert not any(M._join_is_preferred(m, a[i], a[j]) for i, j in admissible)
+    assert not any(M._join(m, a[i], a[j])[1] for i, j in admissible)
     tree = degenerate(d)
     assert tree.merge_pairs[0] == admissible[0]
     assert tree == eager_degenerate(d)
@@ -391,17 +391,20 @@ def test_degenerate_matches_eager_search_up_to_sixty_points(m):
 @pytest.mark.parametrize("m, a", [(19, (1,) * 23 + (15,)), (13, (1, 3, 4, 9, 9) * 4)])
 def test_degenerate_builds_only_the_emitted_triples(monkeypatch, m, a):
     # the input is validated once and every fused vector is valid by
-    # construction, so degenerate builds only emitted triples: each distinct
-    # one once, and none at all when they are memoized
+    # construction, so degenerate builds only the triples of the joins it
+    # reads, the emitted ones among them: each distinct one once, and none
+    # at all when they are memoized
     d = validate(m, a)
     tree = degenerate(d)
-    M._component_triple.cache_clear()
-    built = []
-    original = MonodromyDatum.__post_init__
+    M._join.cache_clear()
+    built, asked = [], []
+    original, join = MonodromyDatum.__post_init__, M._join
     monkeypatch.setattr(MonodromyDatum, "__post_init__", lambda self: built.append(self) or original(self))
+    monkeypatch.setattr(M, "_join", lambda *key: asked.append(key) or join(*key))
     assert degenerate(d) == tree
-    assert built == list(dict.fromkeys(tree.triples))
-    assert len(built) < len(tree.triples) == d.N - 2
+    assert built == [join(*key)[0] for key in dict.fromkeys(asked)]
+    assert set(tree.triples) <= set(built)
+    assert len(set(tree.triples)) < len(tree.triples) == d.N - 2
     built.clear()
     assert degenerate(d) == tree
     assert built == []
@@ -411,8 +414,7 @@ def test_cold_degenerate_builds_each_triple_once(monkeypatch):
     # deciding a join and emitting it read the same memo of its triple, so
     # from empty memos each (m, x, y) key builds its datum once
     d = validate(19, tuple(range(1, 14)) + (4,))
-    M._join_is_preferred.cache_clear()
-    M._component_triple.cache_clear()
+    M._join.cache_clear()
     built = Counter()
     original = MonodromyDatum.__post_init__
 
@@ -457,7 +459,7 @@ def emit_degenerate(datum: MonodromyDatum) -> M.DegenerationTree:
                 "every degeneration of this family has a cycle in its dual graph"
             )
         choice = next(
-            (p for p in chain((first,), admissible) if M._join_is_preferred(m, a[p[0]], a[p[1]])),
+            (p for p in chain((first,), admissible) if M._join(m, a[p[0]], a[p[1]])[1]),
             first,
         )
         i, j = choice
@@ -517,17 +519,17 @@ def test_conjugate_signature_pairing():
 
 
 def _recorded(search, datum, monkeypatch):
-    """The full outcome of search and the (m, x, y) it asked
-    _join_is_preferred about, in order."""
+    """The full outcome of search and the (m, x, y) it asked _join about,
+    in order."""
     asked = []
-    original = M._join_is_preferred
+    original = M._join
 
     def spy(m, x, y):
         asked.append((m, x, y))
         return original(m, x, y)
 
     with monkeypatch.context() as patch:
-        patch.setattr(M, "_join_is_preferred", spy)
+        patch.setattr(M, "_join", spy)
         return _full_outcome(search, datum), asked
 
 
@@ -547,7 +549,7 @@ def test_degenerate_matches_oracle_scan(monkeypatch):
             got = _recorded(degenerate, d, monkeypatch)
             assert got == _recorded(oracles.degenerate, d, monkeypatch), d
             outcomes[got[0][0] if isinstance(got[0][0], type) else "tree"] += 1
-            preferred.update(key for key in got[1] if M._join_is_preferred(*key))
+            preferred.update(key for key in got[1] if M._join(*key)[1])
         if m in (8, 16, 32):
             assert not preferred
     assert set(outcomes) == {"tree", NonCompactType, NonMaximalOrder}

@@ -23,14 +23,13 @@ import sympy
 import cyclopel
 import cyclopel.cmfield
 import cyclopel.monodromy
-from cyclopel.cmfield import CMType, cm_type_from_triple, is_simple
+from cyclopel.cmfield import CMType, is_simple
 from cyclopel.cyclotomic import (
     SUPPORTED_MODULI,
     Cyclo,
     element_str,
+    modulus,
     parse_element,
-    trace_table,
-    units_mod,
 )
 from cyclopel.errors import (
     Indeterminate,
@@ -86,7 +85,7 @@ def numeric_trace(x, dps=40):
     """Trace as the literal sum of all conjugate embeddings."""
     with mpmath.workdps(dps):
         tot = mpmath.mpc(0)
-        for n in units_mod(x.m):
+        for n in modulus(x.m).units:
             root = mpmath.e ** (2j * mpmath.pi * n / x.m)
             val = mpmath.mpc(0)
             for c in reversed(x.num):
@@ -267,7 +266,7 @@ def _triple_loop_bareiss(rows):
 def test_trace_table_matches_ramanujan_sums():
     # tr(zeta_m^j) = c_m(j) = sum over d | gcd(j, m) of mu(m/d) * d
     for m in sorted(SUPPORTED_MODULI):
-        table = trace_table(m)
+        table = modulus(m).traces
         assert len(table) == m
         for j in range(m):
             g = gcd(j, m)
@@ -317,25 +316,22 @@ def test_assemble_derives_each_entry_fact_once(monkeypatch):
         monkeypatch.setattr(P, name, spy)
     P._cell.cache_clear()
     P._entry_signature.cache_clear()
-    entry_cm_type.cache_clear()
     datum = validate(19, (1,) * 23 + (15,))
     r = assemble(datum)
     assert len(r.components) == 22
     assert len(set(r.hermitian.blocks[0].entries)) == 11
     assert calls == {"_gram_cell": 11, "entry_cm_type": 11, "gram_determinant": 11}
-    # cells, their determinants and the entry types are kept for the rest
-    # of the process
-    calls.update(_gram_cell=0, gram_determinant=0)
-    types_derived = entry_cm_type.cache_info().misses
+    # cells, their determinants and what the entry types add to the form
+    # signature are kept for the rest of the process
+    calls.update(_gram_cell=0, entry_cm_type=0, gram_determinant=0)
     assert assemble(datum) == r
-    assert calls["_gram_cell"] == calls["gram_determinant"] == 0
-    assert entry_cm_type.cache_info().misses == types_derived
+    assert calls == {"_gram_cell": 0, "entry_cm_type": 0, "gram_determinant": 0}
 
 
 def test_warm_assemble_redoes_no_triple_or_entry_work(monkeypatch):
     datum = validate(13, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10))
     r = assemble(datum)
-    calls = {"triple signature": 0, "galois": 0}
+    calls = {"triple signature": 0, "galois": 0, "is_simple": 0}
     original_signature = signature
 
     def spy_signature(d):
@@ -351,18 +347,20 @@ def test_warm_assemble_redoes_no_triple_or_entry_work(monkeypatch):
         return original_galois(self, i)
 
     monkeypatch.setattr(Cyclo, "galois", spy_galois)
-    simplicity_decided = is_simple.cache_info().misses
+
+    def spy_is_simple(phi):
+        calls["is_simple"] += 1
+        return is_simple(phi)
+
+    monkeypatch.setattr(cyclopel.cmfield, "is_simple", spy_is_simple)
     assert assemble(datum) == r
-    assert calls == {"triple signature": 0, "galois": 0}
-    assert is_simple.cache_info().misses == simplicity_decided
+    assert calls == {"triple signature": 0, "galois": 0, "is_simple": 0}
     # the spies see work that is not memoized
     P._component.cache_clear()
-    is_simple.cache_clear()
-    cm_type_from_triple.cache_clear()
+    cyclopel.monodromy._join.cache_clear()
     P._is_pure_imaginary.cache_clear()
     assert assemble(datum) == r
-    assert calls["triple signature"] > 0 and calls["galois"] > 0
-    assert is_simple.cache_info().misses > 0
+    assert calls["triple signature"] > 0 and calls["galois"] > 0 and calls["is_simple"] > 0
 
 
 def test_component_hashes_as_its_triple():
@@ -406,18 +404,18 @@ def test_cold_assemble_makes_no_inversion(monkeypatch):
 
     monkeypatch.setattr(Cyclo, "inverse", counted)
     for m, a in ((5, (1, 3, 3, 3)), (13, (1, 2, 3, 7)), (19, (1, 1, 8, 9))):
-        for name, module in list(sys.modules.items()):
-            if name.startswith("cyclopel"):
-                for value in vars(module).values():
-                    if callable(getattr(value, "cache_clear", None)):
-                        value.cache_clear()
+        oracles.clear_memos()
         assemble(validate(m, a))
     assert calls == []
 
 
 # check -> (patch that forces it to fail, fragment of its message)
 _BROKEN_INVARIANTS = {
-    "cell skew": ("P.trace_table = lambda m: (5,) + (0,) * (m - 1)", "is not skew"),
+    "cell skew": (
+        "from types import SimpleNamespace; P.modulus = lambda m, facts=P.modulus: "
+        "SimpleNamespace(phi=facts(m).phi, traces=(5,) + (0,) * (m - 1))",
+        "is not skew",
+    ),
     "determinant": ("P.gram_determinant = lambda cell: 2", "is not a unit"),
     "form signature": (
         "P.form_signature = lambda h, prec: Signature(h.m, (0,) * h.m)",

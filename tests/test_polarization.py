@@ -14,9 +14,8 @@ from cyclopel.cmfield import CMType
 from cyclopel.cyclotomic import (
     SUPPORTED_MODULI,
     Cyclo,
+    modulus,
     parse_element,
-    real_embedding_reps,
-    units_mod,
 )
 import cyclopel.polarization as Q
 from cyclopel.embeddings import DEFAULT_PRECISION
@@ -157,7 +156,7 @@ def test_closed_form_generator_inverses(m):
 def test_sign_matrix_shape():
     rows = _unit_table(7).signs
     assert len(rows) == 3
-    assert all(len(r) == len(real_embedding_reps(7)) for r in rows)
+    assert all(len(r) == len(modulus(7).reps) for r in rows)
     assert rows[0] == (-1, -1, -1)
 
 
@@ -222,7 +221,7 @@ def _back_substitute(pivots, tbits, ncols):
 
 @pytest.mark.parametrize("m", sorted(SUPPORTED_MODULI))
 def test_span_lookup_matches_elimination(m):
-    ncols = len(real_embedding_reps(m))
+    ncols = len(modulus(m).reps)
     rows = [_signs_to_bits(s) for s in _unit_table(m).signs]
     pivots = _eliminate(rows, ncols)
     for target in itertools.product((1, -1), repeat=ncols):
@@ -237,7 +236,7 @@ def test_span_lookup_matches_elimination(m):
 
 def test_solve_sign_pattern_surjective_small():
     for m in (5, 7, 8):
-        n = len(real_embedding_reps(m))
+        n = len(modulus(m).reps)
         for target in itertools.product((1, -1), repeat=n):
             u = solve_sign_pattern(target, m)
             assert isinstance(u, Cyclo)
@@ -245,7 +244,7 @@ def test_solve_sign_pattern_surjective_small():
 
 
 def test_solve_sign_pattern_m21_half_reachable():
-    n = len(real_embedding_reps(21))
+    n = len(modulus(21).reps)
     assert n == 6
     hits, misses = 0, 0
     for target in itertools.product((1, -1), repeat=n):
@@ -302,7 +301,7 @@ def test_beta_for_type_m3():
 
 @pytest.mark.parametrize("m", [5, 7, 11, 13])
 def test_point_xi_is_inverse_of_beta_for_every_type(m):
-    reps = real_embedding_reps(m)
+    reps = modulus(m).reps
     for choice in itertools.product((False, True), repeat=len(reps)):
         members = frozenset(m - n if flip else n for n, flip in zip(reps, choice))
         point = beta_for_type(CMType(m, members))
@@ -345,7 +344,7 @@ def test_cold_beta_for_type_reads_beta0_constants_off_its_record(monkeypatch):
     monkeypatch.setattr(Cyclo, "inverse", inverse_spy)
     for m in moduli:
         signed.clear()
-        phi = CMType(m, frozenset(real_embedding_reps(m)))
+        phi = CMType(m, frozenset(modulus(m).reps))
         point = beta_for_type(phi)
         assert point.beta * point.xi() == 1
         # only beta's own signs are certified (condition 3), not beta0's
@@ -421,7 +420,7 @@ def test_beta_for_type_unsupported():
 def test_beta_for_type_random_moduli():
     rng = random.Random(101)
     for m in (9, 11, 13, 16):
-        units = units_mod(m)
+        units = modulus(m).units
         pairs = sorted({frozenset({n, m - n}) for n in units}, key=min)
         for _ in range(4):
             members = frozenset(rng.choice(tuple(sorted(p))) for p in pairs)
@@ -440,7 +439,7 @@ def test_beta_galois_compatibility():
     # if beta polarizes Phi, sigma_j(beta) polarizes j^-1 Phi
     phi = CMType(7, frozenset({1, 2, 3}))
     beta = beta_for_type(phi).beta
-    for j in units_mod(7):
+    for j in modulus(7).units:
         moved = galois_act_cm(pow(j, -1, 7), phi)
         assert verify_conditions(beta.galois(j), moved).all_pass()
         assert equivalent_beta(beta_for_type(moved).beta, beta.galois(j))

@@ -19,7 +19,7 @@ import pytest
 import cyclopel
 from cyclopel._record import Record
 from cyclopel.cmfield import CMType
-from cyclopel.cyclotomic import Cyclo, parse_element
+from cyclopel.cyclotomic import Cyclo, modulus, parse_element
 from cyclopel.embeddings import ComplexInterval, embed
 from cyclopel.errors import (
     DisconnectedCover,
@@ -63,6 +63,7 @@ def _records() -> list:
         embed(parse_element("2*z + 1", 3), 1),
         beta0(5),
         _unit_table(5),
+        modulus(5),
         twice_prime_bridge(CMType(3, frozenset({2})), parse_element("2*z + 1", 3)),
         m17_pipeline(),
         verify_fixture(fixture),
@@ -80,7 +81,7 @@ RECORDS = _records()
 
 def test_every_record_class_has_an_example():
     assert {type(r) for r in RECORDS} == _record_classes()
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 18
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -90,11 +91,7 @@ def test_record_semantics(record):
     for other in copies:
         assert type(other) is cls and other == record and not other != record
         assert all(getattr(other, f) == getattr(record, f) for f in fields)
-        if cls.__name__ == "_UnitTable":  # its span is a dict
-            with pytest.raises(TypeError):
-                hash(other)
-        else:
-            assert hash(other) == hash(record)
+        assert hash(other) == hash(record)
     # a record of another class with the same values is not equal
     twin_cls = type("Twin", (Record,), {"__slots__": fields})
     twin = twin_cls(*(getattr(record, f) for f in fields))
