@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import threading
@@ -423,12 +424,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.corpus is not None:
         if args.m is not None or args.inertia is not None:
             parser.error("--corpus cannot be combined with --m/--inertia")
-        return run_corpus(args.corpus, args.precision, args.allow_galois_compare)
-    if args.m is None or args.inertia is None:
+        if args.json:
+            parser.error("--json applies only with --m and --inertia: --corpus writes text lines")
+    elif args.m is None or args.inertia is None:
         parser.error("either --corpus or both --m and --inertia are required")
-    if args.allow_galois_compare:
+    elif args.allow_galois_compare:
         parser.error("--allow-galois-compare applies only with --corpus")
-    return run_family(args.m, args.inertia, args.precision, args.json)
+    try:
+        if args.corpus is not None:
+            code = run_corpus(args.corpus, args.precision, args.allow_galois_compare)
+        else:
+            code = run_family(args.m, args.inertia, args.precision, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early; stdout now writes to devnull, so the
+        # interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_GENERIC
+    return code
 
 
 if __name__ == "__main__":

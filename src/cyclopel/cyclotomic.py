@@ -29,6 +29,10 @@ __all__ = [
 # (beta0, sign solving, assembly) impose their own narrower lists.
 SUPPORTED_MODULI = frozenset({3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 19, 21, 25, 27, 32})
 
+# modulus(m) builds m x m tables, so it serves m up to twice the largest
+# supported modulus (the twice-prime bridge reaches 54) and no further.
+_MAX_MODULUS = 2 * max(SUPPORTED_MODULI)
+
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (ascending coefficient lists)
@@ -83,9 +87,12 @@ class Modulus(Record):
 
 @lru_cache(maxsize=64)
 def modulus(m: int) -> Modulus:
-    """The Modulus record of m, built once per modulus and process."""
+    """The Modulus record of m, 1 <= m <= _MAX_MODULUS, built once per
+    modulus and process."""
     if m < 1:
         raise ValueError("m must be positive")
+    if m > _MAX_MODULUS:
+        raise UnsupportedModulus(f"modulus {m} is above {_MAX_MODULUS}, which bounds its tables")
     units = tuple(k for k in range(1, m) if gcd(k, m) == 1)
     phi = 1 if m == 1 else len(units)
     poly = tuple(_phi_poly(m))

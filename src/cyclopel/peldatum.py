@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
@@ -17,14 +16,14 @@ from pathlib import Path
 from ._record import Record
 from .cmfield import CMType, SimplicityReport, cm_type_from_triple, is_simple
 from .cyclotomic import (
+    SUPPORTED_MODULI,
     Cyclo,
     _relative_conjugator,
-    element_str,
     modulus,
     parse_element,
     relative_split,
 )
-from .embeddings import DEFAULT_PRECISION, certified_sign_im
+from .embeddings import DEFAULT_PRECISION
 from .errors import (
     CyclopelError,
     Indeterminate,
@@ -46,8 +45,12 @@ from .monodromy import (
 from .polarization import (
     ConditionReport,
     PolarizedCMPoint,
+    _entry_column,
+    _gram_cell,
     beta_for_type,
+    entry_cm_type,
     equivalent_beta,
+    gram_determinant,
     reference_different_generator,
     verify_conditions,
 )
@@ -123,6 +126,8 @@ class HermitianDatum(Record):
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
+        if self.m not in SUPPORTED_MODULI:
+            raise UnsupportedModulus(f"modulus {self.m} is outside the supported list")
         if not self.blocks:
             raise InvariantViolation("no blocks")
         mods = [b.modulus for b in self.blocks]
@@ -137,64 +142,9 @@ class HermitianDatum(Record):
         return sum(modulus(b.modulus).phi * len(b.entries) for b in self.blocks)
 
 
-def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
-    """CM-type carried by a diagonal entry: n with Im(sigma_n(1/xi)) < 0,
-    equivalently Im(sigma_n(xi)) > 0.  Signs are certified at one n per
-    conjugate pair: sigma_(m-n) is the complex conjugate of sigma_n, so
-    sign(Im sigma_(m-n)(xi)) = -sign(Im sigma_n(xi))."""
-    m = xi.m
-    members = set()
-    for n in modulus(m).reps:
-        s = certified_sign_im(xi, n, start_prec)
-        if s == 1:
-            members.add(n)
-        elif s == -1:
-            members.add(m - n)
-    return CMType(m, frozenset(members))
-
-
 # ---------------------------------------------------------------------------
-# Gram matrix of the trace pairing
-#
-# The form is diagonal, so the Gram matrix is block-diagonal with one
-# phi(d) x phi(d) Toeplitz cell per entry xi over Q(zeta_d).  Each cell and
-# its determinant are built once per distinct entry and process, the matrix
-# is a view over the cells, and the determinant is the product of the cell
-# determinants.
-
-
-def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
-    """Cell of the entry xi: the (a, b) entry is tr(xi zeta^(a-b)) =
-    sum_i c_i tr(zeta^(i+a-b)) / den over the coefficients c_i of xi, read
-    off the trace table of the modulus.  Raises NonIntegralForm when a
-    value is not a rational integer and InvariantViolation when the cell
-    is not skew."""
-    m = xi.m
-    facts = modulus(m)
-    d, table = facts.phi, facts.traces
-    tr: dict[int, int] = {}
-    for k in range(-(d - 1), d):
-        num = sum(c * table[(i + k) % m] for i, c in enumerate(xi.num))
-        if num % xi.den:
-            raise NonIntegralForm(
-                f"tr(xi * zeta^{k}) = {Fraction(num, xi.den)} is not integral for entry "
-                f"{element_str(xi)} at modulus {m}"
-            )
-        tr[k] = num // xi.den
-    if any(tr[k] != -tr[-k] for k in range(d)):
-        raise InvariantViolation(
-            f"pairing is not skew on the cell of entry {element_str(xi)} at modulus {m}"
-        )
-    return tuple(tuple(tr[a - b] for b in range(d)) for a in range(d))
-
-
-@lru_cache(maxsize=1024)
-def _cell(xi: Cyclo) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Cell of the entry xi with its determinant, built once per entry and
-    process.  A failed build raises again on the next call, since
-    lru_cache keeps no exceptions."""
-    cell = _gram_cell(xi)
-    return cell, gram_determinant(cell)
+# Gram matrix of the trace pairing: a view over the cells of the entries,
+# which assemble reads off its components' points
 
 
 class GramView(Sequence):
@@ -237,7 +187,7 @@ class GramView(Sequence):
 
 def _gram_view(h: HermitianDatum) -> GramView:
     """Gram view of h; raises as _gram_cell does."""
-    return GramView(tuple(_cell(xi)[0] for block in h.blocks for xi in block.entries))
+    return GramView(tuple(_gram_cell(xi) for block in h.blocks for xi in block.entries))
 
 
 def gram_matrix(h: HermitianDatum) -> tuple[tuple[int, ...], ...]:
@@ -249,58 +199,13 @@ def gram_matrix(h: HermitianDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(_gram_view(h))
 
 
-def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(gram)
-    if n == 0:
-        return 1
-    m = [list(row) for row in gram]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        row = m[k]
-        p = row[k]
-        for i in range(k + 1, n):
-            r = m[i]
-            c = r[k]
-            for j in range(k + 1, n):
-                r[j] = (r[j] * p - c * row[j]) // prev
-        prev = p
-    return sign * m[n - 1][n - 1]
-
-
-@lru_cache(maxsize=1024)
-def _entry_signature(xi: Cyclo, m: int, start_prec: int) -> tuple[int, ...]:
-    """What the entry xi adds to the signature of a datum over Q(zeta_m):
-    1 at each residue n mod m of exact order d = xi.m, n = (m/d) t with t a
-    unit mod d, whose local index n mod d is in the CM-type of xi; 0
-    elsewhere.  Once per (entry, ambient modulus, start precision)."""
-    d = xi.m
-    members = entry_cm_type(xi, start_prec).members
-    values = [0] * m
-    for t in modulus(d).units:
-        n = m // d * t
-        if n % d in members:
-            values[n] = 1
-    return tuple(values)
-
-
 def form_signature(h: HermitianDatum, start_prec: int = DEFAULT_PRECISION) -> Signature:
     """Signature of the Hermitian datum: the eigenvalue index n (mod m)
     lands in the block whose modulus is the exact order m/gcd(n, m) of
     zeta^n, at local index n mod that modulus; each entry contributes 1
     exactly when its CM-type contains the local index."""
-    m = h.m
-    columns = (
-        _entry_signature(xi, m, start_prec) for block in h.blocks for xi in block.entries
-    )
-    return Signature(m, tuple(map(sum, zip(*columns))))
+    columns = (_entry_column(xi, h.m, start_prec) for block in h.blocks for xi in block.entries)
+    return Signature(h.m, tuple(map(sum, zip(*columns))))
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +263,13 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
         )
     sig = signature(datum)
     components = tuple(_component(triple, start_prec) for triple in tree.triples)
-    entries = tuple(c.point.xi() for c in components)
-    hermitian = HermitianDatum(datum.m, (Block(datum.m, entries),))
-    cells = tuple(map(_cell, entries))
-    gram = GramView(tuple(cell for cell, _ in cells))
-    det = prod(cell_det for _, cell_det in cells)
+    points = [c.point for c in components]
+    hermitian = HermitianDatum(datum.m, (Block(datum.m, tuple(p.xi() for p in points)),))
+    gram = GramView(tuple(p.cell for p in points))
+    det = prod(p.det for p in points)
     if abs(det) != 1:
         raise InvariantViolation(f"Gram determinant {det} is not a unit")
-    form_sig = form_signature(hermitian, start_prec)
+    form_sig = Signature(datum.m, tuple(map(sum, zip(*(p.column for p in points)))))
     if form_sig != sig:
         raise InvariantViolation(
             f"assembled form has signature {form_sig.values}, not the monodromy signature {sig.values}"

@@ -1,15 +1,18 @@
 """Polarization elements beta: different generators, unit sign solving,
-construction of beta for a CM-type, and the three polarization conditions."""
+construction of beta for a CM-type, the three polarization conditions, and
+what an entry xi = 1/beta gives the Hermitian form: CM-type, Gram cell and
+signature column."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from ._record import Record
 from .cmfield import CMType
-from .cyclotomic import Cyclo, modulus
+from .cyclotomic import Cyclo, element_str, modulus
 from .embeddings import (
     DEFAULT_PRECISION,
     SignVector,
@@ -17,7 +20,9 @@ from .embeddings import (
     certified_sign_real,
     is_totally_positive,
 )
-from .errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
+from .errors import (
+    Indeterminate, InvariantViolation, NonIntegralForm, Unsatisfiable, UnsupportedModulus
+)
 
 __all__ = [
     "BETA_FOR_TYPE_MODULI",
@@ -26,7 +31,9 @@ __all__ = [
     "PolarizedCMPoint",
     "beta0",
     "beta_for_type",
+    "entry_cm_type",
     "equivalent_beta",
+    "gram_determinant",
     "has_independent_signs",
     "reference_different_generator",
     "reference_different_inverse",
@@ -300,15 +307,102 @@ def verify_conditions(
     return ConditionReport(generates, anti, signs)
 
 
-class PolarizedCMPoint(Record, hidden=("_xi",)):
-    """beta = u0 * beta0 realizing the polarization for the CM-type Phi."""
+def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
+    """CM-type carried by a diagonal entry: n with Im(sigma_n(1/xi)) < 0,
+    equivalently Im(sigma_n(xi)) > 0.  Signs are certified at one n per
+    conjugate pair: sigma_(m-n) is the complex conjugate of sigma_n, so
+    sign(Im sigma_(m-n)(xi)) = -sign(Im sigma_n(xi))."""
+    m = xi.m
+    members = set()
+    for n in modulus(m).reps:
+        s = certified_sign_im(xi, n, start_prec)
+        if s == 1:
+            members.add(n)
+        elif s == -1:
+            members.add(m - n)
+    return CMType(m, frozenset(members))
 
-    __slots__ = ("phi", "u0", "beta", "conditions", "_xi")
+
+def _entry_column(xi: Cyclo, m: int, start_prec: int) -> tuple[int, ...]:
+    """What the entry xi adds to the signature of a datum over Q(zeta_m):
+    1 at each residue n mod m of exact order d = xi.m, n = (m/d) t with t a
+    unit mod d, whose local index n mod d is in the CM-type of xi certified
+    on xi's own embeddings; 0 elsewhere."""
+    d = xi.m
+    members = entry_cm_type(xi, start_prec).members
+    values = [0] * m
+    for t in modulus(d).units:
+        n = m // d * t
+        if n % d in members:
+            values[n] = 1
+    return tuple(values)
+
+
+def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
+    """Cell of the entry xi: the (a, b) entry is tr(xi zeta^(a-b)) =
+    sum_i c_i tr(zeta^(i+a-b)) / den over the coefficients c_i of xi, read
+    off the trace table of the modulus.  Raises NonIntegralForm when a
+    value is not a rational integer and InvariantViolation when the cell
+    is not skew."""
+    m = xi.m
+    facts = modulus(m)
+    d, table = facts.phi, facts.traces
+    tr: dict[int, int] = {}
+    for k in range(-(d - 1), d):
+        num = sum(c * table[(i + k) % m] for i, c in enumerate(xi.num))
+        if num % xi.den:
+            raise NonIntegralForm(
+                f"tr(xi * zeta^{k}) = {Fraction(num, xi.den)} is not integral for entry "
+                f"{element_str(xi)} at modulus {m}"
+            )
+        tr[k] = num // xi.den
+    if any(tr[k] != -tr[-k] for k in range(d)):
+        raise InvariantViolation(
+            f"pairing is not skew on the cell of entry {element_str(xi)} at modulus {m}"
+        )
+    return tuple(tuple(tr[a - b] for b in range(d)) for a in range(d))
+
+
+def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    n = len(gram)
+    if n == 0:
+        return 1
+    m = [list(row) for row in gram]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        row = m[k]
+        p = row[k]
+        for i in range(k + 1, n):
+            r = m[i]
+            c = r[k]
+            for j in range(k + 1, n):
+                r[j] = (r[j] * p - c * row[j]) // prev
+        prev = p
+    return sign * m[n - 1][n - 1]
+
+
+class PolarizedCMPoint(Record, hidden=("_xi", "cell", "det", "column")):
+    """beta = u0 * beta0 realizing the polarization for the CM-type Phi, with
+    its entry xi = 1/beta, the Gram cell of xi, that cell's determinant, and
+    what xi adds to the signature of a form over Q(zeta_m)."""
+
+    __slots__ = ("phi", "u0", "beta", "conditions", "_xi", "cell", "det", "column")
     phi: CMType
     u0: Cyclo
     beta: Cyclo
     conditions: ConditionReport
     _xi: Cyclo
+    cell: tuple[tuple[int, ...], ...]
+    det: int
+    column: tuple[int, ...]
 
     def xi(self) -> Cyclo:
         """The Hermitian-form entry 1/beta, built by beta_for_type without
@@ -323,8 +417,8 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
     exactly at the representatives lying in Phi.  The solve picks a set of
     unit generators; u0 is their product, and xi = 1/beta is the product
     of their closed-form inverses with 1/beta0, certified by beta * xi = 1
-    without any inversion.  Memoized per (Phi, start_prec); the result is
-    immutable."""
+    without any inversion; the point also holds xi's cell and column.
+    Memoized per (Phi, start_prec); the result is immutable."""
     m = phi.m
     if m not in BETA_FOR_TYPE_MODULI:
         raise UnsupportedModulus(
@@ -348,7 +442,9 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
         raise InvariantViolation(
             f"constructed beta fails its own conditions for the CM-type {phi.sorted_members()} mod {m}"
         )
-    return PolarizedCMPoint(phi, u0, beta, report, xi)
+    cell = _gram_cell(xi)
+    column = _entry_column(xi, m, start_prec)
+    return PolarizedCMPoint(phi, u0, beta, report, xi, cell, gram_determinant(cell), column)
 
 
 def equivalent_beta(beta: Cyclo, other: Cyclo, start_prec: int = DEFAULT_PRECISION) -> bool:

@@ -6,8 +6,11 @@ from __future__ import annotations
 import copy
 import decimal
 import json
+import os
 import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +56,26 @@ def test_exit_codes(capsys):
     assert "NonMaximalOrder" in capsys.readouterr().err
     assert run(["--m", "6", "--inertia", "2,3,3,4"]) == EXIT_UNSUPPORTED_MODULUS == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_reader_that_closes_early_ends_the_run_quietly(mode):
+    # the report of N = 38 at m = 19 is megabytes of text; its reader
+    # closes after 100 bytes
+    src = str(Path(cyclopel.cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclopel.cli", "--m", "19", "--inertia", ",".join(["1"] * 38), *mode],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_GENERIC, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
 def test_family_degenerates_once(monkeypatch, capsys):
@@ -374,6 +397,9 @@ def test_usage_errors(capsys):
     # the Galois flag belongs to corpus mode
     assert run(["--m", "5", "--inertia", "1,3,3,3", "--allow-galois-compare"]) == EXIT_USAGE
     assert "--allow-galois-compare applies only with --corpus" in capsys.readouterr().err
+    # corpus mode writes text lines only
+    assert run(["--corpus", "--json"]) == EXIT_USAGE
+    assert "--json applies only with --m and --inertia" in capsys.readouterr().err
     assert run([]) == EXIT_USAGE
     capsys.readouterr()
 

@@ -42,6 +42,7 @@ from cyclopel.errors import (
 from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.monodromy import signature, validate
 import cyclopel.peldatum as P
+import cyclopel.polarization as Q
 from cyclopel.peldatum import (
     CERTAINTY_FORM_UNIQUENESS,
     CERTAINTY_SIMPLE,
@@ -313,16 +314,16 @@ def test_assemble_derives_each_entry_fact_once(monkeypatch):
         def spy(*args, _f=getattr(P, name), _name=name):
             calls[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(P, name, spy)
-    P._cell.cache_clear()
-    P._entry_signature.cache_clear()
+        monkeypatch.setattr(Q, name, spy)
+    P._component.cache_clear()
+    beta_for_type.cache_clear()
     datum = validate(19, (1,) * 23 + (15,))
     r = assemble(datum)
     assert len(r.components) == 22
     assert len(set(r.hermitian.blocks[0].entries)) == 11
     assert calls == {"_gram_cell": 11, "entry_cm_type": 11, "gram_determinant": 11}
     # cells, their determinants and what the entry types add to the form
-    # signature are kept for the rest of the process
+    # signature are kept in the components' points for the rest of the process
     calls.update(_gram_cell=0, entry_cm_type=0, gram_determinant=0)
     assert assemble(datum) == r
     assert calls == {"_gram_cell": 0, "entry_cm_type": 0, "gram_determinant": 0}
@@ -412,13 +413,14 @@ def test_cold_assemble_makes_no_inversion(monkeypatch):
 # check -> (patch that forces it to fail, fragment of its message)
 _BROKEN_INVARIANTS = {
     "cell skew": (
-        "from types import SimpleNamespace; P.modulus = lambda m, facts=P.modulus: "
-        "SimpleNamespace(phi=facts(m).phi, traces=(5,) + (0,) * (m - 1))",
+        "from types import SimpleNamespace; Q.modulus = lambda m, facts=Q.modulus: "
+        "SimpleNamespace(phi=facts(m).phi, reps=facts(m).reps, units=facts(m).units, "
+        "traces=(5,) + (0,) * (m - 1))",
         "is not skew",
     ),
-    "determinant": ("P.gram_determinant = lambda cell: 2", "is not a unit"),
+    "determinant": ("Q.gram_determinant = lambda cell: 2", "is not a unit"),
     "form signature": (
-        "P.form_signature = lambda h, prec: Signature(h.m, (0,) * h.m)",
+        "Q._entry_column = lambda xi, m, prec: (0,) * m",
         "not the monodromy signature",
     ),
     "beta conditions": (
@@ -598,13 +600,13 @@ def test_form_signature_matches_oracle_on_the_corpus():
 
 
 def test_form_signature_reads_each_entry_type_once(monkeypatch):
+    # form_signature keeps no memo: each call certifies each entry's type
     h = HermitianDatum(5, (Block(5, (XI5_2, XI5_1, XI5_2)),))
-    P._entry_signature.cache_clear()
     calls = []
-    monkeypatch.setattr(P, "entry_cm_type", lambda xi, p: calls.append(xi) or entry_cm_type(xi, p))
+    monkeypatch.setattr(Q, "entry_cm_type", lambda xi, p: calls.append(xi) or entry_cm_type(xi, p))
     assert form_signature(h).values == (0, 2, 3, 0, 1)
     assert form_signature(h).values == (0, 2, 3, 0, 1)
-    assert calls == [XI5_2, XI5_1]
+    assert calls == [XI5_2, XI5_1, XI5_2] * 2
 
 
 def test_dimension_is_twice_genus():

@@ -20,6 +20,7 @@ from cyclopel.cyclotomic import (
 import cyclopel.polarization as Q
 from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
+from cyclopel.peldatum import Block, HermitianDatum, form_signature, gram_matrix
 from cyclopel.polarization import (
     _signs_to_bits,
     _solve_combo,
@@ -29,6 +30,7 @@ from cyclopel.polarization import (
     beta0,
     beta_for_type,
     equivalent_beta,
+    gram_determinant,
     has_independent_signs,
     reference_different_generator,
     reference_different_inverse,
@@ -299,14 +301,37 @@ def test_beta_for_type_m3():
     assert point.xi() == point.beta.inverse()
 
 
+def _cm_types(m, rng=None, count=None):
+    """Every CM-type mod m, or count of them drawn with rng."""
+    reps = modulus(m).reps
+    if rng is None:
+        choices = itertools.product((False, True), repeat=len(reps))
+    else:
+        choices = ([rng.random() < 0.5 for _ in reps] for _ in range(count))
+    return [CMType(m, frozenset(m - n if flip else n for n, flip in zip(reps, c))) for c in choices]
+
+
 @pytest.mark.parametrize("m", [5, 7, 11, 13])
 def test_point_xi_is_inverse_of_beta_for_every_type(m):
-    reps = modulus(m).reps
-    for choice in itertools.product((False, True), repeat=len(reps)):
-        members = frozenset(m - n if flip else n for n, flip in zip(reps, choice))
-        point = beta_for_type(CMType(m, members))
+    for phi in _cm_types(m):
+        point = beta_for_type(phi)
         assert point.xi() == point.beta.inverse()
         assert point.xi() * point.beta == 1
+
+
+def test_point_cell_det_and_column_match_the_fixture_path():
+    # what a point holds for its entry equals what gram_matrix, gram_determinant
+    # and form_signature derive afresh from the one-entry datum
+    rng = random.Random(97)
+    phis = [phi for m in (3, 5, 7, 11, 13) for phi in _cm_types(m)]
+    phis += [phi for m in (17, 19) for phi in _cm_types(m, rng, 40)]
+    for phi in phis:
+        point = beta_for_type(phi)
+        h = HermitianDatum(phi.m, (Block(phi.m, (point.xi(),)),))
+        assert point.cell == gram_matrix(h), phi
+        assert point.det == gram_determinant(point.cell) and abs(point.det) == 1, phi
+        assert point.column == form_signature(h).values, phi
+    assert len(phis) == 2 + 4 + 8 + 32 + 64 + 2 * 40
 
 
 def test_point_inverts_beta_once(monkeypatch):
@@ -347,8 +372,9 @@ def test_cold_beta_for_type_reads_beta0_constants_off_its_record(monkeypatch):
         phi = CMType(m, frozenset(modulus(m).reps))
         point = beta_for_type(phi)
         assert point.beta * point.xi() == 1
-        # only beta's own signs are certified (condition 3), not beta0's
-        assert signed == [point.beta] * len(phi.members)
+        # only beta's own signs (condition 3) and xi's (its signature
+        # column) are certified, not beta0's
+        assert signed == [point.beta] * len(phi.members) + [point.xi()] * len(phi.members)
     assert inverted == []
 
 

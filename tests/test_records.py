@@ -12,6 +12,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ import pytest
 import cyclopel
 from cyclopel._record import Record
 from cyclopel.cmfield import CMType
-from cyclopel.cyclotomic import Cyclo, modulus, parse_element
+from cyclopel.cyclotomic import SUPPORTED_MODULI, Cyclo, modulus, parse_element
 from cyclopel.embeddings import ComplexInterval, embed
 from cyclopel.errors import (
     DisconnectedCover,
@@ -119,9 +120,12 @@ def test_hidden_fields_take_no_part_in_equality_or_repr():
     object.__setattr__(other, "case", "other")
     assert other != g
     point = assemble(validate(5, (1, 3, 3, 3))).components[0].point
-    other = PolarizedCMPoint(point.phi, point.u0, point.beta, point.conditions, Cyclo.one(5))
+    other = PolarizedCMPoint(
+        point.phi, point.u0, point.beta, point.conditions, Cyclo.one(5), ((1,),), 7, (0,) * 5
+    )
     assert other == point and hash(other) == hash(point)
-    assert "_xi" not in repr(point) and repr(other) == repr(point)
+    assert not any(f"{name}=" in repr(point) for name in ("_xi", "cell", "det", "column"))
+    assert repr(other) == repr(point)
     assert repr(MonodromyDatum(5, (1, 3, 3, 3))) == "MonodromyDatum(m=5, a=(1, 3, 3, 3))"
 
 
@@ -152,6 +156,23 @@ _INVALID = [
 def test_validating_records_raise_their_typed_error(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_oversized_moduli_are_refused_before_any_table():
+    # modulus(m) builds m x m tables: at m = 10^6 they would take terabytes
+    limit = 2 * max(SUPPORTED_MODULI)
+    assert modulus(limit).m == limit
+    for build in (
+        lambda: modulus(limit + 1),
+        lambda: CMType(10**6, frozenset()),
+        lambda: Signature(1501, (0,) * 1501).cm_type_members(),
+        lambda: HermitianDatum(5 * 10**8, (Block(5, (beta0(5).element,)),)),
+        lambda: HermitianDatum(14, (Block(7, (beta0(7).element,)),)),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedModulus):
+            build()
+        assert time.perf_counter() - start < 0.5
 
 
 def test_cold_import_loads_no_dataclasses_inspect_or_typing():
