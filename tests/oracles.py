@@ -7,14 +7,17 @@ import importlib
 import pkgutil
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import chain
 from math import gcd
+
+from mpmath.ctx_iv import MPIntervalContext
 
 import cyclopel
 import cyclopel.monodromy as M
 from cyclopel.cmfield import CMType
 from cyclopel.cyclotomic import Cyclo, _poly_divmod_monic, modulus, relative_split
-from cyclopel.embeddings import DEFAULT_PRECISION, SignVector, certified_sign_real
+from cyclopel.embeddings import DEFAULT_PRECISION, ComplexInterval, SignVector, certified_sign_real
 from cyclopel.errors import CyclopelError, InvariantViolation, NonCompactType
 from cyclopel.monodromy import DegenerationTree, MonodromyDatum, Signature
 from cyclopel.peldatum import HermitianDatum, entry_cm_type
@@ -32,6 +35,28 @@ def sign_vector(u: Cyclo, start_prec: int = DEFAULT_PRECISION) -> SignVector:
     if not u.is_unit():
         raise NotUnit("sign vectors are defined for units of the real subfield")
     return tuple(certified_sign_real(u, n, start_prec) for n in modulus(u.m).reps)
+
+
+def mpf_fraction(raw) -> Fraction:
+    """The exact value of an mpf endpoint from its (sign, man, exp, bc) tuple."""
+    sign, man, exp, _ = raw
+    v = Fraction(man) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+def context_horner(x: Cyclo, n: int, prec: int) -> ComplexInterval:
+    """sigma_n(x) by Horner's rule in the operators of a private interval
+    context at prec, as a ComplexInterval."""
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    t = (ctx.pi * (2 * (n % x.m))) / x.m
+    root = ctx.mpc(ctx.cos(t), ctx.sin(t))
+    acc = ctx.mpc(0)
+    for c in reversed(x.num):
+        acc = acc * root + c
+    acc /= x.den
+    (re_lo, re_hi), (im_lo, im_hi) = acc._mpci_
+    return ComplexInterval(*map(mpf_fraction, (re_lo, re_hi, im_lo, im_hi)))
 
 
 def relative_trace(x: Cyclo) -> Cyclo:

@@ -14,15 +14,19 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
 import cyclopel
 from cyclopel.cyclotomic import SUPPORTED_MODULI, Cyclo, modulus
 from cyclopel.embeddings import (
     PRECISION_CAP,
-    ComplexInterval,
-    _interval_context,
-    _mpf_to_fraction,
+    DEFAULT_PRECISION,
+    _ROOTS,
+    _div,
+    _fraction,
+    _mul,
     _root,
+    _round,
     _trig_table,
     certified_sign_im,
     certified_sign_real,
@@ -30,7 +34,7 @@ from cyclopel.embeddings import (
     is_totally_positive,
 )
 from cyclopel.errors import NotRealElement
-from oracles import NotUnit, sign_vector
+from oracles import NotUnit, context_horner, sign_vector
 
 
 def random_element(rng, m, bound=8):
@@ -90,20 +94,6 @@ def test_embed_matches_independent_float_evaluation():
             assert iv.im_lo - slack <= as_fraction(v.imag) <= iv.im_hi + slack
 
 
-def context_horner(x, n, prec):
-    """sigma_n(x) by Horner's rule in the operators of a private interval
-    context at prec, as a ComplexInterval."""
-    ctx = _interval_context(prec)
-    t = (ctx.pi * (2 * (n % x.m))) / x.m
-    root = ctx.mpc(ctx.cos(t), ctx.sin(t))
-    acc = ctx.mpc(0)
-    for c in reversed(x.num):
-        acc = acc * root + c
-    acc /= x.den
-    (re_lo, re_hi), (im_lo, im_hi) = acc._mpci_
-    return ComplexInterval(*map(_mpf_to_fraction, (re_lo, re_hi, im_lo, im_hi)))
-
-
 @pytest.mark.parametrize("prec", (8, 53, 64, 192, 1024, 4096))
 def test_embed_is_the_context_horner_box(prec):
     # every unit n of every modulus, taking turns between small
@@ -116,6 +106,54 @@ def test_embed_is_the_context_horner_box(prec):
             x = Cyclo(m, [rng.randint(-bound, bound) for _ in range(modulus(m).phi)], den)
             if not x.is_rational():
                 assert embed(x, n, prec) == context_horner(x, n, prec)
+
+
+def _rounded(v: Fraction, prec: int, up: bool) -> Fraction:
+    """v rounded to prec significant bits, toward +inf if up, else -inf."""
+    if v == 0:
+        return v
+    n, d = abs(v.numerator), v.denominator
+    e = n.bit_length() - d.bit_length()
+    if Fraction(n, d) < Fraction(2) ** e:
+        e -= 1
+    ulp = Fraction(2) ** (e - prec + 1)
+    q = v / ulp
+    return (-(-q.numerator // q.denominator) if up else q.numerator // q.denominator) * ulp
+
+
+def _random_value(rng, sign):
+    """(M, E) of the given sign (0 for zero), 1 to 150 bits, exponent -200..40."""
+    if sign == 0:
+        return 0, rng.randint(-200, 40)
+    return sign * rng.randint(1, 2 ** rng.randint(1, 150)), rng.randint(-200, 40)
+
+
+def _random_interval(rng):
+    """An interval of (M, E) endpoints: positive, negative or straddling 0,
+    with zero endpoints and points among them."""
+    a, b = sorted(
+        (_random_value(rng, rng.choice((-1, 0, 1))) for _ in range(2)), key=_fraction
+    )
+    return (a, a) if rng.random() < 0.1 else (a, b)
+
+
+def test_kernel_operations_round_the_exact_results():
+    # every sign case of the product and the quotient, against exact
+    # rationals and the directed roundings they define
+    rng = random.Random(59)
+    for _ in range(3000):
+        prec = rng.choice((8, 53, 64, 200))
+        a, b = _random_interval(rng), _random_interval(rng)
+        M, E = _random_value(rng, rng.choice((-1, 0, 1)))
+        for up in (False, True):
+            assert _fraction(_round(M, E, prec, up)) == _rounded(_fraction((M, E)), prec, up)
+        products = [_fraction(x) * _fraction(y) for x in a for y in b]
+        assert tuple(map(_fraction, _mul(a, b))) == (min(products), max(products))
+        if _fraction(b[0]) > 0:
+            quotients = [_fraction(x) / _fraction(y) for x in a for y in b]
+            lo, hi = _div(a, b, prec)
+            assert _fraction(lo) == _rounded(min(quotients), prec, False)
+            assert _fraction(hi) == _rounded(max(quotients), prec, True)
 
 
 def test_embed_precision_is_bounded():
@@ -340,7 +378,7 @@ def test_interval_first_signs_match_zero_test_first(case):
     )
 
 
-@pytest.mark.parametrize("prec", [64, 1024])
+@pytest.mark.parametrize("prec", [8, 64, 128, 1024, 4096])
 def test_trig_table_brackets_cos_and_sin(prec):
     for m in sorted(SUPPORTED_MODULI):
         cos, sin = _trig_table(m, prec)
@@ -351,6 +389,21 @@ def test_trig_table_brackets_cos_and_sin(prec):
                 for (lo, hi), v in ((cos[k], mpmath.cos(t)), (sin[k], mpmath.sin(t))):
                     assert lo <= v * 2**prec <= hi
                     assert hi - lo <= 2
+
+
+def test_committed_roots_are_the_interval_context_enclosures():
+    # each literal is the enclosure cos(t) + i sin(t) of t = pi * 2 / m in
+    # an interval context at the default precision
+    assert set(_ROOTS) == SUPPORTED_MODULI
+    for m in sorted(SUPPORTED_MODULI):
+        ctx = MPIntervalContext()
+        ctx.prec = DEFAULT_PRECISION
+        t = (ctx.pi * 2) / m
+        parts = ctx.mpc(ctx.cos(t), ctx.sin(t))._mpci_
+        assert _ROOTS[m] == tuple(
+            tuple((-man if sign else man, exp) for sign, man, exp, _ in part) for part in parts
+        ), m
+        assert _root(m, 1, DEFAULT_PRECISION) is _ROOTS[m]
 
 
 def test_embed_is_thread_safe_and_leaves_mpmath_precision_alone():

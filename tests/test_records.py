@@ -1,15 +1,18 @@
 """The records of cyclopel share one frozen base: value equality and hash,
 no mutation, copies and pickles, a checked constructor arity, hidden
 fields and the typed errors of each validating record.  A fresh import
-of the command line loads neither dataclasses, inspect nor typing."""
+of the command line loads neither dataclasses, inspect nor typing, and
+nothing on the default path loads mpmath."""
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import importlib
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -182,7 +185,44 @@ def test_cold_import_loads_no_dataclasses_inspect_or_typing():
         "import sys; before = set(sys.modules); import cyclopel.cli; "
         "print(' '.join(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before))))"
     )
+    assert _fresh(code).stdout.split() == []
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """python -c code in a fresh interpreter that imports this checkout."""
     src = os.path.dirname(cyclopel.__path__[0])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.split() == []
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+
+
+_FAMILY = ["--m", "19", "--inertia", "2,3,5,7,11,10"]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        "import cyclopel",
+        "import cyclopel.cli",
+        f"from cyclopel.cli import main; main({_FAMILY + ['--json']!r})",
+        "from cyclopel.cli import main; main(['--corpus'])",
+    ],
+    ids=["import", "import-cli", "json-op", "corpus"],
+)
+def test_default_path_loads_no_mpmath(run):
+    # mpmath is imported only to enclose a root at another precision
+    out = _fresh(f"import sys; {run}; print('mpmath' in sys.modules, file=sys.stderr)")
+    assert out.stderr.split() == ["False"]
+
+
+def test_a_128_bit_op_renders_the_same_bytes():
+    # the sha256 of the report, timing_ms set to 0, as mpmath's own
+    # interval arithmetic renders it
+    out = _fresh(
+        "import sys; from cyclopel.cli import main; "
+        f"main({_FAMILY + ['--precision', '128', '--json']!r}); "
+        "print('mpmath' in sys.modules, file=sys.stderr)"
+    )
+    assert out.stderr.split() == ["True"]
+    text = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out.stdout)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "a5516d00baee01c672f66032a0ca6ebdda2a4293d95cde48902ab1030dbda928"
