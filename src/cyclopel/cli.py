@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-import threading
 import time
 from collections.abc import Sequence
 from decimal import Decimal, localcontext
@@ -41,12 +40,12 @@ from .peldatum import (
     ASSEMBLE_MODULI,
     ComponentResult,
     FamilyResult,
-    GramView,
     assemble,
     default_corpus_path,
     load_corpus,
     verify_fixture,
 )
+from .polarization import PolarizedCMPoint
 
 __all__ = ["main", "build_report", "report_json", "run_corpus", "write_report"]
 
@@ -68,6 +67,10 @@ MAX_REPORT_ENTRIES = 2**24
 
 _DECIMAL_DIGITS = 20
 
+# Separator of the numbers in a Gram row: the rows are items of the
+# report's "gram" list, so their numbers sit at depth 3.
+_GRAM_SEP = ",\n      "
+
 
 def _decimal_str(q: Fraction) -> str:
     with localcontext() as ctx:
@@ -78,10 +81,11 @@ def _decimal_str(q: Fraction) -> str:
 class _ReadOnlyDict(dict):
     """A dict of a report that refuses mutation, so the text written from
     it cannot disagree with it.  A component or matrix entry is written by
-    its text as an item of a report list.  A copy or a pickle of it is a
+    its text as an item of a report list, and a matrix entry also carries
+    the text of each row of its Gram cell.  A copy or a pickle of it is a
     plain dict."""
 
-    __slots__ = ("_text",)
+    __slots__ = ("_text", "rows")
 
     def _refuse(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} of a report is read-only")
@@ -104,11 +108,10 @@ class _ReadOnlyDict(dict):
             return text
 
 
-@lru_cache(maxsize=4096)
 def _element_json(x: Cyclo, precision: int) -> _ReadOnlyDict:
     """Exact string plus a decimal rendering of the identity embedding;
-    only the exact string is meaningful for comparison.  Once per
-    (element, precision); u0 is reported exactly and never embedded."""
+    only the exact string is meaningful for comparison.  u0 is reported
+    exactly and never embedded."""
     box = embed(x, 1, precision)
     return _ReadOnlyDict(
         exact=element_str(x),
@@ -118,23 +121,38 @@ def _element_json(x: Cyclo, precision: int) -> _ReadOnlyDict:
 
 
 @lru_cache(maxsize=4096)
-def _component_json(c: ComponentResult, precision: int) -> _ReadOnlyDict:
-    """Triple, CM-type, simplicity with its witness, beta and u0, once per
+def _point_json(
+    point: PolarizedCMPoint, precision: int
+) -> tuple[_ReadOnlyDict, _ReadOnlyDict, str]:
+    """beta's dict, the entry's dict and u0's exact text, once per (point,
+    precision).  The entry's dict carries the text of each row of its
+    Gram cell in a report, without the zeros around it."""
+    entry = _element_json(point.xi(), precision)
+    object.__setattr__(entry, "rows", tuple(_GRAM_SEP.join(map(str, row)) for row in point.cell))
+    return _element_json(point.beta, precision), entry, element_str(point.u0)
+
+
+@lru_cache(maxsize=4096)
+def _component_json(c: ComponentResult, precision: int) -> tuple[_ReadOnlyDict, _ReadOnlyDict]:
+    """The dict of a component (triple, CM-type, simplicity with its
+    witness, beta and u0) and the dict of its matrix entry, once per
     (component, precision)."""
+    beta, entry, u0 = _point_json(c.point, precision)
     simp = c.simplicity
     if simp.simple:
         cosets = (_ReadOnlyDict(subgroup=h, coset=coset) for h, coset in simp.separating_cosets)
         witness = _ReadOnlyDict(separating_cosets=tuple(cosets))
     else:
         witness = _ReadOnlyDict(inducing_subgroup=simp.inducing_subgroup)
-    return _ReadOnlyDict(
+    component = _ReadOnlyDict(
         triple=c.triple.a,
         cm_type=c.phi.sorted_members(),
         simple=simp.simple,
         simplicity_witness=witness,
-        beta=_element_json(c.point.beta, precision),
-        u0=element_str(c.point.u0),
+        beta=beta,
+        u0=u0,
     )
+    return component, entry
 
 
 def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> _ReadOnlyDict:
@@ -143,6 +161,7 @@ def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> _Read
     once per process and precision and shared by every report that holds
     them; being read-only, no report can change them."""
     tree, datum = result.tree, result.datum
+    parts = [_component_json(c, precision) for c in result.components]
     return _ReadOnlyDict(
         input=_ReadOnlyDict(m=datum.m, N=datum.N, a=datum.a),
         genus=result.genus,
@@ -152,10 +171,8 @@ def build_report(result: FamilyResult, precision: int, elapsed_ms: int) -> _Read
             merge_pairs=tree.merge_pairs,
             merged_values=tree.merged_values,
         ),
-        components=tuple(_component_json(c, precision) for c in result.components),
-        matrix_entries=tuple(
-            _element_json(x, precision) for b in result.hermitian.blocks for x in b.entries
-        ),
+        components=tuple(c for c, _ in parts),
+        matrix_entries=tuple(e for _, e in parts),
         gram=result.gram,
         determinant=result.gram_det,
         form_signature=result.form_sig.values,
@@ -201,7 +218,7 @@ def _write(report: _ReadOnlyDict, write) -> None:
         f'  "form_signature": {_int_list(report["form_signature"], 1)},\n'
         f'  "genus": {report["genus"]},\n  "gram": '
     )
-    _write_gram(report["gram"], write)
+    _write_gram(report["matrix_entries"], len(report["gram"]), write)
     write(
         f',\n  "input": {{\n    "N": {inp["N"]},\n    "a": {_ints(inp["a"], 2)},\n'
         f'    "m": {inp["m"]}\n  }},\n'
@@ -233,53 +250,22 @@ def _int_list(values: tuple[int, ...], depth: int) -> str:
     return _ints(values, depth)
 
 
-# Separator of the numbers in a Gram row: the rows are items of the
-# report's "gram" list, so their numbers sit at depth 3.
-_GRAM_SEP = ",\n      "
-
-
-# Text of each row of a Gram cell, keyed on the cell's id: hashing the
-# cell would read every value of it on every report.  A value holds its
-# cell, so no other object can take the id while the value is kept.
-_CELL_ROWS: dict[int, tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]] = {}
-_CELL_ROWS_MAX = 1024
-_CELL_ROWS_LOCK = threading.Lock()
-
-
-def _cell_rows(cell: tuple[tuple[int, ...], ...]) -> tuple[str, ...]:
-    """Text of each row of a Gram cell in a report, without the zeros
-    around it: once per cell while it is kept, the oldest of
-    _CELL_ROWS_MAX cells dropped first."""
-    kept = _CELL_ROWS.get(id(cell))
-    if kept is not None and kept[0] is cell:
-        return kept[1]
-    rows = tuple(_GRAM_SEP.join(map(str, row)) for row in cell)
-    with _CELL_ROWS_LOCK:
-        if len(_CELL_ROWS) >= _CELL_ROWS_MAX:
-            del _CELL_ROWS[next(iter(_CELL_ROWS))]
-        _CELL_ROWS[id(cell)] = (cell, rows)
-    return rows
-
-
-_cell_rows.cache_clear = _CELL_ROWS.clear  # type: ignore[attr-defined]
-
-
-def _write_gram(gram: GramView, write) -> None:
-    """The report's Gram matrix, one row at a time through write: the text
-    of each cell row comes from _cell_rows, and the zeros around it are
-    repeated constant strings."""
-    n = len(gram)
+def _write_gram(entries: Sequence[_ReadOnlyDict], n: int, write) -> None:
+    """The report's n x n Gram matrix, one row at a time through write:
+    the rows of cell i are the rows that matrix entry i carries, and the
+    zeros around them are repeated constant strings."""
     write("[")
     skip, start = 1, 0  # the first row takes no comma
-    for cell in gram.cells:
+    for entry in entries:
+        rows = entry.rows
         left = ",\n    [\n      " + ("0" + _GRAM_SEP) * start
-        right = (_GRAM_SEP + "0") * (n - start - len(cell)) + "\n    ]"
-        for row in _cell_rows(cell):
+        right = (_GRAM_SEP + "0") * (n - start - len(rows)) + "\n    ]"
+        for row in rows:
             write(left[skip:])
             write(row)
             write(right)
             skip = 0
-        start += len(cell)
+        start += len(rows)
     write("\n  ]")
 
 
@@ -352,7 +338,7 @@ def run_family(m: int, inertia: Sequence[int], precision: int, as_json: bool) ->
 def run_corpus(path: str, precision: int, allow_galois: bool) -> int:
     try:
         fixtures = load_corpus(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_GENERIC
     outcomes = [verify_fixture(f, precision, allow_galois) for f in fixtures]

@@ -107,14 +107,8 @@ class Block(Record):
                 raise InvariantViolation("entry lives over the wrong modulus")
             if xi.is_zero():
                 raise InvariantViolation("entry is zero")
-            if not _is_pure_imaginary(xi):
+            if xi != -xi.conj():
                 raise InvariantViolation("entry is not purely imaginary")
-
-
-@lru_cache(maxsize=1024)
-def _is_pure_imaginary(xi: Cyclo) -> bool:
-    """xi = -conj(xi); memoized per entry, since families share entries."""
-    return xi == -xi.conj()
 
 
 class HermitianDatum(Record):
@@ -144,7 +138,7 @@ class HermitianDatum(Record):
 
 # ---------------------------------------------------------------------------
 # Gram matrix of the trace pairing: a view over the cells of the entries,
-# which assemble reads off its components' points
+# which a family reads off its components' points
 
 
 class GramView(Sequence):
@@ -237,25 +231,37 @@ def _component(triple: MonodromyDatum, start_prec: int) -> ComponentResult:
 
 
 class FamilyResult(Record):
-    __slots__ = ("datum", "genus", "signature", "tree", "components", "hermitian", "gram",
-                 "gram_det", "form_sig", "certainty")
+    __slots__ = ("datum", "genus", "signature", "tree", "components", "gram_det", "form_sig",
+                 "certainty")
     datum: MonodromyDatum
     genus: int
     signature: Signature
     tree: DegenerationTree
     components: tuple[ComponentResult, ...]
-    hermitian: HermitianDatum
-    gram: GramView
     gram_det: int
     form_sig: Signature
     certainty: str
 
+    @property
+    def hermitian(self) -> HermitianDatum:
+        """The diagonal Hermitian datum of the components' entries in
+        degeneration order, built and validated when read."""
+        m = self.datum.m
+        return HermitianDatum(m, (Block(m, tuple(c.point.xi() for c in self.components)),))
+
+    @property
+    def gram(self) -> GramView:
+        """The Gram view over the components' cells, built when read."""
+        return GramView(tuple(c.point.cell for c in self.components))
+
 
 def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> FamilyResult:
     """Full pipeline: degenerate into 3-point components, solve for each
-    component's polarization element, and return the diagonal Hermitian
-    datum in degeneration order with its integral Gram matrix.  A family
-    with no admissible degeneration fails that way at any modulus."""
+    component's polarization element, and return the family; its
+    components' points hold the entries of the diagonal Hermitian datum in
+    degeneration order and the cells of its integral Gram matrix, whose
+    determinant and form signature are checked here.  A family with no
+    admissible degeneration fails that way at any modulus."""
     tree = degenerate(datum)
     if datum.m not in ASSEMBLE_MODULI:
         raise UnsupportedModulus(
@@ -264,8 +270,6 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
     sig = signature(datum)
     components = tuple(_component(triple, start_prec) for triple in tree.triples)
     points = [c.point for c in components]
-    hermitian = HermitianDatum(datum.m, (Block(datum.m, tuple(p.xi() for p in points)),))
-    gram = GramView(tuple(p.cell for p in points))
     det = prod(p.det for p in points)
     if abs(det) != 1:
         raise InvariantViolation(f"Gram determinant {det} is not a unit")
@@ -286,8 +290,6 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
         sig,
         tree,
         components,
-        hermitian,
-        gram,
         det,
         form_sig,
         certainty,

@@ -36,8 +36,8 @@ from cyclopel.cli import (
 )
 from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import CyclopelError, MalformedDatum, ParseError, Unsatisfiable
-from cyclopel.peldatum import GramView, default_corpus_path, load_corpus
-from cyclopel.polarization import beta_for_type
+from cyclopel.peldatum import FamilyResult, default_corpus_path, load_corpus
+from cyclopel.polarization import PolarizedCMPoint, beta_for_type
 
 
 def run(argv):
@@ -93,8 +93,6 @@ def test_family_degenerates_once(monkeypatch, capsys):
 
 
 def test_report_renders_each_element_once(monkeypatch):
-    # four components over two CM-types: each beta, u0 and entry repeats
-    result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(3, (1,) * 6))
     written, embedded = [], []
     original_str, original_embed = cyclopel.cli.element_str, cyclopel.cli.embed
 
@@ -108,20 +106,29 @@ def test_report_renders_each_element_once(monkeypatch):
 
     monkeypatch.setattr(cyclopel.cli, "element_str", counted_str)
     monkeypatch.setattr(cyclopel.cli, "embed", counted_embed)
-    cyclopel.cli._element_json.cache_clear()
-    cyclopel.cli._component_json.cache_clear()
-    report = cyclopel.cli.build_report(result, DEFAULT_PRECISION, 0)
-    betas = {c.point.beta for c in result.components}
-    entries = set(result.hermitian.blocks[0].entries)
-    distinct = betas | {c.point.u0 for c in result.components} | entries
-    assert len(report["components"]) == len(report["matrix_entries"]) == 4
-    assert len(written) == len(set(written)) == len(distinct) < 12
-    # u0 is reported exactly, so only betas and entries are embedded
-    assert len(embedded) == len(set(embedded)) == len(betas | entries) < 8
-    # a repeated beta is one shared read-only dict
-    betas = [c["beta"] for c in report["components"]]
-    assert len({id(b) for b in betas}) == len({b["exact"] for b in betas}) < len(betas)
-    assert all(type(b) is cyclopel.cli._ReadOnlyDict for b in betas)
+    # four components over two CM-types, one triple thrice; then three
+    # components over two CM-types, two triples sharing one: each beta, u0
+    # and entry repeats
+    for family, n_triples in (((3, (1,) * 6), 2), ((5, (1,) * 5), 3)):
+        result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(*family))
+        assert len({c.triple for c in result.components}) == n_triples
+        assert len({c.phi for c in result.components}) == 2
+        written.clear()
+        embedded.clear()
+        cyclopel.cli._point_json.cache_clear()
+        cyclopel.cli._component_json.cache_clear()
+        report = cyclopel.cli.build_report(result, DEFAULT_PRECISION, 0)
+        betas = {c.point.beta for c in result.components}
+        entries = set(result.hermitian.blocks[0].entries)
+        distinct = betas | {c.point.u0 for c in result.components} | entries
+        assert len(report["components"]) == len(report["matrix_entries"]) == len(result.components)
+        assert len(written) == len(set(written)) == len(distinct) == 6
+        # u0 is reported exactly, so only betas and entries are embedded
+        assert len(embedded) == len(set(embedded)) == len(betas | entries) == 4
+        # a repeated beta or entry is one shared read-only dict
+        for dicts in ([c["beta"] for c in report["components"]], report["matrix_entries"]):
+            assert len({id(d) for d in dicts}) == len({d["exact"] for d in dicts}) == 2 < len(dicts)
+            assert all(type(d) is cyclopel.cli._ReadOnlyDict for d in dicts)
 
 
 def test_oversized_report_exits_before_degenerate(monkeypatch, capsys):
@@ -164,7 +171,7 @@ def test_warm_report_makes_no_json_dumps_call(monkeypatch):
 
     monkeypatch.setattr(cyclopel.cli.json, "dumps", spy)
     cyclopel.cli._component_json.cache_clear()
-    cyclopel.cli._element_json.cache_clear()
+    cyclopel.cli._point_json.cache_clear()
     family = (13, (1, 2, 4, 5, 7, 7))
     first = report_json(_report(*family))
     # a first-seen component or matrix entry makes its text once
@@ -187,7 +194,7 @@ def test_report_makes_text_only_for_components_and_matrix_entries(monkeypatch):
 
     monkeypatch.setattr(cyclopel.cli.json, "dumps", spy)
     cyclopel.cli._component_json.cache_clear()
-    cyclopel.cli._element_json.cache_clear()
+    cyclopel.cli._point_json.cache_clear()
     report = _report(13, (1, 2, 4, 5, 7, 7))
     text = report_json(report)
     entries = {id(e): e for e in report["matrix_entries"]}
@@ -219,17 +226,31 @@ class _UnhashableCell(tuple):
         raise AssertionError("a Gram cell was hashed")
 
 
+def _with_unhashable_cells(result):
+    """result with every point's Gram cell an _UnhashableCell: a cell is
+    hidden from its point's equality and hash, so the memos keyed on a
+    point or component take these as the ones they stand for."""
+    components = []
+    for c in result.components:
+        p = c.point
+        point = PolarizedCMPoint(
+            p.phi, p.u0, p.beta, p.conditions, p.xi(), _UnhashableCell(p.cell), p.det, p.column
+        )
+        components.append(cyclopel.peldatum.ComponentResult(c.triple, c.phi, c.simplicity, point))
+    args = list(result.__reduce__()[1])
+    args[FamilyResult.__slots__.index("components")] = tuple(components)
+    return FamilyResult(*args)
+
+
 def test_report_hashes_no_gram_cell():
-    # the row texts of a cell are kept by the cell's identity: hashing a
-    # cell would read every value of it on every report
+    # hashing a cell would read every value of it on every report
     result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(17, (1, 2, 3, 4, 5, 6, 13)))
     text = report_json(build_report(result, DEFAULT_PRECISION, 0))
-    cells = tuple(_UnhashableCell(cell) for cell in result.gram.cells)
-    r = result
-    unhashable = cyclopel.peldatum.FamilyResult(
-        r.datum, r.genus, r.signature, r.tree, r.components, r.hermitian, GramView(cells),
-        r.gram_det, r.form_sig, r.certainty,
-    )
+    unhashable = _with_unhashable_cells(result)
+    assert unhashable == result
+    assert all(type(cell) is _UnhashableCell for cell in unhashable.gram.cells)
+    cyclopel.cli._component_json.cache_clear()
+    cyclopel.cli._point_json.cache_clear()
     for _ in range(2):  # first-seen cells, then warm ones
         assert report_json(build_report(unhashable, DEFAULT_PRECISION, 0)) == text
     # reports whose texts are made still copy and pickle as plain dicts
@@ -239,22 +260,6 @@ def test_report_hashes_no_gram_cell():
         assert type(other) is dict and other == report
         assert json.dumps(other, indent=2, sort_keys=True, default=list) == text
     assert type(copy.deepcopy(build_report(unhashable, DEFAULT_PRECISION, 0))) is dict
-
-
-def test_cell_row_memo_is_bounded_and_keyed_on_identity(monkeypatch):
-    monkeypatch.setattr(cyclopel.cli, "_CELL_ROWS_MAX", 2)
-    cyclopel.cli._cell_rows.cache_clear()
-    cells = [((0, k), (-k, 0)) for k in range(1, 4)]
-    rows = [cyclopel.cli._cell_rows(cell) for cell in cells]
-    assert rows[0] == ("0,\n      1", "-1,\n      0")
-    assert list(cyclopel.cli._CELL_ROWS) == [id(cells[1]), id(cells[2])]
-    # an equal cell that is another object gets its own entry
-    twin = tuple(map(tuple, cells[2]))
-    assert twin == cells[2] and twin is not cells[2]
-    assert cyclopel.cli._cell_rows(twin) == rows[2]
-    assert list(cyclopel.cli._CELL_ROWS) == [id(cells[2]), id(twin)]
-    assert cyclopel.cli._cell_rows(cells[2]) is rows[2]
-    cyclopel.cli._cell_rows.cache_clear()
 
 
 def test_warm_family_builds_no_component_and_three_report_dicts(monkeypatch):
@@ -658,6 +663,16 @@ def test_corpus_survives_deep_nesting(tmp_path, capsys):
         "PASS m5-1144",
         "1 passed, 1 failed, 2 total",
     ]
+
+
+def test_corpus_nested_past_the_recursion_limit_is_unreadable(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000)
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read corpus: ")
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 
 def test_corpus_unreadable(tmp_path, capsys):

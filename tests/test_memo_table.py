@@ -6,7 +6,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-import cyclopel.cli
 from oracles import memos
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -27,16 +26,11 @@ def _table() -> dict[str, int]:
     return bounds
 
 
-def _bound(memo) -> int | None:
-    """The bound of a memo: an lru_cache's maxsize, or the cap of the
-    cell-row memo, which drops its oldest entry past it."""
-    if memo is cyclopel.cli._cell_rows:
-        return cyclopel.cli._CELL_ROWS_MAX
-    return memo.cache_parameters()["maxsize"]
-
-
 def test_readme_memo_table_lists_every_memo():
-    found = {f"{m.__module__.removeprefix('cyclopel.')}.{m.__name__}": _bound(m) for m in memos()}
+    found = {
+        f"{m.__module__.removeprefix('cyclopel.')}.{m.__name__}": m.cache_parameters()["maxsize"]
+        for m in memos()
+    }
     assert all(isinstance(bound, int) for bound in found.values()), found
     assert found == _table()
     counts = re.findall(r"These (\d+) are the only memos", README.read_text(encoding="utf-8"))

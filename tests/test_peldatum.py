@@ -33,6 +33,7 @@ from cyclopel.cyclotomic import (
 )
 from cyclopel.errors import (
     Indeterminate,
+    InvariantViolation,
     MalformedDatum,
     NonCompactType,
     NonIntegralForm,
@@ -47,6 +48,7 @@ from cyclopel.peldatum import (
     CERTAINTY_FORM_UNIQUENESS,
     CERTAINTY_SIMPLE,
     Block,
+    FamilyResult,
     HermitianDatum,
     ASSEMBLE_MODULI,
     assemble,
@@ -63,6 +65,7 @@ from cyclopel.peldatum import (
     _fixture_datum,
 )
 from cyclopel.polarization import (
+    PolarizedCMPoint,
     beta0,
     beta_for_type,
     equivalent_beta,
@@ -359,9 +362,42 @@ def test_warm_assemble_redoes_no_triple_or_entry_work(monkeypatch):
     # the spies see work that is not memoized
     P._component.cache_clear()
     cyclopel.monodromy._join.cache_clear()
-    P._is_pure_imaginary.cache_clear()
     assert assemble(datum) == r
-    assert calls["triple signature"] > 0 and calls["galois"] > 0 and calls["is_simple"] > 0
+    assert calls["triple signature"] > 0 and calls["galois"] == 0 and calls["is_simple"] > 0
+    # an entry is conjugated only by the check of a Hermitian datum read off the family
+    r.hermitian
+    assert calls["galois"] == len(r.components)
+
+
+def test_assemble_builds_no_block_and_reading_hermitian_checks_one(monkeypatch):
+    checked = []
+    original = Block.__post_init__
+    monkeypatch.setattr(Block, "__post_init__", lambda self: checked.append(self) or original(self))
+    datum = validate(13, (1, 2, 4, 5, 7, 7))
+    oracles.clear_memos()
+    r = assemble(datum)  # cold
+    assert assemble(datum) == r  # warm
+    assert checked == []
+    h = r.hermitian
+    assert checked == [h.blocks[0]]
+    assert h.blocks[0].entries == tuple(c.point.xi() for c in r.components)
+    # every read builds the datum afresh and checks it: an entry that is
+    # not purely imaginary is refused
+    c = r.components[0]
+    p = c.point
+    point = PolarizedCMPoint(
+        p.phi, p.u0, p.beta, p.conditions, Cyclo.zeta(13), p.cell, p.det, p.column
+    )
+    args = list(r.__reduce__()[1])
+    args[FamilyResult.__slots__.index("components")] = (
+        P.ComponentResult(c.triple, c.phi, c.simplicity, point),
+        *r.components[1:],
+    )
+    broken = FamilyResult(*args)
+    assert broken == r
+    with pytest.raises(InvariantViolation, match="not purely imaginary"):
+        broken.hermitian
+    assert len(checked) == 2
 
 
 def test_component_hashes_as_its_triple():
@@ -435,7 +471,6 @@ _BROKEN_INVARIANTS = {
         "Q._closed_form_units = lambda m: [(Q.Cyclo.one(m) * 2, Q.Cyclo.one(m))]",
         "is not a real unit",
     ),
-    "entry purely imaginary": ("P._is_pure_imaginary = lambda xi: False", "not purely imaginary"),
 }
 
 
@@ -511,8 +546,15 @@ def test_invariant_checks_survive_optimize(check):
             "P.m17_pipeline()",
             "does not descend",
         ),
+        ("xi = P.Cyclo.zeta(5)", "P.Block(5, (xi,))", "not purely imaginary"),
     ],
-    ids=["non-monic divisor", "inverted interval", "relative conjugator", "descent"],
+    ids=[
+        "non-monic divisor",
+        "inverted interval",
+        "relative conjugator",
+        "descent",
+        "entry purely imaginary",
+    ],
 )
 def test_arithmetic_checks_survive_optimize(patch, call, fragment):
     kinds, message = _invariant_violation_under_optimize(patch, call)
@@ -586,6 +628,8 @@ def test_form_signature_matches_oracle():
             except (NonCompactType, NonMaximalOrder):
                 continue
             assert r.form_sig == oracles.form_signature(r.hermitian) == r.signature
+            assert r.gram == P._gram_view(r.hermitian)
+            assert tuple(r.gram) == gram_matrix(r.hermitian)
             assembled += 1
     assert assembled >= 14
 
