@@ -10,7 +10,6 @@ else (including corpus failures)."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -98,14 +97,40 @@ class _ReadOnlyDict(dict):
 
     @property
     def text(self) -> str:
-        """Text of the dict as an item of a top-level list of the report:
-        json.dumps's text indented two levels down, made when first read."""
+        """Text of the dict as an item of a top-level list of the report,
+        two levels down, made by _json_text when first read."""
         try:
             return self._text
         except AttributeError:
-            text = json.dumps(self, indent=2, sort_keys=True).replace("\n", "\n    ")
+            text = _json_text(self, 2)
             object.__setattr__(self, "_text", text)
             return text
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True) for a value a
+    report holds (a str, int, bool, tuple or read-only dict with str keys),
+    its lines indented depth levels further; other types raise TypeError."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is tuple:
+        return _seq(
+            [int.__repr__(v) if type(v) is int else _json_text(v, depth + 1) for v in value], depth
+        )
+    if kind is _ReadOnlyDict:
+        if not value:
+            return "{}"
+        inner = ",\n" + "  " * (depth + 1)
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json_text(value[k], depth + 1)}" for k in sorted(value)
+        ]
+        return "{" + inner[1:] + inner.join(items) + "\n" + "  " * depth + "}"
+    raise TypeError(f"a report holds no value of type {kind.__name__}")
 
 
 def _element_json(x: Cyclo, precision: int) -> _ReadOnlyDict:

@@ -205,6 +205,31 @@ class Cyclo:
         if den < 0:
             den = -den
             coeffs = [-c for c in coeffs]
+        self._store(m, coeffs, den)
+
+    @classmethod
+    def _reduced(cls, m: int, lift: list[int], den: int) -> "Cyclo":
+        """The element lift / den from a vector of ints that Cyclo
+        arithmetic made over a supported m, of length phi(m) or m, and a
+        positive den: no int() pass and no modulus check.  A length-m lift
+        over a prime m folds its top slot into the others, as Phi_m = 1 +
+        x + ... + x^(m-1); other moduli divide by Phi_m."""
+        facts = modulus(m)
+        phi = facts.phi
+        if len(lift) > phi:
+            if phi == m - 1:
+                top = lift[phi]
+                lift = [c - top for c in lift[:phi]]
+            else:
+                _, lift = _poly_divmod_monic(lift, facts.poly)
+                lift += [0] * (phi - len(lift))
+        x = object.__new__(cls)
+        x._store(m, lift, den)
+        return x
+
+    def _store(self, m: int, coeffs: list[int], den: int) -> None:
+        """Set the slots to coeffs / den, phi(m) coefficients over den > 0,
+        in lowest terms."""
         g = den
         for c in coeffs:
             g = gcd(g, c)
@@ -213,7 +238,7 @@ class Cyclo:
         if g > 1:
             den //= g
             coeffs = [c // g for c in coeffs]
-        if all(c == 0 for c in coeffs):
+        if not any(coeffs):
             den = 1
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "num", tuple(coeffs))
@@ -293,12 +318,12 @@ class Cyclo:
         d = self.den * o.den // gcd(self.den, o.den)
         fa, fb = d // self.den, d // o.den
         n = [fa * x + fb * y for x, y in zip(self.num, o.num)]
-        return Cyclo(self.m, n, d)
+        return Cyclo._reduced(self.m, n, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.m, [-c for c in self.num], self.den)
+        return Cyclo._reduced(self.m, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -314,7 +339,7 @@ class Cyclo:
         coefficient vector is packed into one integer in signed fields
         wide enough for any product coefficient, the two integers are
         multiplied once, and field k of the result is added into slot
-        k mod m; Cyclo() then reduces mod Phi_m."""
+        k mod m; Cyclo._reduced then reduces mod Phi_m."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -336,7 +361,7 @@ class Cyclo:
                 c -= full
                 p += 1
             out[k % m] += c
-        return Cyclo(m, out, self.den * o.den)
+        return Cyclo._reduced(m, out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -413,7 +438,7 @@ class Cyclo:
         for a, c in enumerate(self.num):
             if c:
                 lift[(a * i) % self.m] += c
-        return Cyclo(self.m, lift, self.den)
+        return Cyclo._reduced(self.m, lift, self.den)
 
     def conj(self) -> "Cyclo":
         return self.galois(self.m - 1)

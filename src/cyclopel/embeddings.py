@@ -13,8 +13,8 @@ each value a ball (midpoint, radius) whose radius counts every truncation.
 embed() encloses sigma_n(x) in a rectangle with exact dyadic endpoints, for
 decimal rendering, by Horner's rule on an enclosure of the root in a
 plain-integer interval kernel: a value is a pair (M, E) meaning M * 2^E, and
-each result is rounded outward once, by _round.  The enclosures of zeta_m at
-the default precision are committed as integer literals; any other root is
+each result is rounded outward once.  The enclosures of zeta_m at the
+default precision are committed as integer literals; any other root is
 computed, once, by the interval library the literals were taken from, which
 is imported only then.  No shared numeric state is read or written.
 """
@@ -249,25 +249,6 @@ def _round(M: int, E: int, prec: int, up: bool) -> tuple[int, int]:
     return (-(-M >> s) if up else M >> s), E + s
 
 
-def _sum(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """The exact sum of two values (M, E)."""
-    (M, E), (N, F) = a, b
-    if E > F:
-        return (M << (E - F)) + N, F
-    return M + (N << (F - E)), E
-
-
-def _add(a, b, prec: int):
-    """The interval a + b, each endpoint rounded outward to prec bits."""
-    return _outward((_sum(a[0], b[0]), _sum(a[1], b[1])), prec)
-
-
-def _sub(a, b, prec: int):
-    """The interval a - b, each endpoint rounded outward to prec bits."""
-    (M, E), (N, F) = b
-    return _add(a, ((-N, F), (-M, E)), prec)
-
-
 def _mul(a, b):
     """The exact interval a * b: its endpoints are two of the four endpoint
     products, picked by the signs of the endpoints."""
@@ -331,10 +312,11 @@ def embed(x: Cyclo, n: int, prec: int = DEFAULT_PRECISION) -> ComplexInterval:
     Horner's rule on the root's enclosure, acc <- acc * root + c, then
     acc / den, with the roundings of complex interval arithmetic at prec:
     a product's endpoint products are exact and its difference and sum are
-    rounded; the quotient by the real den takes den^2 and den * acc rounded
-    at prec + 20 bits, then their quotient at prec.  A directed rounding
-    has one result, so the box is bit for bit the one any correct
-    implementation of these steps gives."""
+    rounded, each Horner step inline with no call but _mul; the quotient
+    by the real den takes den^2 and den * acc rounded at prec + 20 bits,
+    then their quotient at prec.  A directed rounding has one result, so
+    the box is bit for bit the one any correct implementation of these
+    steps gives."""
     if not 8 <= prec <= PRECISION_CAP:
         raise ValueError(f"embedding precision {prec} is outside 8..{PRECISION_CAP} bits")
     if gcd(n, x.m) != 1:
@@ -345,12 +327,60 @@ def embed(x: Cyclo, n: int, prec: int = DEFAULT_PRECISION) -> ComplexInterval:
     root_re, root_im = _root(x.m, n % x.m, prec)
     re = im = ((0, 0), (0, 0))
     for c in reversed(x.num):
-        re, im = (
-            _sub(_mul(re, root_re), _mul(im, root_im), prec),
-            _add(_mul(re, root_im), _mul(im, root_re), prec),
-        )
-        if c:
-            re = _add(re, _outward(((c, 0), (c, 0)), prec), prec)
+        # re + i im <- (re + i im) * root + c.  Each endpoint is an exact
+        # sum of two endpoint products, taken at the lesser exponent, then
+        # rounded to prec bits: down at a lower endpoint, up at an upper.
+        (a, e), (b, f) = _mul(re, root_re)
+        (p, g), (q, h) = _mul(im, root_im)
+        if e > h:  # [a - q, b - p]
+            lo, lo_e = (a << (e - h)) - q, h
+        else:
+            lo, lo_e = a - (q << (h - e)), e
+        s = lo.bit_length() - prec
+        if s > 0:
+            lo, lo_e = lo >> s, lo_e + s
+        if f > g:
+            hi, hi_e = (b << (f - g)) - p, g
+        else:
+            hi, hi_e = b - (p << (g - f)), f
+        s = hi.bit_length() - prec
+        if s > 0:
+            hi, hi_e = -(-hi >> s), hi_e + s
+        (i_lo, i_lo_e), (i_hi, i_hi_e) = _mul(re, root_im)
+        (p, g), (q, h) = _mul(im, root_re)
+        if i_lo_e > g:  # [i_lo + p, i_hi + q]
+            i_lo, i_lo_e = (i_lo << (i_lo_e - g)) + p, g
+        else:
+            i_lo += p << (g - i_lo_e)
+        s = i_lo.bit_length() - prec
+        if s > 0:
+            i_lo, i_lo_e = i_lo >> s, i_lo_e + s
+        if i_hi_e > h:
+            i_hi, i_hi_e = (i_hi << (i_hi_e - h)) + q, h
+        else:
+            i_hi += q << (h - i_hi_e)
+        s = i_hi.bit_length() - prec
+        if s > 0:
+            i_hi, i_hi_e = -(-i_hi >> s), i_hi_e + s
+        im = (i_lo, i_lo_e), (i_hi, i_hi_e)
+        if c:  # + [c, c], c rounded outward to prec bits first
+            s = max(0, c.bit_length() - prec)
+            c_lo, c_hi = c >> s, -(-c >> s)
+            if lo_e > s:
+                lo, lo_e = (lo << (lo_e - s)) + c_lo, s
+            else:
+                lo += c_lo << (s - lo_e)
+            s_lo = lo.bit_length() - prec
+            if s_lo > 0:
+                lo, lo_e = lo >> s_lo, lo_e + s_lo
+            if hi_e > s:
+                hi, hi_e = (hi << (hi_e - s)) + c_hi, s
+            else:
+                hi += c_hi << (s - hi_e)
+            s_hi = hi.bit_length() - prec
+            if s_hi > 0:
+                hi, hi_e = -(-hi >> s_hi), hi_e + s_hi
+        re = (lo, lo_e), (hi, hi_e)
     if x.den != 1:
         den = _outward(((x.den, 0), (x.den, 0)), prec)
         wp = prec + 20

@@ -9,6 +9,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from ._record import Record
 from .cmfield import CMType
@@ -262,10 +263,11 @@ def _solve_combo(target: SignVector, m: int) -> int | Unsatisfiable:
 
 
 def _product(factors: Sequence[Cyclo], combo: int, m: int) -> Cyclo:
-    out = Cyclo.one(m)
-    for i, f in enumerate(factors):
-        if combo & (1 << i):
-            out = out * f
+    """The product of the factors picked by the bits of combo, 1 if none."""
+    picked = [f for i, f in enumerate(factors) if combo >> i & 1]
+    out = picked[0] if picked else Cyclo.one(m)
+    for f in picked[1:]:
+        out = out * f
     return out
 
 
@@ -293,15 +295,24 @@ class ConditionReport(Record):
 
 
 def verify_conditions(
-    beta: Cyclo, phi: CMType, start_prec: int = DEFAULT_PRECISION
+    beta: Cyclo, phi: CMType, start_prec: int = DEFAULT_PRECISION, inverse: Cyclo | None = None
 ) -> ConditionReport:
     """(1) beta generates D_{F/Q}, tested as beta/beta0 being a unit;
     (2) beta = -conj(beta), exact; (3) Im(sigma_n(beta)) < 0 for n in Phi,
-    certified."""
+    certified.
+
+    Given beta's inverse, (1) needs no norm: an element of Z[zeta_m] is a
+    unit exactly when its inverse is integral too, so (1) holds when
+    beta/beta0 and inverse * beta0 are integral with product 1.  A wrong
+    inverse fails (1).  Without it, (1) takes the norm of beta/beta0."""
     if beta.m != phi.m:
         raise ValueError("beta and Phi live over different moduli")
     ratio = beta * reference_different_inverse(beta.m)
-    generates = ratio.is_integral and ratio.is_unit()
+    if inverse is None:
+        generates = ratio.is_integral and ratio.is_unit()
+    else:
+        back = inverse * reference_different_generator(beta.m)
+        generates = ratio.is_integral and back.is_integral and ratio * back == 1
     anti = beta == -beta.conj()
     signs = all(certified_sign_im(beta, n, start_prec) == -1 for n in sorted(phi.members))
     return ConditionReport(generates, anti, signs)
@@ -346,21 +357,23 @@ def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
     is not skew."""
     m = xi.m
     facts = modulus(m)
-    d, table = facts.phi, facts.traces
-    tr: dict[int, int] = {}
+    d, wrapped = facts.phi, facts.traces * 2
+    values = []  # tr(xi zeta^k) for k = -(d - 1), ..., d - 1
     for k in range(-(d - 1), d):
-        num = sum(c * table[(i + k) % m] for i, c in enumerate(xi.num))
+        start = k % m
+        num = sum(map(mul, xi.num, wrapped[start:start + d]))
         if num % xi.den:
             raise NonIntegralForm(
                 f"tr(xi * zeta^{k}) = {Fraction(num, xi.den)} is not integral for entry "
                 f"{element_str(xi)} at modulus {m}"
             )
-        tr[k] = num // xi.den
-    if any(tr[k] != -tr[-k] for k in range(d)):
+        values.append(num // xi.den)
+    down = values[::-1]  # from k = d - 1: row a is k = a, ..., a - d + 1
+    if values != [-v for v in down]:
         raise InvariantViolation(
             f"pairing is not skew on the cell of entry {element_str(xi)} at modulus {m}"
         )
-    return tuple(tuple(tr[a - b] for b in range(d)) for a in range(d))
+    return tuple(tuple(down[d - 1 - a:2 * d - 1 - a]) for a in range(d))
 
 
 def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
@@ -417,7 +430,8 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
     exactly at the representatives lying in Phi.  The solve picks a set of
     unit generators; u0 is their product, and xi = 1/beta is the product
     of their closed-form inverses with 1/beta0, certified by beta * xi = 1
-    without any inversion; the point also holds xi's cell and column.
+    without any inversion, and condition (1) is certified by xi, without a
+    norm; the point also holds xi's cell and column.
     Memoized per (Phi, start_prec); the result is immutable."""
     m = phi.m
     if m not in BETA_FOR_TYPE_MODULI:
@@ -437,7 +451,7 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
         raise InvariantViolation(
             f"xi is not 1/beta for the CM-type {phi.sorted_members()} mod {m}"
         )
-    report = verify_conditions(beta, phi, start_prec)
+    report = verify_conditions(beta, phi, start_prec, xi)
     if not report.all_pass():
         raise InvariantViolation(
             f"constructed beta fails its own conditions for the CM-type {phi.sorted_members()} mod {m}"

@@ -17,6 +17,7 @@ import cyclopel
 import cyclopel.monodromy as M
 from cyclopel.cmfield import CMType
 from cyclopel.cyclotomic import Cyclo, _poly_divmod_monic, modulus, relative_split
+from cyclopel import embeddings
 from cyclopel.embeddings import DEFAULT_PRECISION, ComplexInterval, SignVector, certified_sign_real
 from cyclopel.errors import CyclopelError, InvariantViolation, NonCompactType
 from cyclopel.monodromy import DegenerationTree, MonodromyDatum, Signature
@@ -57,6 +58,65 @@ def context_horner(x: Cyclo, n: int, prec: int) -> ComplexInterval:
     acc /= x.den
     (re_lo, re_hi), (im_lo, im_hi) = acc._mpci_
     return ComplexInterval(*map(mpf_fraction, (re_lo, re_hi, im_lo, im_hi)))
+
+
+def rounded(v: Fraction, prec: int, up: bool) -> Fraction:
+    """v rounded to prec significant bits, toward +inf if up, else -inf."""
+    if v == 0:
+        return v
+    n, d = abs(v.numerator), v.denominator
+    e = n.bit_length() - d.bit_length()
+    if Fraction(n, d) < Fraction(2) ** e:
+        e -= 1
+    ulp = Fraction(2) ** (e - prec + 1)
+    q = v / ulp
+    return (-(-q.numerator // q.denominator) if up else q.numerator // q.denominator) * ulp
+
+
+def exact_horner(x: Cyclo, n: int, prec: int) -> ComplexInterval:
+    """sigma_n(x) by the steps that embed documents, in exact rationals:
+    Horner's rule acc <- acc * root + c on the root enclosure that
+    embeddings._root gives when called.  Each interval product spans the
+    least and greatest of its exact endpoint products; the real part's
+    difference and the imaginary part's sum are rounded outward to prec
+    bits, and c is rounded outward to prec bits, then added with outward
+    rounding.  Then acc / den: den rounded outward to prec bits, den^2 and
+    den * acc rounded outward at prec + 20 bits, and their quotient at
+    prec.  Every rounding is a floor or a ceiling of an exact value."""
+    if x.is_rational():
+        q = x.as_fraction()
+        return ComplexInterval(q, q, Fraction(0), Fraction(0))
+
+    def outward(a, p=prec):
+        return rounded(a[0], p, False), rounded(a[1], p, True)
+
+    def mul(a, b):
+        products = [u * v for u in a for v in b]
+        return min(products), max(products)
+
+    root_re, root_im = (
+        tuple(Fraction(M) * Fraction(2) ** E for M, E in part)
+        for part in embeddings._root(x.m, n % x.m, prec)
+    )
+    re = im = (Fraction(0), Fraction(0))
+    for c in reversed(x.num):
+        (a, b), (p, q) = mul(re, root_re), mul(im, root_im)
+        (e, f), (g, h) = mul(re, root_im), mul(im, root_re)
+        re, im = outward((a - q, b - p)), outward((e + g, f + h))
+        if c:
+            c_lo, c_hi = outward((Fraction(c), Fraction(c)))
+            re = outward((re[0] + c_lo, re[1] + c_hi))
+    if x.den != 1:
+        wp = prec + 20
+        den = outward((Fraction(x.den), Fraction(x.den)))
+        square = outward(mul(den, den), wp)
+
+        def quotient(a):
+            a = outward(mul(a, den), wp)
+            return outward(mul(a, (1 / square[0], 1 / square[1])))
+
+        re, im = quotient(re), quotient(im)
+    return ComplexInterval(re[0], re[1], im[0], im[1])
 
 
 def relative_trace(x: Cyclo) -> Cyclo:

@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -161,48 +162,102 @@ def _report(m, a, precision=DEFAULT_PRECISION):
     return build_report(result, precision, 0)
 
 
-def test_warm_report_makes_no_json_dumps_call(monkeypatch):
-    dumped = []
-    original = json.dumps
+def _spy_on_text(monkeypatch):
+    """The calls made after this of json.dumps (each must fail the test) and
+    of the report's text writer, as (value, depth); a component or matrix
+    entry gets its text at depth 2, as an item of a top-level list."""
+    written = []
+    original = cyclopel.cli._json_text
 
-    def spy(o, **kwargs):
-        dumped.append(o)
-        return original(o, **kwargs)
+    def spy(value, depth=0):
+        written.append((value, depth))
+        return original(value, depth)
 
-    monkeypatch.setattr(cyclopel.cli.json, "dumps", spy)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report called json.dumps")
+
+    monkeypatch.setattr(cyclopel.cli, "_json_text", spy)
+    monkeypatch.setattr(json, "dumps", refuse)
     cyclopel.cli._component_json.cache_clear()
     cyclopel.cli._point_json.cache_clear()
+    return written
+
+
+def test_warm_report_makes_no_json_dumps_call(monkeypatch):
+    dumps = json.dumps
+    written = _spy_on_text(monkeypatch)
     family = (13, (1, 2, 4, 5, 7, 7))
-    first = report_json(_report(*family))
-    # a first-seen component or matrix entry makes its text once
-    assert any("triple" in o for o in dumped) and any("exact" in o for o in dumped)
-    dumped.clear()
     report = _report(*family)
-    assert report_json(report) == first
+    first = report_json(report)
+    # a first-seen component or matrix entry makes its text once, and no
+    # text comes from json.dumps
+    items = [*report["components"], *report["matrix_entries"]]
+    assert sorted(id(v) for v, depth in written if depth == 2) == sorted({id(v) for v in items})
+    written.clear()
+    report = _report(*family)
+    assert report_json(report) == first == dumps(report, indent=2, sort_keys=True, default=list)
     # the components and matrix entries of a warm family carry their text
-    assert dumped == []
+    assert written == []
 
 
 def test_report_makes_text_only_for_components_and_matrix_entries(monkeypatch):
     # a beta is written inside its component's text, never by its own
-    dumped = []
-    original = json.dumps
-
-    def spy(o, **kwargs):
-        dumped.append(o)
-        return original(o, **kwargs)
-
-    monkeypatch.setattr(cyclopel.cli.json, "dumps", spy)
-    cyclopel.cli._component_json.cache_clear()
-    cyclopel.cli._point_json.cache_clear()
+    dumps = json.dumps
+    written = _spy_on_text(monkeypatch)
     report = _report(13, (1, 2, 4, 5, 7, 7))
     text = report_json(report)
     entries = {id(e): e for e in report["matrix_entries"]}
     components = {id(c): c for c in report["components"]}
-    assert sorted(map(id, dumped)) == sorted([*entries, *components])
+    own = [v for v, depth in written if depth == 2]
+    assert sorted(map(id, own)) == sorted([*entries, *components])
     betas = [c["beta"] for c in report["components"]]
     assert not any(id(b) in entries for b in betas)
-    assert text == original(report, indent=2, sort_keys=True, default=list)
+    assert {depth for v, depth in written if any(v is b for b in betas)} == {3}
+    assert text == dumps(report, indent=2, sort_keys=True, default=list)
+
+
+def test_text_writer_is_json_dumps_on_every_report_dict():
+    # every component and matrix entry dict of the golden families and of
+    # the corpus fixtures that assemble takes, at two precisions
+    from test_golden import FAMILIES
+
+    corpus = [
+        (f["m"], tuple(f["a"]))
+        for f in load_corpus(default_corpus_path())
+        if f["m"] in cyclopel.peldatum.ASSEMBLE_MODULI
+    ]
+    seen = 0
+    for precision in (64, 128):
+        for family in (*FAMILIES, *corpus):
+            report = _report(*family, precision)
+            for d in (*report["components"], *report["matrix_entries"]):
+                for depth in (0, 2):
+                    expected = json.dumps(d, indent=2, sort_keys=True)
+                    expected = expected.replace("\n", "\n" + "  " * depth)
+                    assert cyclopel.cli._json_text(d, depth) == expected, family
+                assert d.text == cyclopel.cli._json_text(d, 2)
+                seen += 1
+    assert seen > 200
+
+
+def test_text_writer_is_json_dumps_on_adversarial_values():
+    Ro = cyclopel.cli._ReadOnlyDict
+    strings = [
+        "", 'say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x01\x1f\x7f", "caf\u00e9",
+        "\u2028\u2029", "\U0001f600 astral", "\ud800 lone surrogate", "</script>",
+    ]
+    values = [
+        0, -1, -(2**100), 2**64, True, False, (), (-3, 0, 7), ((), ((),)), Ro(), Ro(a=Ro()),
+        (True, False, "x", -5), Ro(**{s: i for i, s in enumerate(strings)}),
+        Ro(z=1, a=(Ro(), Ro(k="v")), m=Ro(n=(1, ("two", (False,))))), *strings,
+    ]
+    for v in values:
+        for depth in (0, 1, 2, 5):
+            expected = json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+            assert cyclopel.cli._json_text(v, depth) == expected, v
+    for other in (1.5, None, [1], {"a": 1}, Ro(a=[1]), Fraction(1, 2), Ro({1: 2})):
+        with pytest.raises(TypeError):
+            cyclopel.cli._json_text(other)
 
 
 def test_warm_report_writes_short_integer_lists_from_their_memo(monkeypatch):

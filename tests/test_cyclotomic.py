@@ -3,6 +3,7 @@ inversion, the relative degree-2 split, and the m <-> 2m identification."""
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -135,6 +136,54 @@ def test_product_matches_schoolbook_on_every_modulus():
         for x, y in cases:
             for p in (x * y, y * x):
                 assert (p.num, p.den) == _schoolbook_product(x, y)
+
+
+def test_arithmetic_results_equal_the_generic_constructor_on_every_modulus():
+    # mul, galois, + and - build their results from vectors they made
+    # themselves, without the generic constructor's checks; each result
+    # must be the element Cyclo(m, list, den) builds from the same vector.
+    # Denominators share factors with the coefficients, and zero vectors
+    # over a denominator are among the inputs.
+    rng = random.Random(223)
+
+    def element(m):
+        g = rng.choice((1, 2, 6, 12, 36))
+        bound = rng.choice((0, 1, 9, 2**70))
+        num = [g * rng.randint(-bound, bound) for _ in range(modulus(m).phi)]
+        return Cyclo(m, num, g * rng.choice((1, 2, 3, 4, 9)))
+
+    def same(x, vector, den):
+        expected = Cyclo(x.m, vector, den)
+        assert (x.num, x.den) == (expected.num, expected.den)
+        assert x == expected and hash(x) == hash(expected)
+        assert x.__reduce__() == expected.__reduce__()
+        back = pickle.loads(pickle.dumps(x))
+        assert type(back) is Cyclo and (back.num, back.den) == (x.num, x.den) and back == x
+
+    zeros = 0
+    for m in sorted(SUPPORTED_MODULI):
+        units = modulus(m).units
+        for _ in range(40):
+            x, y = element(m), element(m)
+            lift = [0] * m
+            for i, a in enumerate(x.num):
+                for j, b in enumerate(y.num):
+                    lift[(i + j) % m] += a * b
+            same(x * y, lift, x.den * y.den)
+            i = rng.choice(units)
+            lift = [0] * m
+            for k, c in enumerate(x.num):
+                lift[k * i % m] += c
+            same(x.galois(i), lift, x.den)
+            same(x + y, [a * y.den + b * x.den for a, b in zip(x.num, y.num)], x.den * y.den)
+            same(x - y, [a * y.den - b * x.den for a, b in zip(x.num, y.num)], x.den * y.den)
+            same(-x, [-c for c in x.num], x.den)
+            zeros += x.is_zero()
+        zero = Cyclo(m, [0] * m, 36)
+        assert (zero.num, zero.den) == ((0,) * modulus(m).phi, 1)
+        same(zero * element(m), [0] * m, 36)
+        same(x - x, [0] * modulus(m).phi, x.den ** 2)
+    assert zeros > 0
 
 
 def test_rational_elements_hash_as_the_numbers_they_equal():

@@ -34,7 +34,8 @@ from cyclopel.embeddings import (
     is_totally_positive,
 )
 from cyclopel.errors import NotRealElement
-from oracles import NotUnit, context_horner, sign_vector
+import cyclopel.embeddings
+from oracles import NotUnit, context_horner, exact_horner, rounded, sign_vector
 
 
 def random_element(rng, m, bound=8):
@@ -108,17 +109,33 @@ def test_embed_is_the_context_horner_box(prec):
                 assert embed(x, n, prec) == context_horner(x, n, prec)
 
 
-def _rounded(v: Fraction, prec: int, up: bool) -> Fraction:
-    """v rounded to prec significant bits, toward +inf if up, else -inf."""
-    if v == 0:
-        return v
-    n, d = abs(v.numerator), v.denominator
-    e = n.bit_length() - d.bit_length()
-    if Fraction(n, d) < Fraction(2) ** e:
-        e -= 1
-    ulp = Fraction(2) ** (e - prec + 1)
-    q = v / ulp
-    return (-(-q.numerator // q.denominator) if up else q.numerator // q.denominator) * ulp
+@pytest.mark.parametrize("prec", (8, 53, 64, 192, 1024, 4096))
+def test_embed_is_the_exact_horner_box(prec):
+    # two units of every modulus: small coefficients over a small den, and
+    # 300-bit ones over a den above 2^20
+    rng = random.Random(1000 + prec)
+    for m in sorted(SUPPORTED_MODULI):
+        for k, n in enumerate(rng.sample(modulus(m).units, 2)):
+            bound, den = ((9, rng.randint(1, 9)), (2**300, rng.randint(2**20, 3**40)))[k]
+            x = Cyclo(m, [rng.randint(-bound, bound) for _ in range(modulus(m).phi)], den)
+            assert embed(x, n, prec) == exact_horner(x, n, prec), (x, n)
+
+
+def test_embed_rounds_a_near_cancelling_sum(monkeypatch):
+    # On the point root R + iT, z^2 takes Horner's rule to R^2 - T^2, where
+    # R^2 = (2^126 + 2^64 + 1) * 2^-128 is wider than 64 bits and T^2 lies
+    # 118 bits below it with a last bit 102 places further down: the
+    # shape in which an adder that drops the small operand rounds the
+    # wrong way.  The floor of the exact difference is below that of R^2.
+    R, T = (2**63 + 1, -64), (2**55 + 1, -115)
+    monkeypatch.setattr(cyclopel.embeddings, "_root", lambda m, k, prec: ((R, R), (T, T)))
+    r, t = _fraction(R), _fraction(T)
+    assert rounded(r * r - t * t, 64, False) < rounded(r * r, 64, False)
+    x = Cyclo.zeta(5, 2)
+    box = embed(x, 1, 64)
+    assert box == exact_horner(x, 1, 64)
+    assert box.re_lo == rounded(r * r - t * t, 64, False)
+    assert box.re_hi == rounded(r * r - t * t, 64, True)
 
 
 def _random_value(rng, sign):
@@ -146,14 +163,14 @@ def test_kernel_operations_round_the_exact_results():
         a, b = _random_interval(rng), _random_interval(rng)
         M, E = _random_value(rng, rng.choice((-1, 0, 1)))
         for up in (False, True):
-            assert _fraction(_round(M, E, prec, up)) == _rounded(_fraction((M, E)), prec, up)
+            assert _fraction(_round(M, E, prec, up)) == rounded(_fraction((M, E)), prec, up)
         products = [_fraction(x) * _fraction(y) for x in a for y in b]
         assert tuple(map(_fraction, _mul(a, b))) == (min(products), max(products))
         if _fraction(b[0]) > 0:
             quotients = [_fraction(x) / _fraction(y) for x in a for y in b]
             lo, hi = _div(a, b, prec)
-            assert _fraction(lo) == _rounded(min(quotients), prec, False)
-            assert _fraction(hi) == _rounded(max(quotients), prec, True)
+            assert _fraction(lo) == rounded(min(quotients), prec, False)
+            assert _fraction(hi) == rounded(max(quotients), prec, True)
 
 
 def test_embed_precision_is_bounded():

@@ -460,7 +460,7 @@ _BROKEN_INVARIANTS = {
         "not the monodromy signature",
     ),
     "beta conditions": (
-        "Q.verify_conditions = lambda beta, phi, prec: Q.ConditionReport(True, True, False)",
+        "Q.verify_conditions = lambda beta, phi, prec, inverse: Q.ConditionReport(True, True, False)",
         "fails its own conditions",
     ),
     "xi is 1/beta": (

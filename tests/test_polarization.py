@@ -38,6 +38,7 @@ from cyclopel.polarization import (
     unit_generators,
     verify_conditions,
 )
+import oracles
 from oracles import galois_act_cm, sign_vector
 
 BETA0_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 21, 27, 32)
@@ -291,6 +292,67 @@ def test_verify_conditions_m3():
     assert rep.antisymmetric and rep.signs_negative
     with pytest.raises(ValueError):
         verify_conditions(beta0(5).element, phi)
+
+
+def test_certificate_by_inverse_agrees_with_the_norm_on_every_type():
+    # every CM-type at every modulus where beta_for_type runs: condition (1)
+    # by integral inverse, as beta_for_type takes it, is the norm test's
+    # outcome, and so are the other two conditions, for the type and for
+    # its conjugate (whose signs all fail)
+    count = 0
+    for m in sorted(BETA_FOR_TYPE_MODULI):
+        for phi in _cm_types(m):
+            point = beta_for_type(phi)
+            beta, xi = point.beta, point.xi()
+            for psi in (phi, phi.conjugate()):
+                by_norm = verify_conditions(beta, psi, DEFAULT_PRECISION)
+                assert verify_conditions(beta, psi, DEFAULT_PRECISION, xi) == by_norm, psi
+            assert by_norm.generates_different and not by_norm.signs_negative
+            assert point.conditions == verify_conditions(beta, phi)
+            count += 1
+    assert count == sum(2 ** (modulus(m).phi // 2) for m in BETA_FOR_TYPE_MODULI)
+
+
+@pytest.mark.parametrize("m", sorted(BETA_FOR_TYPE_MODULI))
+def test_certificate_refuses_a_wrong_inverse(m):
+    # 2 * xi, and the xi of another type: condition (1) fails, the other
+    # two stand
+    phis = _cm_types(m)
+    points = [beta_for_type(phi) for phi in phis[:2] + phis[-1:]]
+    for point, other in zip(points, points[1:] + points[:1]):
+        beta, phi = point.beta, point.phi
+        for wrong in (2 * point.xi(), other.xi(), point.xi() / 2, -point.xi()):
+            if wrong == point.xi():
+                continue
+            report = verify_conditions(beta, phi, DEFAULT_PRECISION, wrong)
+            assert not report.generates_different, (phi, wrong)
+            assert report.antisymmetric and report.signs_negative
+    # a beta that does not generate the different fails whatever inverse
+    # comes with it: here its true one
+    point = points[0]
+    report = verify_conditions(3 * point.beta, point.phi, DEFAULT_PRECISION, point.xi() / 3)
+    assert not report.generates_different
+
+
+def test_cold_beta_for_type_takes_no_norm(monkeypatch):
+    calls = []
+    original = Cyclo._norm_and_other_conjugates
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cyclo, "_norm_and_other_conjugates", counted)
+    oracles.clear_memos()
+    rng = random.Random(71)
+    for m in sorted(BETA_FOR_TYPE_MODULI):
+        for phi in _cm_types(m, rng, 4):
+            assert beta_for_type(phi).conditions.all_pass()
+    assert calls == []
+    # the norm test without an inverse still takes one
+    phi = CMType(7, frozenset({1, 2, 4}))
+    assert verify_conditions(beta_for_type(phi).beta, phi).all_pass()
+    assert len(calls) == 1
 
 
 def test_beta_for_type_m3():
