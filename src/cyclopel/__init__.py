@@ -35,23 +35,23 @@ from .peldatum import (
     FamilyResult,
     HermitianDatum,
     assemble,
-    equivalent_datum,
     form_signature,
     gram_determinant,
     gram_matrix,
-    load_corpus,
-    m17_pipeline,
-    twice_prime_bridge,
-    verify_fixture,
 )
 from .polarization import (
     beta0,
     beta_for_type,
     equivalent_beta,
     reference_different_generator,
-    solve_sign_pattern,
-    unit_generators,
     verify_conditions,
+)
+from .verify import (
+    equivalent_datum,
+    load_corpus,
+    m17_pipeline,
+    twice_prime_bridge,
+    verify_fixture,
 )
 
 __version__ = "0.1.0"

@@ -35,16 +35,9 @@ from .errors import (
     ZeroInertia,
 )
 from .monodromy import validate
-from .peldatum import (
-    ASSEMBLE_MODULI,
-    ComponentResult,
-    FamilyResult,
-    assemble,
-    default_corpus_path,
-    load_corpus,
-    verify_fixture,
-)
+from .peldatum import ASSEMBLE_MODULI, ComponentResult, FamilyResult, assemble
 from .polarization import PolarizedCMPoint
+from .verify import default_corpus_path, load_corpus, verify_fixture
 
 __all__ = ["main", "build_report", "report_json", "run_corpus", "write_report"]
 
@@ -152,8 +145,9 @@ def _point_json(
     """beta's dict, the entry's dict and u0's exact text, once per (point,
     precision).  The entry's dict carries the text of each row of its
     Gram cell in a report, without the zeros around it."""
-    entry = _element_json(point.xi(), precision)
-    object.__setattr__(entry, "rows", tuple(_GRAM_SEP.join(map(str, row)) for row in point.cell))
+    entry = _element_json(point.entry.xi, precision)
+    rows = tuple(_GRAM_SEP.join(map(str, row)) for row in point.entry.cell)
+    object.__setattr__(entry, "rows", rows)
     return _element_json(point.beta, precision), entry, element_str(point.u0)
 
 

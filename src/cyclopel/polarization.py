@@ -1,7 +1,7 @@
 """Polarization elements beta: different generators, unit sign solving,
 construction of beta for a CM-type, the three polarization conditions, and
-what an entry xi = 1/beta gives the Hermitian form: CM-type, Gram cell and
-signature column."""
+the record of an entry xi = 1/beta of the Hermitian form: its CM-type,
+signature column, Gram cell and the cell's determinant."""
 
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ __all__ = [
     "BETA_FOR_TYPE_MODULI",
     "ConditionReport",
     "DifferentGenerator",
+    "Entry",
     "PolarizedCMPoint",
     "beta0",
     "beta_for_type",
@@ -36,10 +37,9 @@ __all__ = [
     "equivalent_beta",
     "gram_determinant",
     "has_independent_signs",
+    "hermitian_entry",
     "reference_different_generator",
     "reference_different_inverse",
-    "solve_sign_pattern",
-    "unit_generators",
     "verify_conditions",
 ]
 
@@ -76,11 +76,19 @@ class DifferentGenerator(Record, hidden=("inverse", "signs"), derived=("signs",)
         object.__setattr__(self, "signs", signs)
 
 
-@lru_cache(maxsize=64)
 def beta0(m: int) -> DifferentGenerator:
-    """Different generator and its inverse by closed form.  Cases, in match
-    order: odd prime; 2^k; 3^k; product of two distinct odd primes (the
-    only case that divides)."""
+    """Different generator of modulus m with its inverse and signs, read off
+    _constants(m)."""
+    b0 = _constants(m).beta0
+    if b0 is None:
+        raise UnsupportedModulus(f"no closed-form different generator for m = {m}")
+    return b0
+
+
+def _different_generator(m: int) -> DifferentGenerator | None:
+    """Different generator and its inverse by closed form, or None where
+    there is none.  Cases, in match order: odd prime; 2^k; 3^k; product of
+    two distinct odd primes (the only case that divides)."""
     if m % 2 and _is_prime(m):
         # beta0 = m / (zeta^h - zeta^(h-1)) = sum_{k<m} k zeta^(k-h+1) with
         # h = (m+1)/2, so the coefficient of zeta^j is (j + h - 1) mod m
@@ -109,7 +117,7 @@ def beta0(m: int) -> DifferentGenerator:
             d2 = z ** ((p * (q + 1) // 2) % m) - z ** ((p * (q - 1) // 2) % m)
             el = m * num / (d1 * d2)
             return DifferentGenerator(m, "two-odd-primes", el, el.inverse())
-    raise UnsupportedModulus(f"no closed-form different generator for m = {m}")
+    return None
 
 
 def _is_prime(n: int) -> bool:
@@ -129,7 +137,8 @@ def reference_different_inverse(m: int) -> Cyclo:
 
 
 def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
-    """(g, g^-1) for every generator of unit_generators(m), both from
+    """(g, g^-1) for generators g of a finite-index, sign-surjectivity-
+    preserving subgroup of the units of the real subfield F_0, both from
     closed forms (Washington, Introduction to Cyclotomic Fields, 8.1),
     with b = a^-1 mod m:
 
@@ -176,14 +185,16 @@ def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
     return pairs
 
 
-class _UnitTable(Record):
-    """Per-modulus constants of the unit sign solve: the generators, their
-    inverses, their sign vectors, the span of the sign rows and its rank.
-    A sign row is a bit mask, bit j set for a negative sign at column j;
-    span[row] is the bit mask of generators whose product realizes the
-    row, or None when no product does, and 2^rank rows are realized."""
+class _Constants(Record):
+    """Per-modulus constants of polarization: beta0 (None where no closed
+    form exists), the unit generators, their inverses, their sign vectors,
+    the span of the sign rows and its rank.  A sign row is a bit mask, bit
+    j set for a negative sign at column j; span[row] is the bit mask of
+    generators whose product realizes the row, or None when no product
+    does, and 2^rank rows are realized."""
 
-    __slots__ = ("gens", "inverses", "signs", "span", "rank")
+    __slots__ = ("beta0", "gens", "inverses", "signs", "span", "rank")
+    beta0: DifferentGenerator | None
     gens: tuple[Cyclo, ...]
     inverses: tuple[Cyclo, ...]
     signs: tuple[SignVector, ...]
@@ -192,12 +203,13 @@ class _UnitTable(Record):
 
 
 @lru_cache(maxsize=64)
-def _unit_table(m: int) -> _UnitTable:
-    """Build the unit table of modulus m once.  Each generator g is
+def _constants(m: int) -> _Constants:
+    """Build the constants of modulus m once.  Each unit generator g is
     certified a real unit by g * g^-1 = 1 with both factors integral, so
     no inversion and no norm is needed; its signs are then certified at
     the real embeddings.  The span is the XOR closure of the sign rows,
     each reached row keeping the first generator mask that reached it."""
+    b0 = _different_generator(m)
     pairs = _closed_form_units(m)
     for g, h in pairs:
         if not (g.is_integral and h.is_integral and g * h == 1 and g.is_real()):
@@ -216,21 +228,14 @@ def _unit_table(m: int) -> _UnitTable:
                 span[row ^ bits] = span[row] | 1 << i
                 reached.append(row ^ bits)
     rank = len(reached).bit_length() - 1
-    return _UnitTable(gens, tuple(h for _, h in pairs), signs, tuple(span), rank)
-
-
-def unit_generators(m: int) -> tuple[Cyclo, ...]:
-    """Generators of a finite-index, sign-surjectivity-preserving subgroup
-    of the units of the real subfield F_0: -1 plus the cyclotomic units of
-    _closed_form_units."""
-    return _unit_table(m).gens
+    return _Constants(b0, gens, tuple(h for _, h in pairs), signs, tuple(span), rank)
 
 
 def has_independent_signs(m: int) -> bool:
     """Whether units of the real subfield realize every sign pattern, read
-    off the span of unit_generators(m): then the totally-positive-unit
-    test for beta-equivalence is exact."""
-    return _unit_table(m).rank == len(modulus(m).reps)
+    off the span of the unit generators of modulus m: then the
+    totally-positive-unit test for beta-equivalence is exact."""
+    return _constants(m).rank == len(modulus(m).reps)
 
 
 def _signs_to_bits(signs: SignVector) -> int:
@@ -245,14 +250,14 @@ def _signs_to_bits(signs: SignVector) -> int:
 
 def _solve_combo(target: SignVector, m: int) -> int | Unsatisfiable:
     """Bit mask of the unit generators of modulus m whose product has the
-    sign vector target, looked up in the span of _unit_table(m), or
+    sign vector target, looked up in the span of _constants(m), or
     Unsatisfiable carrying the cokernel dimension."""
     ncols = len(modulus(m).reps)
     if len(target) != ncols:
         raise ValueError(f"target has {len(target)} components, expected {ncols}")
     if any(s not in (-1, 1) for s in target):
         raise ValueError(f"target {target} has an entry other than +-1")
-    table = _unit_table(m)
+    table = _constants(m)
     combo = table.span[_signs_to_bits(target)]
     if combo is None:
         return Unsatisfiable(
@@ -269,17 +274,6 @@ def _product(factors: Sequence[Cyclo], combo: int, m: int) -> Cyclo:
     for f in picked[1:]:
         out = out * f
     return out
-
-
-def solve_sign_pattern(target: SignVector, m: int) -> Cyclo | Unsatisfiable:
-    """Find a product of unit_generators(m) whose real-embedding sign
-    vector equals target, columns in ascending-representative order; on
-    failure returns (not raises) Unsatisfiable carrying the cokernel
-    dimension."""
-    combo = _solve_combo(target, m)
-    if isinstance(combo, Unsatisfiable):
-        return combo
-    return _product(_unit_table(m).gens, combo, m)
 
 
 class ConditionReport(Record):
@@ -334,17 +328,16 @@ def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
     return CMType(m, frozenset(members))
 
 
-def _entry_column(xi: Cyclo, m: int, start_prec: int) -> tuple[int, ...]:
-    """What the entry xi adds to the signature of a datum over Q(zeta_m):
-    1 at each residue n mod m of exact order d = xi.m, n = (m/d) t with t a
-    unit mod d, whose local index n mod d is in the CM-type of xi certified
-    on xi's own embeddings; 0 elsewhere."""
-    d = xi.m
-    members = entry_cm_type(xi, start_prec).members
+def _entry_column(phi: CMType, m: int) -> tuple[int, ...]:
+    """What an entry of CM-type phi over Q(zeta_d), d = phi.m, adds to the
+    signature of a datum over Q(zeta_m): 1 at each residue n mod m of exact
+    order d, n = (m/d) t with t a unit mod d, whose local index n mod d is
+    in phi; 0 elsewhere."""
+    d = phi.m
     values = [0] * m
     for t in modulus(d).units:
         n = m // d * t
-        if n % d in members:
+        if n % d in phi.members:
             values[n] = 1
     return tuple(values)
 
@@ -402,25 +395,66 @@ def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-class PolarizedCMPoint(Record, hidden=("_xi", "cell", "det", "column")):
-    """beta = u0 * beta0 realizing the polarization for the CM-type Phi, with
-    its entry xi = 1/beta, the Gram cell of xi, that cell's determinant, and
-    what xi adds to the signature of a form over Q(zeta_m)."""
+class _Made:
+    """Slots of the values an Entry makes when they are first read; they
+    are not fields of the record."""
 
-    __slots__ = ("phi", "u0", "beta", "conditions", "_xi", "cell", "det", "column")
+    __slots__ = ("_cell", "_det")
+
+
+class Entry(Record, _Made):
+    """A diagonal entry xi of a Hermitian form with what it gives the form:
+    its CM-type phi, certified on the embeddings of xi itself, and column,
+    what it adds to the signature of a form over Q(zeta_m), m = xi.m.  The
+    Gram cell of xi and that cell's determinant are made when first read,
+    so an entry whose traces are not integral still has its CM-type, and
+    its cell raises on every read."""
+
+    __slots__ = ("xi", "phi", "column")
+    xi: Cyclo
+    phi: CMType
+    column: tuple[int, ...]
+
+    @property
+    def cell(self) -> tuple[tuple[int, ...], ...]:
+        """The Gram cell of xi on Z[zeta_m], made by _gram_cell."""
+        try:
+            return self._cell
+        except AttributeError:
+            cell = _gram_cell(self.xi)
+            object.__setattr__(self, "_cell", cell)
+            return cell
+
+    @property
+    def det(self) -> int:
+        """The determinant of the cell."""
+        try:
+            return self._det
+        except AttributeError:
+            det = gram_determinant(self.cell)
+            object.__setattr__(self, "_det", det)
+            return det
+
+
+@lru_cache(maxsize=4096)
+def hermitian_entry(xi: Cyclo, start_prec: int) -> Entry:
+    """The Entry of xi, its CM-type certified from start_prec bits, built
+    once per (xi, start_prec): an assembled entry and an equal fixture
+    entry are one record."""
+    phi = entry_cm_type(xi, start_prec)
+    return Entry(xi, phi, _entry_column(phi, xi.m))
+
+
+class PolarizedCMPoint(Record, hidden=("entry",)):
+    """beta = u0 * beta0 realizing the polarization for the CM-type Phi, with
+    the Entry of xi = 1/beta, built by beta_for_type without inversion."""
+
+    __slots__ = ("phi", "u0", "beta", "conditions", "entry")
     phi: CMType
     u0: Cyclo
     beta: Cyclo
     conditions: ConditionReport
-    _xi: Cyclo
-    cell: tuple[tuple[int, ...], ...]
-    det: int
-    column: tuple[int, ...]
-
-    def xi(self) -> Cyclo:
-        """The Hermitian-form entry 1/beta, built by beta_for_type without
-        inversion."""
-        return self._xi
+    entry: Entry
 
 
 @lru_cache(maxsize=4096)
@@ -431,16 +465,16 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
     unit generators; u0 is their product, and xi = 1/beta is the product
     of their closed-form inverses with 1/beta0, certified by beta * xi = 1
     without any inversion, and condition (1) is certified by xi, without a
-    norm; the point also holds xi's cell and column.
+    norm; the point holds the Entry of xi.
     Memoized per (Phi, start_prec); the result is immutable."""
     m = phi.m
     if m not in BETA_FOR_TYPE_MODULI:
         raise UnsupportedModulus(
             f"beta construction needs a closed-form beta0 and independent signs; m = {m} has neither or only one"
         )
-    b0 = beta0(m)
+    table = _constants(m)
+    b0 = table.beta0
     target = tuple(-s if n in phi else s for n, s in zip(modulus(m).reps, b0.signs))
-    table = _unit_table(m)
     combo = _solve_combo(target, m)
     if isinstance(combo, Unsatisfiable):
         raise combo
@@ -456,9 +490,7 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
         raise InvariantViolation(
             f"constructed beta fails its own conditions for the CM-type {phi.sorted_members()} mod {m}"
         )
-    cell = _gram_cell(xi)
-    column = _entry_column(xi, m, start_prec)
-    return PolarizedCMPoint(phi, u0, beta, report, xi, cell, gram_determinant(cell), column)
+    return PolarizedCMPoint(phi, u0, beta, report, hermitian_entry(xi, start_prec))
 
 
 def equivalent_beta(beta: Cyclo, other: Cyclo, start_prec: int = DEFAULT_PRECISION) -> bool:

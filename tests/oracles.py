@@ -19,9 +19,10 @@ from cyclopel.cmfield import CMType
 from cyclopel.cyclotomic import Cyclo, _poly_divmod_monic, modulus, relative_split
 from cyclopel import embeddings
 from cyclopel.embeddings import DEFAULT_PRECISION, ComplexInterval, SignVector, certified_sign_real
-from cyclopel.errors import CyclopelError, InvariantViolation, NonCompactType
+from cyclopel.errors import CyclopelError, InvariantViolation, NonCompactType, Unsatisfiable
 from cyclopel.monodromy import DegenerationTree, MonodromyDatum, Signature
 from cyclopel.peldatum import HermitianDatum, entry_cm_type
+from cyclopel.polarization import _constants, _product, _solve_combo
 
 
 class NotUnit(CyclopelError):
@@ -36,6 +37,15 @@ def sign_vector(u: Cyclo, start_prec: int = DEFAULT_PRECISION) -> SignVector:
     if not u.is_unit():
         raise NotUnit("sign vectors are defined for units of the real subfield")
     return tuple(certified_sign_real(u, n, start_prec) for n in modulus(u.m).reps)
+
+
+def unit_for_signs(target: SignVector, m: int) -> Cyclo | Unsatisfiable:
+    """The product of the unit generators of modulus m that the sign solve
+    picks for target, or the Unsatisfiable it returns."""
+    combo = _solve_combo(target, m)
+    if isinstance(combo, Unsatisfiable):
+        return combo
+    return _product(_constants(m).gens, combo, m)
 
 
 def mpf_fraction(raw) -> Fraction:

@@ -23,23 +23,16 @@ from cyclopel.cyclotomic import Cyclo, modulus, parse_element
 from cyclopel.embeddings import embed
 from cyclopel.errors import Unsatisfiable
 from cyclopel.monodromy import galois_act, genus, signature, validate
-from cyclopel.peldatum import (
-    Block,
-    HermitianDatum,
-    assemble,
+from cyclopel.peldatum import Block, HermitianDatum, assemble
+from cyclopel.polarization import beta_for_type, equivalent_beta, verify_conditions
+from cyclopel.verify import (
     default_corpus_path,
     equivalent_datum,
     load_corpus,
     m17_pipeline,
     verify_fixture,
 )
-from cyclopel.polarization import (
-    beta_for_type,
-    equivalent_beta,
-    solve_sign_pattern,
-    verify_conditions,
-)
-from oracles import galois_act_signature, sign_vector
+from oracles import galois_act_signature, sign_vector, unit_for_signs
 
 
 def pe(s, m):
@@ -180,7 +173,7 @@ def test_unit_sign_surjectivity():
         ncols = len(modulus(m).reps)
         sample = []
         for target in itertools.product((1, -1), repeat=ncols):
-            u = solve_sign_pattern(target, m)
+            u = unit_for_signs(target, m)
             assert isinstance(u, Cyclo), (m, target)
             sample.append((u, target))
         for u, target in sample[:: max(1, len(sample) // 4)]:
@@ -190,7 +183,7 @@ def test_unit_sign_surjectivity():
 def test_unit_sign_cokernel_m21():
     hits = 0
     for target in itertools.product((1, -1), repeat=6):
-        res = solve_sign_pattern(target, 21)
+        res = unit_for_signs(target, 21)
         if isinstance(res, Unsatisfiable):
             assert res.cokernel_dim == 1
         else:
@@ -317,7 +310,10 @@ def test_validation_survives_optimize():
     tests = Path(__file__).resolve().parent
     src = str(Path(cyclopel.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    files = ["test_peldatum.py", "test_cmfield.py", "test_monodromy.py", "test_polarization.py"]
+    files = [
+        "test_peldatum.py", "test_cmfield.py", "test_monodromy.py", "test_polarization.py",
+        "test_verify.py",
+    ]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *(str(tests / f) for f in files)],

@@ -37,8 +37,9 @@ from cyclopel.cli import (
 )
 from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import CyclopelError, MalformedDatum, ParseError, Unsatisfiable
-from cyclopel.peldatum import FamilyResult, default_corpus_path, load_corpus
-from cyclopel.polarization import PolarizedCMPoint, beta_for_type
+from cyclopel.peldatum import FamilyResult
+from cyclopel.polarization import Entry, PolarizedCMPoint, beta_for_type
+from cyclopel.verify import default_corpus_path, load_corpus
 
 
 def run(argv):
@@ -282,15 +283,15 @@ class _UnhashableCell(tuple):
 
 
 def _with_unhashable_cells(result):
-    """result with every point's Gram cell an _UnhashableCell: a cell is
+    """result with every point's Gram cell an _UnhashableCell: an entry is
     hidden from its point's equality and hash, so the memos keyed on a
     point or component take these as the ones they stand for."""
     components = []
     for c in result.components:
-        p = c.point
-        point = PolarizedCMPoint(
-            p.phi, p.u0, p.beta, p.conditions, p.xi(), _UnhashableCell(p.cell), p.det, p.column
-        )
+        p, e = c.point, c.point.entry
+        entry = Entry(e.xi, e.phi, e.column)
+        object.__setattr__(entry, "_cell", _UnhashableCell(e.cell))
+        point = PolarizedCMPoint(p.phi, p.u0, p.beta, p.conditions, entry)
         components.append(cyclopel.peldatum.ComponentResult(c.triple, c.phi, c.simplicity, point))
     args = list(result.__reduce__()[1])
     args[FamilyResult.__slots__.index("components")] = tuple(components)

@@ -29,7 +29,8 @@ from cyclopel.cli import build_report, main, report_json, write_report
 from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import NonCompactType
 from cyclopel.monodromy import validate
-from cyclopel.peldatum import ASSEMBLE_MODULI, assemble, default_corpus_path, load_corpus
+from cyclopel.peldatum import ASSEMBLE_MODULI, assemble
+from cyclopel.verify import default_corpus_path, load_corpus
 from oracles import clear_memos
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.json"

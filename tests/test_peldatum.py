@@ -1,6 +1,6 @@
 """Hermitian data: Gram matrices of the trace pairing, assembly for odd
 prime moduli, equivalence, the m = 7 relative pipeline, and fixture
-verification."""
+verification (the verification functions live in cyclopel.verify)."""
 
 from __future__ import annotations
 
@@ -44,33 +44,37 @@ from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.monodromy import signature, validate
 import cyclopel.peldatum as P
 import cyclopel.polarization as Q
+import cyclopel.verify as V
 from cyclopel.peldatum import (
     CERTAINTY_FORM_UNIQUENESS,
     CERTAINTY_SIMPLE,
     Block,
     FamilyResult,
+    GramView,
     HermitianDatum,
     ASSEMBLE_MODULI,
     assemble,
-    default_corpus_path,
     entry_cm_type,
-    equivalent_datum,
     form_signature,
     gram_determinant,
     gram_matrix,
-    load_corpus,
-    m17_pipeline,
-    twice_prime_bridge,
-    verify_fixture,
-    _fixture_datum,
 )
 from cyclopel.polarization import (
+    Entry,
     PolarizedCMPoint,
     beta0,
     beta_for_type,
     equivalent_beta,
     reference_different_generator,
-    unit_generators,
+)
+from cyclopel.verify import (
+    default_corpus_path,
+    equivalent_datum,
+    load_corpus,
+    m17_pipeline,
+    twice_prime_bridge,
+    verify_fixture,
+    _fixture_datum,
 )
 import oracles
 from oracles import relative_trace
@@ -179,7 +183,7 @@ def test_gram_rejects_non_integral_form():
 def test_gram_view_rows():
     fixtures = load_corpus(default_corpus_path())
     hs = [_fixture_datum(f) for f in fixtures]
-    views = [P._gram_view(h) for h in hs]
+    views = [_view(h) for h in hs]
     r = assemble(validate(7, (2, 4, 4, 4, 1, 6)))
     hs.append(r.hermitian)
     views.append(r.gram)
@@ -194,7 +198,12 @@ def test_gram_view_rows():
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 view[i]
-        assert view == P._gram_view(h)
+        assert view == _view(h)
+
+
+def _view(h):
+    """The Gram view over the cells of the entries of h."""
+    return GramView(tuple(e.cell for e in P._entries(h, DEFAULT_PRECISION)))
 
 
 def test_gram_determinant_oracle():
@@ -314,12 +323,13 @@ def test_assembled_determinant_matches_dense_bareiss():
 def test_assemble_derives_each_entry_fact_once(monkeypatch):
     calls = {"_gram_cell": 0, "entry_cm_type": 0, "gram_determinant": 0}
     for name in calls:
-        def spy(*args, _f=getattr(P, name), _name=name):
+        def spy(*args, _f=getattr(Q, name), _name=name):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(Q, name, spy)
     P._component.cache_clear()
     beta_for_type.cache_clear()
+    Q.hermitian_entry.cache_clear()
     datum = validate(19, (1,) * 23 + (15,))
     r = assemble(datum)
     assert len(r.components) == 22
@@ -380,14 +390,13 @@ def test_assemble_builds_no_block_and_reading_hermitian_checks_one(monkeypatch):
     assert checked == []
     h = r.hermitian
     assert checked == [h.blocks[0]]
-    assert h.blocks[0].entries == tuple(c.point.xi() for c in r.components)
+    assert h.blocks[0].entries == tuple(c.point.entry.xi for c in r.components)
     # every read builds the datum afresh and checks it: an entry that is
     # not purely imaginary is refused
     c = r.components[0]
     p = c.point
-    point = PolarizedCMPoint(
-        p.phi, p.u0, p.beta, p.conditions, Cyclo.zeta(13), p.cell, p.det, p.column
-    )
+    entry = Entry(Cyclo.zeta(13), p.entry.phi, p.entry.column)
+    point = PolarizedCMPoint(p.phi, p.u0, p.beta, p.conditions, entry)
     args = list(r.__reduce__()[1])
     args[FamilyResult.__slots__.index("components")] = (
         P.ComponentResult(c.triple, c.phi, c.simplicity, point),
@@ -456,7 +465,7 @@ _BROKEN_INVARIANTS = {
     ),
     "determinant": ("Q.gram_determinant = lambda cell: 2", "is not a unit"),
     "form signature": (
-        "Q._entry_column = lambda xi, m, prec: (0,) * m",
+        "Q._entry_column = lambda phi, m: (0,) * m",
         "not the monodromy signature",
     ),
     "beta conditions": (
@@ -483,6 +492,7 @@ def _invariant_violation_under_optimize(patch, call):
         import sys
         import cyclopel.peldatum as P
         import cyclopel.polarization as Q
+        import cyclopel.verify as V
         from cyclopel.cmfield import CMType
         from cyclopel.cyclotomic import parse_element
         from cyclopel.errors import CyclopelError, InvariantViolation
@@ -542,8 +552,8 @@ def test_invariant_checks_survive_optimize(check):
             "no relative conjugator",
         ),
         (
-            "P.relative_split = lambda x: (Q.Cyclo.one(7), Q.Cyclo.one(7))",
-            "P.m17_pipeline()",
+            "V.relative_split = lambda x: (Q.Cyclo.one(7), Q.Cyclo.one(7))",
+            "V.m17_pipeline()",
             "does not descend",
         ),
         ("xi = P.Cyclo.zeta(5)", "P.Block(5, (xi,))", "not purely imaginary"),
@@ -564,9 +574,9 @@ def test_arithmetic_checks_survive_optimize(patch, call, fragment):
 
 def test_bridge_check_survives_optimize():
     kinds, message = _invariant_violation_under_optimize(
-        "P.verify_conditions = lambda beta, phi, prec: "
+        "V.verify_conditions = lambda beta, phi, prec: "
         "Q.ConditionReport(True, True, beta.m % 2 == 1)",
-        'P.twice_prime_bridge(CMType(3, frozenset({2})), parse_element("2*z + 1", 3))',
+        'V.twice_prime_bridge(CMType(3, frozenset({2})), parse_element("2*z + 1", 3))',
     )
     assert kinds == "True True"
     assert "do not survive the rewriting" in message
@@ -628,7 +638,7 @@ def test_form_signature_matches_oracle():
             except (NonCompactType, NonMaximalOrder):
                 continue
             assert r.form_sig == oracles.form_signature(r.hermitian) == r.signature
-            assert r.gram == P._gram_view(r.hermitian)
+            assert r.gram == _view(r.hermitian)
             assert tuple(r.gram) == gram_matrix(r.hermitian)
             assembled += 1
     assert assembled >= 14
@@ -644,13 +654,17 @@ def test_form_signature_matches_oracle_on_the_corpus():
 
 
 def test_form_signature_reads_each_entry_type_once(monkeypatch):
-    # form_signature keeps no memo: each call certifies each entry's type
+    # an entry's type is certified once per (entry, start precision), into
+    # its Entry record, and every later call reads it there
     h = HermitianDatum(5, (Block(5, (XI5_2, XI5_1, XI5_2)),))
     calls = []
     monkeypatch.setattr(Q, "entry_cm_type", lambda xi, p: calls.append(xi) or entry_cm_type(xi, p))
+    Q.hermitian_entry.cache_clear()
     assert form_signature(h).values == (0, 2, 3, 0, 1)
     assert form_signature(h).values == (0, 2, 3, 0, 1)
-    assert calls == [XI5_2, XI5_1, XI5_2] * 2
+    assert calls == [XI5_2, XI5_1]
+    assert form_signature(h, 128).values == (0, 2, 3, 0, 1)
+    assert calls == [XI5_2, XI5_1] * 2
 
 
 def test_dimension_is_twice_genus():
@@ -767,7 +781,7 @@ def _entry_pool(m):
     """Entries of a few classes: beta0^-1 times totally positive units
     (squares), and its negative and a non-square unit multiple."""
     xi = beta0(m).element.inverse()
-    u = unit_generators(m)[1]
+    u = Q._constants(m).gens[1]
     return [xi, u * u * xi, -xi, -(u * u) * xi, u * xi, 2 * xi]
 
 
@@ -779,7 +793,7 @@ def test_match_entries_agrees_with_backtracking(m):
         n = rng.randint(1, 5)
         left = [rng.choice(pool) for _ in range(n)]
         right = rng.sample(left, n) if rng.random() < 0.4 else [rng.choice(pool) for _ in range(n)]
-        assert P._match_entries(left, right, 64) == _match_by_backtracking(left, right), (
+        assert V._match_entries(left, right, 64) == _match_by_backtracking(left, right), (
             left,
             right,
         )
@@ -792,8 +806,8 @@ def test_match_entries_is_not_factorial():
     left = [xi] * 13 + [-xi]
     right = [xi] * 13 + [2 * xi]
     t0 = time.perf_counter()
-    assert P._match_entries(left, right, 64) is False
-    assert P._match_entries(left, list(reversed(left)), 64) is True
+    assert V._match_entries(left, right, 64) is False
+    assert V._match_entries(left, list(reversed(left)), 64) is True
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -22,9 +22,9 @@ from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 from cyclopel.peldatum import Block, HermitianDatum, form_signature, gram_matrix
 from cyclopel.polarization import (
+    _constants,
     _signs_to_bits,
     _solve_combo,
-    _unit_table,
     BETA_FOR_TYPE_MODULI,
     DifferentGenerator,
     beta0,
@@ -34,12 +34,10 @@ from cyclopel.polarization import (
     has_independent_signs,
     reference_different_generator,
     reference_different_inverse,
-    solve_sign_pattern,
-    unit_generators,
     verify_conditions,
 )
 import oracles
-from oracles import galois_act_cm, sign_vector
+from oracles import galois_act_cm, sign_vector, unit_for_signs
 
 BETA0_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 21, 27, 32)
 
@@ -117,12 +115,12 @@ def test_reference_inverse_is_cached_per_modulus():
 
 
 def test_unit_generators_shapes():
-    g3 = unit_generators(3)
+    g3 = _constants(3).gens
     assert len(g3) == 1 and g3[0] == -Cyclo.one(3)
-    assert len(unit_generators(5)) == 2
-    assert len(unit_generators(7)) == 3
+    assert len(_constants(5).gens) == 2
+    assert len(_constants(7).gens) == 3
     for m in (3, 4, 5, 6, 7, 8, 9, 16, 21):
-        for g in unit_generators(m):
+        for g in _constants(m).gens:
             assert g.is_real() and g.is_unit() and g.is_integral
 
 
@@ -147,7 +145,7 @@ def _quotient_generators(m):
     "m", sorted(BETA_FOR_TYPE_MODULI | {m for m in SUPPORTED_MODULI if m % 4 == 2})
 )
 def test_closed_form_generator_inverses(m):
-    table = _unit_table(m)
+    table = _constants(m)
     assert list(table.gens) == _quotient_generators(m)
     assert len(table.inverses) == len(table.gens)
     for g, h in zip(table.gens, table.inverses):
@@ -157,32 +155,32 @@ def test_closed_form_generator_inverses(m):
 
 
 def test_sign_matrix_shape():
-    rows = _unit_table(7).signs
+    rows = _constants(7).signs
     assert len(rows) == 3
     assert all(len(r) == len(modulus(7).reps) for r in rows)
     assert rows[0] == (-1, -1, -1)
 
 
 def test_solve_sign_pattern_trivial():
-    u = solve_sign_pattern((1, 1), 5)
-    assert u == Cyclo.one(5)
+    assert _solve_combo((1, 1), 5) == 0
+    assert unit_for_signs((1, 1), 5) == Cyclo.one(5)
 
 
 def test_solve_sign_pattern_minus_one():
-    u = solve_sign_pattern((-1, -1), 5)
-    assert u == -Cyclo.one(5)
+    assert _solve_combo((-1, -1), 5) == 1  # the first generator, -1
+    assert unit_for_signs((-1, -1), 5) == -Cyclo.one(5)
 
 
 def test_solve_sign_pattern_rejects_wrong_length():
     with pytest.raises(ValueError):
-        solve_sign_pattern((1, 1), 7)
+        _solve_combo((1, 1), 7)
 
 
 def test_solve_sign_pattern_rejects_entries_other_than_plus_minus_one():
     # a malformed target is the caller's fault, not a broken invariant
     for target in ((0, 1), (2, 1)):
         with pytest.raises(ValueError, match="other than"):
-            solve_sign_pattern(target, 5)
+            _solve_combo(target, 5)
     # a generator row with a sign 0 would be an internal fault
     with pytest.raises(InvariantViolation):
         _signs_to_bits((0, 1))
@@ -225,7 +223,7 @@ def _back_substitute(pivots, tbits, ncols):
 @pytest.mark.parametrize("m", sorted(SUPPORTED_MODULI))
 def test_span_lookup_matches_elimination(m):
     ncols = len(modulus(m).reps)
-    rows = [_signs_to_bits(s) for s in _unit_table(m).signs]
+    rows = [_signs_to_bits(s) for s in _constants(m).signs]
     pivots = _eliminate(rows, ncols)
     for target in itertools.product((1, -1), repeat=ncols):
         expected = _back_substitute(pivots, _signs_to_bits(target), ncols)
@@ -241,7 +239,7 @@ def test_solve_sign_pattern_surjective_small():
     for m in (5, 7, 8):
         n = len(modulus(m).reps)
         for target in itertools.product((1, -1), repeat=n):
-            u = solve_sign_pattern(target, m)
+            u = unit_for_signs(target, m)
             assert isinstance(u, Cyclo)
             assert sign_vector(u) == target
 
@@ -251,7 +249,7 @@ def test_solve_sign_pattern_m21_half_reachable():
     assert n == 6
     hits, misses = 0, 0
     for target in itertools.product((1, -1), repeat=n):
-        u = solve_sign_pattern(target, 21)
+        u = unit_for_signs(target, 21)
         if isinstance(u, Unsatisfiable):
             assert u.cokernel_dim == 1
             misses += 1
@@ -303,7 +301,7 @@ def test_certificate_by_inverse_agrees_with_the_norm_on_every_type():
     for m in sorted(BETA_FOR_TYPE_MODULI):
         for phi in _cm_types(m):
             point = beta_for_type(phi)
-            beta, xi = point.beta, point.xi()
+            beta, xi = point.beta, point.entry.xi
             for psi in (phi, phi.conjugate()):
                 by_norm = verify_conditions(beta, psi, DEFAULT_PRECISION)
                 assert verify_conditions(beta, psi, DEFAULT_PRECISION, xi) == by_norm, psi
@@ -321,8 +319,8 @@ def test_certificate_refuses_a_wrong_inverse(m):
     points = [beta_for_type(phi) for phi in phis[:2] + phis[-1:]]
     for point, other in zip(points, points[1:] + points[:1]):
         beta, phi = point.beta, point.phi
-        for wrong in (2 * point.xi(), other.xi(), point.xi() / 2, -point.xi()):
-            if wrong == point.xi():
+        for wrong in (2 * point.entry.xi, other.entry.xi, point.entry.xi / 2, -point.entry.xi):
+            if wrong == point.entry.xi:
                 continue
             report = verify_conditions(beta, phi, DEFAULT_PRECISION, wrong)
             assert not report.generates_different, (phi, wrong)
@@ -330,7 +328,7 @@ def test_certificate_refuses_a_wrong_inverse(m):
     # a beta that does not generate the different fails whatever inverse
     # comes with it: here its true one
     point = points[0]
-    report = verify_conditions(3 * point.beta, point.phi, DEFAULT_PRECISION, point.xi() / 3)
+    report = verify_conditions(3 * point.beta, point.phi, DEFAULT_PRECISION, point.entry.xi / 3)
     assert not report.generates_different
 
 
@@ -360,7 +358,7 @@ def test_beta_for_type_m3():
     assert point.u0 == Cyclo.one(3)
     assert point.beta == pe(3, "2*z + 1")
     assert point.conditions.all_pass()
-    assert point.xi() == point.beta.inverse()
+    assert point.entry.xi == point.beta.inverse()
 
 
 def _cm_types(m, rng=None, count=None):
@@ -377,22 +375,23 @@ def _cm_types(m, rng=None, count=None):
 def test_point_xi_is_inverse_of_beta_for_every_type(m):
     for phi in _cm_types(m):
         point = beta_for_type(phi)
-        assert point.xi() == point.beta.inverse()
-        assert point.xi() * point.beta == 1
+        assert point.entry.xi == point.beta.inverse()
+        assert point.entry.xi * point.beta == 1
 
 
 def test_point_cell_det_and_column_match_the_fixture_path():
-    # what a point holds for its entry equals what gram_matrix, gram_determinant
-    # and form_signature derive afresh from the one-entry datum
+    # the fixture path reads the point's own entry record, whose cell,
+    # determinant and column are those of the one-entry datum
     rng = random.Random(97)
     phis = [phi for m in (3, 5, 7, 11, 13) for phi in _cm_types(m)]
     phis += [phi for m in (17, 19) for phi in _cm_types(m, rng, 40)]
     for phi in phis:
-        point = beta_for_type(phi)
-        h = HermitianDatum(phi.m, (Block(phi.m, (point.xi(),)),))
-        assert point.cell == gram_matrix(h), phi
-        assert point.det == gram_determinant(point.cell) and abs(point.det) == 1, phi
-        assert point.column == form_signature(h).values, phi
+        entry = beta_for_type(phi).entry
+        assert Q.hermitian_entry(entry.xi, DEFAULT_PRECISION) is entry
+        h = HermitianDatum(phi.m, (Block(phi.m, (entry.xi,)),))
+        assert entry.cell == gram_matrix(h), phi
+        assert entry.det == gram_determinant(entry.cell) and abs(entry.det) == 1, phi
+        assert entry.column == form_signature(h).values == oracles.form_signature(h).values, phi
     assert len(phis) == 2 + 4 + 8 + 32 + 64 + 2 * 40
 
 
@@ -406,8 +405,8 @@ def test_point_inverts_beta_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Cyclo, "inverse", counted)
-    assert point.xi() is point.xi()
-    assert point.xi() * point.beta == 1
+    assert point.entry.xi is point.entry.xi
+    assert point.entry.xi * point.beta == 1
     assert calls == []
 
 
@@ -416,6 +415,7 @@ def test_cold_beta_for_type_reads_beta0_constants_off_its_record(monkeypatch):
     for m in moduli:
         beta0(m)  # the per-modulus records are built before the spies
     beta_for_type.cache_clear()
+    Q.hermitian_entry.cache_clear()
     signed, inverted = [], []
     original_sign, original_inverse = Q.certified_sign_im, Cyclo.inverse
 
@@ -433,10 +433,10 @@ def test_cold_beta_for_type_reads_beta0_constants_off_its_record(monkeypatch):
         signed.clear()
         phi = CMType(m, frozenset(modulus(m).reps))
         point = beta_for_type(phi)
-        assert point.beta * point.xi() == 1
+        assert point.beta * point.entry.xi == 1
         # only beta's own signs (condition 3) and xi's (its signature
         # column) are certified, not beta0's
-        assert signed == [point.beta] * len(phi.members) + [point.xi()] * len(phi.members)
+        assert signed == [point.beta] * len(phi.members) + [point.entry.xi] * len(phi.members)
     assert inverted == []
 
 
@@ -543,7 +543,7 @@ def test_conjugate_type_gets_negated_beta():
 
 def test_equivalent_beta_semantics():
     b = beta0(5).element
-    u = unit_generators(5)[1]
+    u = _constants(5).gens[1]
     assert equivalent_beta(b, b)
     assert equivalent_beta(u * u * b, b)  # square of a real unit is totally positive
     assert not equivalent_beta(-b, b)
@@ -555,7 +555,7 @@ def test_equivalent_beta_is_an_equivalence():
     # reflexive, symmetric, transitive across totally-positive-unit multiples
     rng = random.Random(109)
     b = beta0(7).element
-    gens = unit_generators(7)
+    gens = _constants(7).gens
     pool = [b]
     for _ in range(4):
         u = gens[rng.randint(1, len(gens) - 1)]

@@ -34,17 +34,15 @@ from cyclopel.errors import (
     ZeroInertia,
 )
 from cyclopel.monodromy import MonodromyDatum, Signature, validate
-from cyclopel.peldatum import (
-    Block,
-    HermitianDatum,
-    assemble,
+from cyclopel.peldatum import Block, HermitianDatum, assemble
+from cyclopel.polarization import DifferentGenerator, Entry, PolarizedCMPoint, _constants, beta0
+from cyclopel.verify import (
     default_corpus_path,
     load_corpus,
     m17_pipeline,
     twice_prime_bridge,
     verify_fixture,
 )
-from cyclopel.polarization import DifferentGenerator, PolarizedCMPoint, _unit_table, beta0
 
 
 def _records() -> list:
@@ -64,9 +62,10 @@ def _records() -> list:
         component.simplicity,
         component.point,
         component.point.conditions,
+        component.point.entry,
         embed(parse_element("2*z + 1", 3), 1),
         beta0(5),
-        _unit_table(5),
+        _constants(5),
         modulus(5),
         twice_prime_bridge(CMType(3, frozenset({2})), parse_element("2*z + 1", 3)),
         m17_pipeline(),
@@ -85,7 +84,7 @@ RECORDS = _records()
 
 def test_every_record_class_has_an_example():
     assert {type(r) for r in RECORDS} == _record_classes()
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 19
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -123,11 +122,10 @@ def test_hidden_fields_take_no_part_in_equality_or_repr():
     object.__setattr__(other, "case", "other")
     assert other != g
     point = assemble(validate(5, (1, 3, 3, 3))).components[0].point
-    other = PolarizedCMPoint(
-        point.phi, point.u0, point.beta, point.conditions, Cyclo.one(5), ((1,),), 7, (0,) * 5
-    )
+    entry = Entry(Cyclo.one(5), point.phi, (0,) * 5)
+    other = PolarizedCMPoint(point.phi, point.u0, point.beta, point.conditions, entry)
     assert other == point and hash(other) == hash(point)
-    assert not any(f"{name}=" in repr(point) for name in ("_xi", "cell", "det", "column"))
+    assert "entry=" not in repr(point)
     assert repr(other) == repr(point)
     assert repr(MonodromyDatum(5, (1, 3, 3, 3))) == "MonodromyDatum(m=5, a=(1, 3, 3, 3))"
 
