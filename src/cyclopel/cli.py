@@ -338,7 +338,7 @@ def run_family(m: int, inertia: Sequence[int], precision: int, as_json: bool) ->
             too_many = f"{entries} Gram entries, more than {MAX_REPORT_ENTRIES}"
             print(f"error: the report would hold {too_many}", file=sys.stderr)
             return EXIT_REPORT_TOO_LARGE
-        result = assemble(datum, precision)
+        result = assemble(datum)
     except CyclopelError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
@@ -354,13 +354,13 @@ def run_family(m: int, inertia: Sequence[int], precision: int, as_json: bool) ->
     return EXIT_OK
 
 
-def run_corpus(path: str, precision: int, allow_galois: bool) -> int:
+def run_corpus(path: str, allow_galois: bool) -> int:
     try:
         fixtures = load_corpus(path)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read corpus: {exc}", file=sys.stderr)
         return EXIT_GENERIC
-    outcomes = [verify_fixture(f, precision, allow_galois) for f in fixtures]
+    outcomes = [verify_fixture(f, allow_galois=allow_galois) for f in fixtures]
     failed = 0
     for out in outcomes:
         print(f"{'PASS' if out.passed else 'FAIL'} {out.name}")
@@ -401,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--precision",
         type=_integer,
-        default=DEFAULT_PRECISION,
         metavar="BITS",
-        help="starting interval precision in bits (default %(default)s)",
+        help="precision in bits of the decimal values of a family report, "
+        f"8 to {PRECISION_CAP} (default {DEFAULT_PRECISION})",
     )
     p.add_argument(
         "--allow-galois-compare",
@@ -424,20 +424,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 8 <= args.precision <= PRECISION_CAP:
-        parser.error(f"--precision must be between 8 and {PRECISION_CAP} bits")
     if args.corpus is not None:
         if args.m is not None or args.inertia is not None:
             parser.error("--corpus cannot be combined with --m/--inertia")
         if args.json:
             parser.error("--json applies only with --m and --inertia: --corpus writes text lines")
+        if args.precision is not None:
+            parser.error(
+                "--precision applies only with --m and --inertia: --corpus renders no decimals"
+            )
     elif args.m is None or args.inertia is None:
         parser.error("either --corpus or both --m and --inertia are required")
     elif args.allow_galois_compare:
         parser.error("--allow-galois-compare applies only with --corpus")
+    elif args.precision is None:
+        args.precision = DEFAULT_PRECISION
+    elif not 8 <= args.precision <= PRECISION_CAP:
+        parser.error(f"--precision must be between 8 and {PRECISION_CAP} bits")
     try:
         if args.corpus is not None:
-            code = run_corpus(args.corpus, args.precision, args.allow_galois_compare)
+            code = run_corpus(args.corpus, args.allow_galois_compare)
         else:
             code = run_family(args.m, args.inertia, args.precision, args.json)
         sys.stdout.flush()

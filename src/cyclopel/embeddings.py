@@ -5,15 +5,16 @@ fixed point: for each (m, prec) a table holds integer bounds
 lo <= 2^prec cos(2 pi k / m) <= hi, and the same for sin, at every residue
 k, so den * 2^prec * Im(sigma_n(x)) (or Re) lies in an exact integer
 interval.  A sign is certified when that interval excludes 0; otherwise the
-precision doubles.  Zero is decided exactly, and only when the interval at
-the start precision contains 0.  The tables come from integers alone: pi by
-Machin's formula, cos and sin by their Taylor series and angle addition,
-each value a ball (midpoint, radius) whose radius counts every truncation.
+precision doubles, from DEFAULT_PRECISION up to PRECISION_CAP.  Zero is
+decided exactly, and only when the interval at DEFAULT_PRECISION contains
+0.  The tables come from integers alone: pi by Machin's formula, cos and
+sin by their Taylor series and angle addition, each value a ball
+(midpoint, radius) whose radius counts every truncation.
 
-embed() encloses sigma_n(x) in a rectangle with exact dyadic endpoints, for
-decimal rendering, by Horner's rule on an enclosure of the root in a
-plain-integer interval kernel: a value is a pair (M, E) meaning M * 2^E, and
-each result is rounded outward once.  The enclosures of zeta_m at the
+embed() encloses sigma_n(x) in a rectangle with exact dyadic endpoints at a
+given precision, for decimal rendering only, by Horner's rule on an
+enclosure of the root in a plain-integer interval kernel: a value is a pair
+(M, E) meaning M * 2^E, and each result is rounded outward once.  The enclosures of zeta_m at the
 default precision are committed as integer literals; any other root is
 computed, once, by the interval library the literals were taken from, which
 is imported only then.  No shared numeric state is read or written.
@@ -138,21 +139,17 @@ def _trig_table(m: int, prec: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(cos), tuple(sin)
 
 
-def _fixed_point_sign(
-    x: Cyclo, n: int, start_prec: int, part: int, is_zero: Callable[[], bool]
-) -> int:
+def _fixed_point_sign(x: Cyclo, n: int, part: int, is_zero: Callable[[], bool]) -> int:
     """Certified sign of Re (part 0) or Im (part 1) of sigma_n(x): den *
     2^prec times it lies in the integer interval sum_i c_i [lo, hi] over
     the table entries at residues i * n, with the bounds swapped where
-    c_i < 0.  The exact zero test is_zero runs only when the
-    start-precision interval contains 0; if it fails, the precision
-    doubles until the interval excludes 0."""
+    c_i < 0.  The exact zero test is_zero runs only when the interval at
+    DEFAULT_PRECISION contains 0; if it fails, the precision doubles until
+    the interval excludes 0."""
     m = x.m
     if gcd(n, m) != 1:
         raise ValueError(f"sigma_{n} is not an embedding of Q(zeta_{m})")
-    if start_prec > PRECISION_CAP:
-        raise ValueError(f"start precision {start_prec} exceeds the cap of {PRECISION_CAP} bits")
-    prec = first = max(8, start_prec)
+    prec = DEFAULT_PRECISION
     while prec <= PRECISION_CAP:
         bounds = _trig_table(m, prec)[part]
         lo = hi = 0
@@ -169,7 +166,7 @@ def _fixed_point_sign(
             return 1
         if hi < 0:
             return -1
-        if prec == first and is_zero():
+        if prec == DEFAULT_PRECISION and is_zero():
             return 0
         prec *= 2
     part_name = "Im" if part else "Re"
@@ -390,27 +387,25 @@ def embed(x: Cyclo, n: int, prec: int = DEFAULT_PRECISION) -> ComplexInterval:
     return ComplexInterval(_fraction(re[0]), _fraction(re[1]), _fraction(im[0]), _fraction(im[1]))
 
 
-def certified_sign_im(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -> int:
+def certified_sign_im(x: Cyclo, n: int) -> int:
     """Sign of Im(sigma_n(x)) in {-1, 0, +1}, certified.
 
-    Nonzero signs are certified in fixed point with precision doubling.
-    Zero is decided exactly, once the start-precision interval contains 0:
-    sigma_n(x) is real iff x equals its own conjugate (conjugation
-    commutes with every sigma_n).
+    Nonzero signs are certified in fixed point with precision doubling
+    from DEFAULT_PRECISION.  Zero is decided exactly, once the interval at
+    DEFAULT_PRECISION contains 0: sigma_n(x) is real iff x equals its own
+    conjugate (conjugation commutes with every sigma_n).
     """
-    return _fixed_point_sign(x, n, start_prec, 1, lambda: x == x.conj())
+    return _fixed_point_sign(x, n, 1, lambda: x == x.conj())
 
 
-def certified_sign_real(x: Cyclo, n: int, start_prec: int = DEFAULT_PRECISION) -> int:
+def certified_sign_real(x: Cyclo, n: int) -> int:
     """Sign of the real embedding tau_n of a conjugation-fixed element."""
     if not x.is_real():
         raise NotRealElement("element is not fixed by conjugation")
-    return _fixed_point_sign(x, n, start_prec, 0, x.is_zero)
+    return _fixed_point_sign(x, n, 0, x.is_zero)
 
 
-def is_totally_positive(u: Cyclo, start_prec: int = DEFAULT_PRECISION) -> bool:
+def is_totally_positive(u: Cyclo) -> bool:
     if u.is_zero():
         return False
-    return all(
-        certified_sign_real(u, n, start_prec) > 0 for n in modulus(u.m).reps
-    )
+    return all(certified_sign_real(u, n) > 0 for n in modulus(u.m).reps)

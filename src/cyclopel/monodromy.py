@@ -4,7 +4,6 @@ signature, Galois action, degeneration into trees of 3-point covers."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, islice
 from math import gcd
 
 from ._record import Record
@@ -197,21 +196,35 @@ def _emit(m: int, x: int, y: int) -> MonodromyDatum:
 
 def _choose_pair(m: int, a: list[int]) -> tuple[int, int] | None:
     """The lexicographically least admissible pair of a that is preferred,
-    else the first admissible pair, else None.  Pairs are read off the
-    admissibility table in lexicographic order, and only admissible ones
-    are asked whether they are preferred, up to the first that is."""
+    else the least admissible pair, else None.  Both relations depend on
+    the two values alone and are symmetric, so either pair (i, j) has i at
+    the first position of its value and j at the first position after i
+    of its own value.  So i visits the distinct values in order of first
+    position, each asked only about the distinct values after it, in
+    order of their first position after i, and the first value with a
+    preferred partner ends the search: a step scans a once per distinct
+    value it visits, not once per position.  The adjacent pair (0, 1) is
+    the least of all, so when it is preferred no scan is needed."""
     admissible = modulus(m).admissible
-    first = None
-    n = len(a)
-    for i in range(n - 1):
+    if admissible[a[0]][a[1]] and _join(m, a[0], a[1])[1]:
+        return 0, 1
+    first, seen, i = None, set(), 0
+    while True:
         x = a[i]
+        seen.add(x)
         row = admissible[x]
-        for j in compress(range(i + 1, n), map(row.__getitem__, islice(a, i + 1, None))):
-            if _join(m, x, a[j])[1]:
-                return i, j
-            if first is None:
-                first = (i, j)
-    return first
+        later = dict.fromkeys(a[i + 1:])
+        for y in later:
+            if row[y]:
+                if _join(m, x, y)[1]:
+                    return i, a.index(y, i + 1)
+                if first is None:
+                    first = i, a.index(y, i + 1)
+        # the values not seen yet first occur after i, in the order of later
+        x = next((y for y in later if y not in seen), None)
+        if x is None:
+            return first
+        i = a.index(x, i + 1)
 
 
 def degenerate(datum: MonodromyDatum) -> DegenerationTree:

@@ -95,9 +95,9 @@ class HermitianDatum(Record):
         return sum(modulus(b.modulus).phi * len(b.entries) for b in self.blocks)
 
 
-def _entries(h: HermitianDatum, start_prec: int) -> tuple[Entry, ...]:
+def _entries(h: HermitianDatum) -> tuple[Entry, ...]:
     """The Entry records of the diagonal of h, in block order."""
-    return tuple(hermitian_entry(xi, start_prec) for block in h.blocks for xi in block.entries)
+    return tuple(hermitian_entry(xi) for block in h.blocks for xi in block.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +149,15 @@ def gram_matrix(h: HermitianDatum) -> tuple[tuple[int, ...], ...]:
     (a, b) entry of the cell for entry xi is tr(xi zeta^(a-b)), and every
     entry outside the cells is zero.  Raises NonIntegralForm when any
     pairing value is not a rational integer."""
-    return tuple(GramView(tuple(e.cell for e in _entries(h, DEFAULT_PRECISION))))
+    return tuple(GramView(tuple(e.cell for e in _entries(h))))
 
 
-def form_signature(h: HermitianDatum, start_prec: int = DEFAULT_PRECISION) -> Signature:
+def form_signature(h: HermitianDatum) -> Signature:
     """Signature of the Hermitian datum: the eigenvalue index n (mod m)
     lands in the block whose modulus is the exact order m/gcd(n, m) of
     zeta^n, at local index n mod that modulus; each entry contributes 1
     exactly when its CM-type contains the local index."""
-    columns = (
-        e.column if e.xi.m == h.m else _entry_column(e.phi, h.m) for e in _entries(h, start_prec)
-    )
+    columns = (e.column if e.xi.m == h.m else _entry_column(e.phi, h.m) for e in _entries(h))
     return Signature(h.m, tuple(map(sum, zip(*columns))))
 
 
@@ -183,12 +181,12 @@ class ComponentResult(Record):
 
 
 @lru_cache(maxsize=4096)
-def _component(triple: MonodromyDatum, start_prec: int) -> ComponentResult:
+def _component(triple: MonodromyDatum) -> ComponentResult:
     """The component of a degeneration triple with its polarization
-    element, built once per (triple, start_prec); its CM-type and
-    simplicity are read off the join that emitted it."""
+    element, built once per triple; its CM-type and simplicity are read
+    off the join that emitted it."""
     _, _, phi, simplicity = _join(triple.m, triple.a[0], triple.a[1])
-    return ComponentResult(triple, phi, simplicity, beta_for_type(phi, start_prec))
+    return ComponentResult(triple, phi, simplicity, beta_for_type(phi))
 
 
 class FamilyResult(Record):
@@ -223,14 +221,18 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
     components' points hold the entries of the diagonal Hermitian datum in
     degeneration order, whose cells make its integral Gram matrix; the
     determinant and form signature are checked here.  A family with no
-    admissible degeneration fails that way at any modulus."""
+    admissible degeneration fails that way at any modulus.
+
+    The second parameter is not read: the family is exact, and a
+    precision only renders a report (cli.build_report).  It stays for
+    callers that still pass one, such as perfbench/worker.py."""
     tree = degenerate(datum)
     if datum.m not in ASSEMBLE_MODULI:
         raise UnsupportedModulus(
             f"full assembly runs for odd prime m in {sorted(ASSEMBLE_MODULI)}, not m = {datum.m}"
         )
     sig = signature(datum)
-    components = tuple(_component(triple, start_prec) for triple in tree.triples)
+    components = tuple(_component(triple) for triple in tree.triples)
     entries = [c.point.entry for c in components]
     det = prod(e.det for e in entries)
     if abs(det) != 1:

@@ -14,13 +14,7 @@ from operator import mul
 from ._record import Record
 from .cmfield import CMType
 from .cyclotomic import Cyclo, element_str, modulus
-from .embeddings import (
-    DEFAULT_PRECISION,
-    SignVector,
-    certified_sign_im,
-    certified_sign_real,
-    is_totally_positive,
-)
+from .embeddings import SignVector, certified_sign_im, certified_sign_real, is_totally_positive
 from .errors import (
     Indeterminate, InvariantViolation, NonIntegralForm, Unsatisfiable, UnsupportedModulus
 )
@@ -216,9 +210,7 @@ def _constants(m: int) -> _Constants:
             raise InvariantViolation(f"generator {g!r} is not a real unit")
     gens = tuple(g for g, _ in pairs)
     reps = modulus(m).reps
-    signs = tuple(
-        tuple(certified_sign_real(g, n, DEFAULT_PRECISION) for n in reps) for g in gens
-    )
+    signs = tuple(tuple(certified_sign_real(g, n) for n in reps) for g in gens)
     span: list[int | None] = [None] * (1 << len(reps))
     span[0], reached = 0, [0]
     for i, s in enumerate(signs):
@@ -288,9 +280,7 @@ class ConditionReport(Record):
         return self.generates_different and self.antisymmetric and self.signs_negative
 
 
-def verify_conditions(
-    beta: Cyclo, phi: CMType, start_prec: int = DEFAULT_PRECISION, inverse: Cyclo | None = None
-) -> ConditionReport:
+def verify_conditions(beta: Cyclo, phi: CMType, *, inverse: Cyclo | None = None) -> ConditionReport:
     """(1) beta generates D_{F/Q}, tested as beta/beta0 being a unit;
     (2) beta = -conj(beta), exact; (3) Im(sigma_n(beta)) < 0 for n in Phi,
     certified.
@@ -308,11 +298,11 @@ def verify_conditions(
         back = inverse * reference_different_generator(beta.m)
         generates = ratio.is_integral and back.is_integral and ratio * back == 1
     anti = beta == -beta.conj()
-    signs = all(certified_sign_im(beta, n, start_prec) == -1 for n in sorted(phi.members))
+    signs = all(certified_sign_im(beta, n) == -1 for n in sorted(phi.members))
     return ConditionReport(generates, anti, signs)
 
 
-def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
+def entry_cm_type(xi: Cyclo) -> CMType:
     """CM-type carried by a diagonal entry: n with Im(sigma_n(1/xi)) < 0,
     equivalently Im(sigma_n(xi)) > 0.  Signs are certified at one n per
     conjugate pair: sigma_(m-n) is the complex conjugate of sigma_n, so
@@ -320,7 +310,7 @@ def entry_cm_type(xi: Cyclo, start_prec: int = DEFAULT_PRECISION) -> CMType:
     m = xi.m
     members = set()
     for n in modulus(m).reps:
-        s = certified_sign_im(xi, n, start_prec)
+        s = certified_sign_im(xi, n)
         if s == 1:
             members.add(n)
         elif s == -1:
@@ -437,11 +427,11 @@ class Entry(Record, _Made):
 
 
 @lru_cache(maxsize=4096)
-def hermitian_entry(xi: Cyclo, start_prec: int) -> Entry:
-    """The Entry of xi, its CM-type certified from start_prec bits, built
-    once per (xi, start_prec): an assembled entry and an equal fixture
-    entry are one record."""
-    phi = entry_cm_type(xi, start_prec)
+def hermitian_entry(xi: Cyclo) -> Entry:
+    """The Entry of xi with its certified CM-type, built once per entry:
+    an assembled entry and an equal fixture entry are one record, whatever
+    precision a report is rendered at."""
+    phi = entry_cm_type(xi)
     return Entry(xi, phi, _entry_column(phi, xi.m))
 
 
@@ -458,7 +448,7 @@ class PolarizedCMPoint(Record, hidden=("entry",)):
 
 
 @lru_cache(maxsize=4096)
-def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> PolarizedCMPoint:
+def beta_for_type(phi: CMType) -> PolarizedCMPoint:
     """Construct beta satisfying all three conditions for Phi by solving
     for the unit sign pattern: Im(sigma_n(u * beta0)) must be negative
     exactly at the representatives lying in Phi.  The solve picks a set of
@@ -466,7 +456,8 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
     of their closed-form inverses with 1/beta0, certified by beta * xi = 1
     without any inversion, and condition (1) is certified by xi, without a
     norm; the point holds the Entry of xi.
-    Memoized per (Phi, start_prec); the result is immutable."""
+    Memoized per Phi, one point at every rendering precision; the result
+    is immutable."""
     m = phi.m
     if m not in BETA_FOR_TYPE_MODULI:
         raise UnsupportedModulus(
@@ -485,26 +476,21 @@ def beta_for_type(phi: CMType, start_prec: int = DEFAULT_PRECISION) -> Polarized
         raise InvariantViolation(
             f"xi is not 1/beta for the CM-type {phi.sorted_members()} mod {m}"
         )
-    report = verify_conditions(beta, phi, start_prec, xi)
+    report = verify_conditions(beta, phi, inverse=xi)
     if not report.all_pass():
         raise InvariantViolation(
             f"constructed beta fails its own conditions for the CM-type {phi.sorted_members()} mod {m}"
         )
-    return PolarizedCMPoint(phi, u0, beta, report, hermitian_entry(xi, start_prec))
+    return PolarizedCMPoint(phi, u0, beta, report, hermitian_entry(xi))
 
 
-def equivalent_beta(beta: Cyclo, other: Cyclo, start_prec: int = DEFAULT_PRECISION) -> bool:
+def equivalent_beta(beta: Cyclo, other: Cyclo) -> bool:
     """Whether beta and other give the same polarization class: their ratio
     is a totally positive unit of the real subfield.  Exact criterion on
     the independent-signs moduli; elsewhere only sufficient, and a negative
     outcome raises Indeterminate."""
     ratio = beta / other
-    ok = (
-        ratio.is_real()
-        and ratio.is_integral
-        and ratio.is_unit()
-        and is_totally_positive(ratio, start_prec)
-    )
+    ok = ratio.is_real() and ratio.is_integral and ratio.is_unit() and is_totally_positive(ratio)
     if ok:
         return True
     if has_independent_signs(beta.m):

@@ -11,7 +11,6 @@ from pathlib import Path
 from ._record import Record
 from .cmfield import CMType, SimplicityReport, cm_type_from_triple, is_simple
 from .cyclotomic import Cyclo, _relative_conjugator, modulus, parse_element, relative_split
-from .embeddings import DEFAULT_PRECISION
 from .errors import (
     CyclopelError, Indeterminate, InvariantViolation, MalformedDatum, NonIntegralForm
 )
@@ -38,9 +37,7 @@ __all__ = [
 # equivalence of data
 
 
-def _match_entries(
-    left: Sequence[Cyclo], right: Sequence[Cyclo], start_prec: int
-) -> bool | None:
+def _match_entries(left: Sequence[Cyclo], right: Sequence[Cyclo]) -> bool | None:
     """Whether some bijection pairs each left entry with an equivalent
     right entry.  "The ratio is a totally positive unit" is an equivalence
     relation, so such a bijection exists exactly when every class holds
@@ -54,7 +51,7 @@ def _match_entries(
         for x in entries:
             for k, rep in enumerate(reps):
                 try:
-                    same = equivalent_beta(x, rep, start_prec)
+                    same = equivalent_beta(x, rep)
                 except Indeterminate:
                     undecided, same = True, False
                 if same:
@@ -68,12 +65,7 @@ def _match_entries(
     return None if undecided else False
 
 
-def equivalent_datum(
-    h1: HermitianDatum,
-    h2: HermitianDatum,
-    allow_galois: bool = False,
-    start_prec: int = DEFAULT_PRECISION,
-) -> bool:
+def equivalent_datum(h1: HermitianDatum, h2: HermitianDatum, *, allow_galois: bool = False) -> bool:
     """Whether the two data define the same polarized form: identical
     block structure and a per-block bijection of entries with totally
     positive unit ratios, optionally after one Galois twist applied to
@@ -90,7 +82,7 @@ def equivalent_datum(
         verdicts = []
         for b1, b2 in zip(h1.blocks, h2.blocks):
             twisted = [xi.galois(i % b1.modulus) for xi in b1.entries]
-            verdicts.append(_match_entries(twisted, b2.entries, start_prec))
+            verdicts.append(_match_entries(twisted, b2.entries))
         if all(v is True for v in verdicts):
             return True
         if any(v is None for v in verdicts):
@@ -113,9 +105,7 @@ class BridgeResult(Record):
     conditions: ConditionReport
 
 
-def twice_prime_bridge(
-    phi: CMType, beta: Cyclo, start_prec: int = DEFAULT_PRECISION
-) -> BridgeResult:
+def twice_prime_bridge(phi: CMType, beta: Cyclo) -> BridgeResult:
     """Carry a polarized CM-type from Q(zeta_m') to Q(zeta_2m') (same
     field, rewritten): the type lifts to the odd units congruent to a
     member mod m', beta is rewritten verbatim, and the three conditions
@@ -123,12 +113,12 @@ def twice_prime_bridge(
     m0 = phi.m
     if m0 % 2 == 0:
         raise ValueError("source modulus must be odd")
-    if not verify_conditions(beta, phi, start_prec).all_pass():
+    if not verify_conditions(beta, phi).all_pass():
         raise ValueError("input beta fails its own conditions")
     m2 = 2 * m0
     lifted = CMType(m2, frozenset(j for j in modulus(m2).units if j % m0 in phi.members))
     beta2 = beta.to_modulus(m2)
-    report = verify_conditions(beta2, lifted, start_prec)
+    report = verify_conditions(beta2, lifted)
     if not report.all_pass():
         raise InvariantViolation("conditions do not survive the rewriting")
     return BridgeResult(lifted, beta2, report)
@@ -167,7 +157,7 @@ def _assert_skew_hermitian(mat: tuple[tuple[Cyclo, ...], ...]) -> None:
             _require(x.conj() == -mat[k][j], "matrix is not skew-Hermitian")
 
 
-def m17_pipeline(start_prec: int = DEFAULT_PRECISION) -> RelativePipelineResult:
+def m17_pipeline() -> RelativePipelineResult:
     """Derive the 2x2 Hermitian matrix over Z[zeta_7] for the family
     (7, 4, (2,4,4,4)) from its distinguished point, the curve y^7 = x^3 - 1
     whose Jacobian has CM by Z[zeta_21].
@@ -194,7 +184,7 @@ def m17_pipeline(start_prec: int = DEFAULT_PRECISION) -> RelativePipelineResult:
     _require(-pol == closed, "z differs from its closed form")
     # 1/z = -alpha^-1 beta3^-1 certifies condition (1) without a norm
     alpha_inv = alpha.inverse()
-    conditions = verify_conditions(pol, phi, start_prec, -(alpha_inv * (z21**6 - z21**15) / 7))
+    conditions = verify_conditions(pol, phi, inverse=-(alpha_inv * (z21**6 - z21**15) / 7))
     _require(conditions.all_pass(), "z fails its polarization conditions")
     _require(pol == -reference_different_generator(21).galois(4), "z is not -sigma_4(beta0)")
 
@@ -276,11 +266,7 @@ def _check_json_types(fixture: dict) -> None:
         raise MalformedDatum(f"fixture fields {wrong} do not have the corpus format's JSON types")
 
 
-def verify_fixture(
-    fixture: dict,
-    start_prec: int = DEFAULT_PRECISION,
-    allow_galois: bool = False,
-) -> FixtureOutcome:
+def verify_fixture(fixture: dict, *, allow_galois: bool = False) -> FixtureOutcome:
     """Check one fixture record: the monodromy datum is valid and has the
     expected signature; every entry's beta = 1/xi generates the different
     (condition 1; condition 2, beta purely imaginary, holds because Block
@@ -318,7 +304,7 @@ def verify_fixture(
                         f"condition (1): entry {j} at modulus {block.modulus} "
                         "does not generate the different"
                     )
-        fs = form_signature(h, start_prec)
+        fs = form_signature(h)
         if fs.values != expected:
             off = [n for n in range(h.m) if fs.values[n] != expected[n]]
             failures.append(
@@ -326,13 +312,13 @@ def verify_fixture(
                 f"{fs.values}, disagreeing with the expected one at n = {off}"
             )
         try:
-            for e in _entries(h, start_prec):
+            for e in _entries(h):
                 e.cell  # made and checked on first read
         except NonIntegralForm as exc:
             failures.append(f"Gram integrality: {exc}")
         if datum.m in ASSEMBLE_MODULI:
-            result = assemble(datum, start_prec)
-            if not equivalent_datum(result.hermitian, h, allow_galois, start_prec):
+            result = assemble(datum)
+            if not equivalent_datum(result.hermitian, h, allow_galois=allow_galois):
                 failures.append("assembled datum is not equivalent to the fixture blocks")
     except (CyclopelError, ValueError) as exc:
         failures.append(f"{type(exc).__name__}: {exc}")

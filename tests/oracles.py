@@ -18,7 +18,7 @@ import cyclopel.monodromy as M
 from cyclopel.cmfield import CMType
 from cyclopel.cyclotomic import Cyclo, _poly_divmod_monic, modulus, relative_split
 from cyclopel import embeddings
-from cyclopel.embeddings import DEFAULT_PRECISION, ComplexInterval, SignVector, certified_sign_real
+from cyclopel.embeddings import ComplexInterval, SignVector, certified_sign_real
 from cyclopel.errors import CyclopelError, InvariantViolation, NonCompactType, Unsatisfiable
 from cyclopel.monodromy import DegenerationTree, MonodromyDatum, Signature
 from cyclopel.peldatum import HermitianDatum, entry_cm_type
@@ -29,14 +29,14 @@ class NotUnit(CyclopelError):
     """A unit of the ring of integers was required."""
 
 
-def sign_vector(u: Cyclo, start_prec: int = DEFAULT_PRECISION) -> SignVector:
+def sign_vector(u: Cyclo) -> SignVector:
     """Signs of u at the real embeddings tau_n, one representative n < m/2
     per conjugate pair, ascending n."""
     if u.is_zero():
         raise ZeroDivisionError("sign vector of zero")
     if not u.is_unit():
         raise NotUnit("sign vectors are defined for units of the real subfield")
-    return tuple(certified_sign_real(u, n, start_prec) for n in modulus(u.m).reps)
+    return tuple(certified_sign_real(u, n) for n in modulus(u.m).reps)
 
 
 def unit_for_signs(target: SignVector, m: int) -> Cyclo | Unsatisfiable:
@@ -165,7 +165,7 @@ def signature(datum: MonodromyDatum) -> Signature:
     return Signature(m, tuple(vals))
 
 
-def form_signature(h: HermitianDatum, start_prec: int = DEFAULT_PRECISION) -> Signature:
+def form_signature(h: HermitianDatum) -> Signature:
     """Signature of the Hermitian datum by walking each distinct entry's
     CM-type: residue n gets the multiplicity of every entry over Q(zeta_d)
     whose type holds n mod d, where d = m/gcd(n, m) is the order of zeta^n."""
@@ -174,7 +174,7 @@ def form_signature(h: HermitianDatum, start_prec: int = DEFAULT_PRECISION) -> Si
     counts = Counter(xi for block in h.blocks for xi in block.entries)
     for xi, c in counts.items():
         d = xi.m
-        for k in entry_cm_type(xi, start_prec).members:
+        for k in entry_cm_type(xi).members:
             for n in range(k, m, d):
                 if m // gcd(n, m) == d:
                     values[n] += c

@@ -40,6 +40,7 @@ from cyclopel.errors import CyclopelError, MalformedDatum, ParseError, Unsatisfi
 from cyclopel.peldatum import FamilyResult
 from cyclopel.polarization import Entry, PolarizedCMPoint, beta_for_type
 from cyclopel.verify import default_corpus_path, load_corpus
+from oracles import clear_memos
 
 
 def run(argv):
@@ -159,7 +160,7 @@ def test_report_bound_holds_only_at_assembly_moduli(capsys):
 
 
 def _report(m, a, precision=DEFAULT_PRECISION):
-    result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(m, a), precision)
+    result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(m, a))
     return build_report(result, precision, 0)
 
 
@@ -588,6 +589,40 @@ def test_corpus_default(capsys):
     assert lines[-1] == "17 passed, 0 failed, 17 total"
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert sum(1 for line in lines if line.startswith("PASS")) == 17
+
+
+def test_corpus_takes_no_precision(capsys):
+    # the corpus renders no decimals, so a precision there is a usage error
+    for bits in ("128", "64", "8"):
+        assert run(["--corpus", "--precision", bits]) == EXIT_USAGE
+        assert "--precision applies only with --m and --inertia" in capsys.readouterr().err
+    # family mode keeps its 8..4096 bounds
+    for bits, code in (("7", EXIT_USAGE), ("8", EXIT_OK), ("4096", EXIT_OK), ("4097", EXIT_USAGE)):
+        assert run(["--m", "5", "--inertia", "1,3,3,3", "--json", "--precision", bits]) == code
+    capsys.readouterr()
+
+
+def test_a_second_precision_builds_no_second_record(monkeypatch, capsys):
+    # the datum is exact: a report at 128 bits after one at 64 renders the
+    # same points, entries and components, and only its decimals differ
+    family = ["--m", "13", "--inertia", "1,2,4,5,7,7", "--json"]
+    clear_memos()
+    assert run(family) == EXIT_OK
+    at_64 = json.loads(capsys.readouterr().out)
+    built = []
+    for cls in (PolarizedCMPoint, Entry, cyclopel.peldatum.ComponentResult):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__", lambda self, *args, _i=init: built.append(self) or _i(self, *args)
+        )
+    assert run(family + ["--precision", "128"]) == EXIT_OK
+    at_128 = json.loads(capsys.readouterr().out)
+    assert built == []
+    assert at_128["matrix_entries"] != at_64["matrix_entries"]
+    for report in (at_64, at_128):
+        for key in ("matrix_entries", "components", "precision_bits", "timing_ms"):
+            del report[key]
+    assert at_128 == at_64
 
 
 def test_corpus_with_galois_flag(capsys):

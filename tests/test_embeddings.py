@@ -207,13 +207,44 @@ def test_certified_sign_im_sqrt_minus_three():
     assert certified_sign_im(s, 2) == -1
 
 
-def test_start_precision_above_the_cap_is_rejected():
-    x = Cyclo.zeta(5)
-    assert certified_sign_im(x, 1, PRECISION_CAP) == 1
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        certified_sign_im(x, 1, PRECISION_CAP + 1)
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        certified_sign_real(x + x.conj(), 1, 2 * PRECISION_CAP)
+def _spy_on_tables(monkeypatch) -> list[int]:
+    """The precisions of the trig tables that sign certification reads."""
+    read = []
+    original = cyclopel.embeddings._trig_table
+
+    def spy(m, prec):
+        read.append(prec)
+        return original(m, prec)
+
+    monkeypatch.setattr(cyclopel.embeddings, "_trig_table", spy)
+    return read
+
+
+def test_near_cancelling_sign_climbs_the_precision_ladder(monkeypatch):
+    # with b = 2^150 and a = -round(2 b cos(2 pi / 7)), Im(a zeta + b zeta^2)
+    # = sin(2 pi / 7) (a + 2 b cos(2 pi / 7)) is under 1 while the
+    # coefficients are about 2^150: the 64- and 128-bit intervals hold 0,
+    # the 256-bit one does not
+    b = 1 << 150
+    with mpmath.workdps(100):
+        a = -int(mpmath.nint(2 * b * mpmath.cos(2 * mpmath.pi / 7)))
+        expected = _sign(mp_value(Cyclo(7, [0, a, b]), 1, dps=200).imag)
+    read = _spy_on_tables(monkeypatch)
+    assert certified_sign_im(Cyclo(7, [0, a, b]), 1) == expected != 0
+    assert read == [DEFAULT_PRECISION, 128, 256]
+    read.clear()
+    r = Cyclo(7, [a]) + b * (Cyclo.zeta(7) + Cyclo.zeta(7, -1))
+    assert certified_sign_real(r, 1) == _sign(mp_value(r, 1, dps=200).real) != 0
+    assert read == [DEFAULT_PRECISION, 128, 256]
+
+
+def test_real_element_gets_im_sign_zero_after_one_table_read(monkeypatch):
+    z = Cyclo.zeta(7)
+    read = _spy_on_tables(monkeypatch)
+    for x in (z + z.conj(), Cyclo.from_fraction(7, Fraction(-5, 3)), Cyclo.zero(7)):
+        read.clear()
+        assert certified_sign_im(x, 3) == 0
+        assert read == [DEFAULT_PRECISION]
 
 
 def test_certified_sign_im_rational_is_zero():
@@ -322,12 +353,12 @@ def _sign(v) -> int:
 
 @st.composite
 def sign_cases(draw):
-    """(x, r, n, start_prec): x an element, r a real one, n a unit.  Half
-    the cases cancel: with theta = 2 pi n / m and b = 2^bits,
+    """(x, r, n): x an element, r a real one, n a unit.  Half the cases
+    cancel: with theta = 2 pi n / m and b = 2^bits,
     a = -round(2 b cos theta), Im sigma_n(a zeta + b zeta^2) =
     sin(theta) (a + 2 b cos theta) and sigma_n(a + b (zeta + 1/zeta)) =
-    a + 2 b cos theta are tiny next to the coefficients, so low start
-    precisions must double."""
+    a + 2 b cos theta are tiny next to the coefficients, so the precision
+    must double."""
     m = draw(st.sampled_from(sorted(SUPPORTED_MODULI)))
     n = draw(st.sampled_from(modulus(m).units))
     den = draw(st.integers(1, 6))
@@ -341,31 +372,31 @@ def sign_cases(draw):
     else:
         x = Cyclo(m, [draw(st.integers(-9, 9)) for _ in range(modulus(m).phi)], den)
         r = x + x.conj()
-    return x, r, n, draw(st.sampled_from((8, 16, 64, 256)))
+    return x, r, n
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sign_cases())
 def test_fixed_point_signs_match_high_precision_evaluation(case):
-    x, r, n, start_prec = case
+    x, r, n = case
     v = mp_value(x, n, dps=200).imag
     expected = 0 if x == x.conj() else _sign(v)
     if expected:
         assert abs(v) > mpmath.mpf(10) ** -150
-    assert certified_sign_im(x, n, start_prec) == expected
+    assert certified_sign_im(x, n) == expected
     w = mp_value(r, n, dps=200).real
     expected = 0 if r.is_zero() else _sign(w)
     if expected:
         assert abs(w) > mpmath.mpf(10) ** -150
-    assert certified_sign_real(r, n, start_prec) == expected
+    assert certified_sign_real(r, n) == expected
 
 
-def _sign_with_zero_test_first(x, n, start_prec, part):
+def _sign_with_zero_test_first(x, n, part):
     """The former ordering of the certified signs: the exact zero test
     first, then fixed-point intervals at doubling precision."""
     if (x == x.conj()) if part else x.is_zero():
         return 0
-    prec = max(8, start_prec)
+    prec = DEFAULT_PRECISION
     while True:
         bounds = _trig_table(x.m, prec)[part]
         lo = hi = 0
@@ -384,15 +415,11 @@ def _sign_with_zero_test_first(x, n, start_prec, part):
 @given(sign_cases())
 def test_interval_first_signs_match_zero_test_first(case):
     # real elements must still give 0, near-cancelling ones must double
-    x, r, n, start_prec = case
+    x, r, n = case
     for y in (x, r, x - x.conj(), Cyclo.zero(x.m)):
-        assert certified_sign_im(y, n, start_prec) == _sign_with_zero_test_first(
-            y, n, start_prec, 1
-        )
-    assert certified_sign_im(r, n, start_prec) == 0
-    assert certified_sign_real(r, n, start_prec) == _sign_with_zero_test_first(
-        r, n, start_prec, 0
-    )
+        assert certified_sign_im(y, n) == _sign_with_zero_test_first(y, n, 1)
+    assert certified_sign_im(r, n) == 0
+    assert certified_sign_real(r, n) == _sign_with_zero_test_first(r, n, 0)
 
 
 @pytest.mark.parametrize("prec", [8, 64, 128, 1024, 4096])

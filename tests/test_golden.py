@@ -159,7 +159,7 @@ def test_write_report_matches_json_dumps_of_build_report(precision):
         if f["m"] in ASSEMBLE_MODULI
     )
     for k, (m, a) in enumerate(FAMILIES + corpus):
-        result = assemble(validate(m, a), precision)
+        result = assemble(validate(m, a))
         elapsed_ms = 997 * k + 1
         written = _written_report(result, precision, elapsed_ms)
         assert _first_difference(written, _dumped_report(result, precision, elapsed_ms)) is None, (m, a)
@@ -178,7 +178,7 @@ def _families(draw) -> tuple[int, tuple[int, ...]]:
 @given(_families(), st.sampled_from((64, 128)), st.integers(0, 10**7))
 def test_write_report_matches_json_dumps_on_random_families(family, precision, elapsed_ms):
     try:
-        result = assemble(validate(*family), precision)
+        result = assemble(validate(*family))
     except NonCompactType:
         assume(False)
     written = _written_report(result, precision, elapsed_ms)

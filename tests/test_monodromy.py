@@ -4,6 +4,7 @@ compact-type degeneration into 3-point covers."""
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from itertools import chain
 from fractions import Fraction
@@ -534,9 +535,9 @@ def _recorded(search, datum, monkeypatch):
 
 
 def test_degenerate_matches_oracle_scan(monkeypatch):
-    # the admissibility table picks the oracle's pair at every step and asks
-    # about the preference of the same admissible pairs in the same order,
-    # on every supported modulus: at m = 8, 16 and 32 no join is preferred,
+    # visiting values rather than positions picks the oracle's pair at
+    # every step and asks about the preference of the same joins, on
+    # every supported modulus: at m = 8, 16 and 32 no join is preferred,
     # at m = 21 few are
     outcomes = Counter()
     for m in sorted(SUPPORTED_MODULI):
@@ -547,9 +548,47 @@ def test_degenerate_matches_oracle_scan(monkeypatch):
         preferred = set()
         for d in data:
             got = _recorded(degenerate, d, monkeypatch)
-            assert got == _recorded(oracles.degenerate, d, monkeypatch), d
+            want = _recorded(oracles.degenerate, d, monkeypatch)
+            assert got[0] == want[0], d
+            assert set(got[1]) == set(want[1]), d
             outcomes[got[0][0] if isinstance(got[0][0], type) else "tree"] += 1
             preferred.update(key for key in got[1] if M._join(*key)[1])
         if m in (8, 16, 32):
             assert not preferred
     assert set(outcomes) == {"tree", NonCompactType, NonMaximalOrder}
+
+
+def test_degenerate_matches_oracle_scan_on_repeated_values():
+    # few distinct values, so most positions repeat a value seen earlier:
+    # the same trees, merge pairs and error messages as the pair scan
+    outcomes = Counter()
+    for m in sorted(SUPPORTED_MODULI):
+        rng = random.Random(5000 + m)
+        done = 0
+        while done < 60:
+            pool = [rng.randint(1, m - 1) for _ in range(rng.randint(1, 4))]
+            a = [rng.choice(pool) for _ in range(rng.randint(3, 40))]
+            last = -sum(a) % m
+            if not last or gcd(*a, last, m) != 1:
+                continue
+            d = validate(m, a + [last])
+            got = _full_outcome(degenerate, d)
+            assert got == _full_outcome(oracles.degenerate, d), d
+            outcomes[got[0] if isinstance(got[0], type) else "tree"] += 1
+            done += 1
+    assert set(outcomes) == {"tree", NonCompactType, NonMaximalOrder}
+
+
+@pytest.mark.parametrize(
+    "m, a, error",
+    [(8, (1, 4) * 401 + (3,), NonCompactType), (21, (1,) * 2016, NonMaximalOrder)],
+    ids=["m8-(1,4)^401,3", "m21-1^2016"],
+)
+def test_adversarial_inertia_fails_fast(m, a, error):
+    # a step visits the few distinct values, not every pair of the 803 or
+    # 2016 positions: the pair scan took 11 s on the first
+    d = validate(m, a)
+    t0 = time.perf_counter()
+    with pytest.raises(error):
+        degenerate(d)
+    assert time.perf_counter() - t0 < 2

@@ -40,7 +40,6 @@ from cyclopel.errors import (
     NonMaximalOrder,
     UnsupportedModulus,
 )
-from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.monodromy import signature, validate
 import cyclopel.peldatum as P
 import cyclopel.polarization as Q
@@ -203,7 +202,7 @@ def test_gram_view_rows():
 
 def _view(h):
     """The Gram view over the cells of the entries of h."""
-    return GramView(tuple(e.cell for e in P._entries(h, DEFAULT_PRECISION)))
+    return GramView(tuple(e.cell for e in P._entries(h)))
 
 
 def test_gram_determinant_oracle():
@@ -414,7 +413,7 @@ def test_component_hashes_as_its_triple():
     r = assemble(d)
     old = r.components[0]
     P._component.cache_clear()
-    new = P._component(old.triple, DEFAULT_PRECISION)
+    new = P._component(old.triple)
     assert new == old and new is not old
     assert hash(new) == hash(old) == hash(old.triple)
     assert assemble(d) == r
@@ -469,7 +468,7 @@ _BROKEN_INVARIANTS = {
         "not the monodromy signature",
     ),
     "beta conditions": (
-        "Q.verify_conditions = lambda beta, phi, prec, inverse: Q.ConditionReport(True, True, False)",
+        "Q.verify_conditions = lambda beta, phi, inverse: Q.ConditionReport(True, True, False)",
         "fails its own conditions",
     ),
     "xi is 1/beta": (
@@ -574,7 +573,7 @@ def test_arithmetic_checks_survive_optimize(patch, call, fragment):
 
 def test_bridge_check_survives_optimize():
     kinds, message = _invariant_violation_under_optimize(
-        "V.verify_conditions = lambda beta, phi, prec: "
+        "V.verify_conditions = lambda beta, phi: "
         "Q.ConditionReport(True, True, beta.m % 2 == 1)",
         'V.twice_prime_bridge(CMType(3, frozenset({2})), parse_element("2*z + 1", 3))',
     )
@@ -654,17 +653,15 @@ def test_form_signature_matches_oracle_on_the_corpus():
 
 
 def test_form_signature_reads_each_entry_type_once(monkeypatch):
-    # an entry's type is certified once per (entry, start precision), into
-    # its Entry record, and every later call reads it there
+    # an entry's type is certified once per entry, into its Entry record,
+    # and every later call reads it there
     h = HermitianDatum(5, (Block(5, (XI5_2, XI5_1, XI5_2)),))
     calls = []
-    monkeypatch.setattr(Q, "entry_cm_type", lambda xi, p: calls.append(xi) or entry_cm_type(xi, p))
+    monkeypatch.setattr(Q, "entry_cm_type", lambda xi: calls.append(xi) or entry_cm_type(xi))
     Q.hermitian_entry.cache_clear()
     assert form_signature(h).values == (0, 2, 3, 0, 1)
     assert form_signature(h).values == (0, 2, 3, 0, 1)
     assert calls == [XI5_2, XI5_1]
-    assert form_signature(h, 128).values == (0, 2, 3, 0, 1)
-    assert calls == [XI5_2, XI5_1] * 2
 
 
 def test_dimension_is_twice_genus():
@@ -745,7 +742,7 @@ def test_equivalent_datum_indeterminate_m21():
         equivalent_datum(h1, h2)
 
 
-def _match_by_backtracking(left, right, start_prec=64):
+def _match_by_backtracking(left, right):
     """The former _match_entries: search for a perfect matching on the
     pairs equivalent_beta accepts; None when none exists and some pair was
     Indeterminate."""
@@ -754,7 +751,7 @@ def _match_by_backtracking(left, right, start_prec=64):
     for i in range(n):
         for j in range(n):
             try:
-                edge[i][j] = equivalent_beta(left[i], right[j], start_prec)
+                edge[i][j] = equivalent_beta(left[i], right[j])
             except Indeterminate:
                 edge[i][j] = None
     used = [False] * n
@@ -793,7 +790,7 @@ def test_match_entries_agrees_with_backtracking(m):
         n = rng.randint(1, 5)
         left = [rng.choice(pool) for _ in range(n)]
         right = rng.sample(left, n) if rng.random() < 0.4 else [rng.choice(pool) for _ in range(n)]
-        assert V._match_entries(left, right, 64) == _match_by_backtracking(left, right), (
+        assert V._match_entries(left, right) == _match_by_backtracking(left, right), (
             left,
             right,
         )
@@ -806,8 +803,8 @@ def test_match_entries_is_not_factorial():
     left = [xi] * 13 + [-xi]
     right = [xi] * 13 + [2 * xi]
     t0 = time.perf_counter()
-    assert V._match_entries(left, right, 64) is False
-    assert V._match_entries(left, list(reversed(left)), 64) is True
+    assert V._match_entries(left, right) is False
+    assert V._match_entries(left, list(reversed(left))) is True
     assert time.perf_counter() - t0 < 1.0
 
 

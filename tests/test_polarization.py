@@ -18,7 +18,6 @@ from cyclopel.cyclotomic import (
     parse_element,
 )
 import cyclopel.polarization as Q
-from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 from cyclopel.peldatum import Block, HermitianDatum, form_signature, gram_matrix
 from cyclopel.polarization import (
@@ -303,8 +302,8 @@ def test_certificate_by_inverse_agrees_with_the_norm_on_every_type():
             point = beta_for_type(phi)
             beta, xi = point.beta, point.entry.xi
             for psi in (phi, phi.conjugate()):
-                by_norm = verify_conditions(beta, psi, DEFAULT_PRECISION)
-                assert verify_conditions(beta, psi, DEFAULT_PRECISION, xi) == by_norm, psi
+                by_norm = verify_conditions(beta, psi)
+                assert verify_conditions(beta, psi, inverse=xi) == by_norm, psi
             assert by_norm.generates_different and not by_norm.signs_negative
             assert point.conditions == verify_conditions(beta, phi)
             count += 1
@@ -322,13 +321,13 @@ def test_certificate_refuses_a_wrong_inverse(m):
         for wrong in (2 * point.entry.xi, other.entry.xi, point.entry.xi / 2, -point.entry.xi):
             if wrong == point.entry.xi:
                 continue
-            report = verify_conditions(beta, phi, DEFAULT_PRECISION, wrong)
+            report = verify_conditions(beta, phi, inverse=wrong)
             assert not report.generates_different, (phi, wrong)
             assert report.antisymmetric and report.signs_negative
     # a beta that does not generate the different fails whatever inverse
     # comes with it: here its true one
     point = points[0]
-    report = verify_conditions(3 * point.beta, point.phi, DEFAULT_PRECISION, point.entry.xi / 3)
+    report = verify_conditions(3 * point.beta, point.phi, inverse=point.entry.xi / 3)
     assert not report.generates_different
 
 
@@ -387,7 +386,7 @@ def test_point_cell_det_and_column_match_the_fixture_path():
     phis += [phi for m in (17, 19) for phi in _cm_types(m, rng, 40)]
     for phi in phis:
         entry = beta_for_type(phi).entry
-        assert Q.hermitian_entry(entry.xi, DEFAULT_PRECISION) is entry
+        assert Q.hermitian_entry(entry.xi) is entry
         h = HermitianDatum(phi.m, (Block(phi.m, (entry.xi,)),))
         assert entry.cell == gram_matrix(h), phi
         assert entry.det == gram_determinant(entry.cell) and abs(entry.det) == 1, phi
@@ -419,9 +418,9 @@ def test_cold_beta_for_type_reads_beta0_constants_off_its_record(monkeypatch):
     signed, inverted = [], []
     original_sign, original_inverse = Q.certified_sign_im, Cyclo.inverse
 
-    def sign_spy(x, n, start_prec=DEFAULT_PRECISION):
+    def sign_spy(x, n):
         signed.append(x)
-        return original_sign(x, n, start_prec)
+        return original_sign(x, n)
 
     def inverse_spy(self):
         inverted.append(self)
@@ -516,11 +515,11 @@ def test_beta_for_type_random_moduli():
             assert point.conditions.all_pass()
 
 
-def test_beta_for_type_is_memoized_per_type_and_precision():
+def test_beta_for_type_is_memoized_per_type():
     phi = CMType(7, frozenset({1, 2, 4}))
     point = beta_for_type(phi)
     assert beta_for_type(CMType(7, frozenset({4, 2, 1}))) is point
-    assert beta_for_type(phi, 128) == point
+    assert Q.hermitian_entry(point.entry.xi) is point.entry
 
 
 def test_beta_galois_compatibility():

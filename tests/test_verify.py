@@ -1,19 +1,28 @@
 """Verification against the entry records: a corpus run builds each
 distinct entry once, a fixture that equals its assembly builds none, the
-failures of fixtures with non-integral traces, and the relative m = 7
-pipeline's condition (1) by its inverse."""
+failures of fixtures with non-integral traces, the relative m = 7
+pipeline's condition (1) by its inverse, and signatures that take no
+precision."""
 
 from __future__ import annotations
 
 import copy
+import inspect
+
+import pytest
+
+import cyclopel.peldatum
+import cyclopel.polarization
+import cyclopel.verify
 
 from cyclopel.cli import main
 from cyclopel.cyclotomic import Cyclo, parse_element
-from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.monodromy import validate
 from cyclopel.peldatum import ASSEMBLE_MODULI, assemble
 from cyclopel.polarization import hermitian_entry, verify_conditions
-from cyclopel.verify import default_corpus_path, load_corpus, m17_pipeline, verify_fixture
+from cyclopel.verify import (
+    default_corpus_path, equivalent_datum, load_corpus, m17_pipeline, verify_fixture
+)
 import oracles
 
 FIXTURES = {f["name"]: f for f in load_corpus(default_corpus_path())}
@@ -108,10 +117,43 @@ def test_m17_condition_one_by_inverse_is_the_norm_report(monkeypatch):
     assert inverse * r.z == 1
     by_norm = verify_conditions(r.z, r.phi)
     assert by_norm.all_pass()
-    assert verify_conditions(r.z, r.phi, DEFAULT_PRECISION, inverse) == by_norm == r.z_conditions
+    assert verify_conditions(r.z, r.phi, inverse=inverse) == by_norm == r.z_conditions
     # the pipeline itself takes no norm for condition (1)
     calls = []
     original = Cyclo.is_unit
     monkeypatch.setattr(Cyclo, "is_unit", lambda self: calls.append(self) or original(self))
     assert m17_pipeline() == r
     assert calls == []
+
+
+def test_a_positional_precision_is_a_type_error():
+    # the flags after the data are keyword-only, so a caller that still
+    # passes a start precision there is refused, not bound to the flag
+    r = assemble(validate(5, (1, 3, 3, 3)))
+    point = r.components[0].point
+    with pytest.raises(TypeError):
+        verify_conditions(point.beta, point.phi, 64)
+    assert verify_conditions(point.beta, point.phi, inverse=point.entry.xi) == point.conditions
+    with pytest.raises(TypeError):
+        verify_fixture(FIXTURES["m5-1144"], 64)
+    with pytest.raises(TypeError):
+        verify_fixture(FIXTURES["m5-1144"], 64, True)
+    assert verify_fixture(FIXTURES["m5-1144"], allow_galois=True).passed
+    with pytest.raises(TypeError):
+        equivalent_datum(r.hermitian, r.hermitian, True)
+    with pytest.raises(TypeError):
+        equivalent_datum(r.hermitian, r.hermitian, False, 64)
+    assert equivalent_datum(r.hermitian, r.hermitian, allow_galois=True)
+
+
+def test_no_public_function_takes_a_precision():
+    # the datum is exact: only assemble keeps a precision parameter, which
+    # it does not read
+    found = {}
+    for module in (cyclopel.polarization, cyclopel.peldatum, cyclopel.verify):
+        for name, f in vars(module).items():
+            if inspect.isfunction(f) and not name.startswith("_") and f.__module__ == module.__name__:
+                params = [p for p in inspect.signature(f).parameters if "prec" in p]
+                if params:
+                    found[f"{module.__name__}.{name}"] = params
+    assert found == {"cyclopel.peldatum.assemble": ["start_prec"]}
