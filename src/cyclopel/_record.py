@@ -8,16 +8,14 @@ from operator import attrgetter
 class Record:
     """A record's fields are its __slots__, in order.  Record(*values) sets
     them, then calls self.__post_init__(), looked up at each call, which
-    validates them or sets the derived= ones.  Equality, hash and repr
-    leave out the hidden= fields; records of two classes are unequal."""
+    validates them.  Equality, hash and repr read every field; records of
+    two classes are unequal."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, hidden=(), derived=()):
-        cls._init = tuple(f for f in cls.__slots__ if f not in derived)
-        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._init)
-        cls._shown = tuple(f for f in cls.__slots__ if f not in hidden)
-        cls._key = attrgetter(*cls._shown)
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+        cls._key = attrgetter(*cls.__slots__)
 
     def __init__(self, *values):
         setters = self._setters
@@ -44,8 +42,8 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
-        return f"{type(self).__qualname__}({shown})"
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # the default slot restore would call the refusing __setattr__
-        return type(self), tuple(map(self.__getattribute__, self._init))
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))

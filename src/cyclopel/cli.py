@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from .cyclotomic import Cyclo, element_str, modulus
+from .cyclotomic import Cyclo, element_str
 from .embeddings import DEFAULT_PRECISION, PRECISION_CAP, embed
 from .errors import (
     CyclopelError,
@@ -35,7 +35,9 @@ from .errors import (
     ZeroInertia,
 )
 from .monodromy import validate
-from .peldatum import ASSEMBLE_MODULI, ComponentResult, FamilyResult, assemble
+from .peldatum import (
+    ASSEMBLE_MODULI, MAX_REPORT_ENTRIES, ComponentResult, FamilyResult, _gram_entries, assemble
+)
 from .polarization import PolarizedCMPoint
 from .verify import default_corpus_path, load_corpus, verify_fixture
 
@@ -50,12 +52,6 @@ EXIT_NONMAXIMAL_ORDER = 5
 EXIT_UNSATISFIABLE = 6
 EXIT_INVALID_DATUM = 7
 EXIT_REPORT_TOO_LARGE = 8
-
-# A family report at an assembly modulus (an odd prime m) holds
-# ((N - 2) * phi(m))^2 Gram entries, about 9 bytes of text each; 2^24 of
-# them is about 150 MB of text (N = 229 at m = 19).  Other moduli have no
-# report: assemble refuses them.
-MAX_REPORT_ENTRIES = 2**24
 
 _DECIMAL_DIGITS = 20
 
@@ -333,7 +329,7 @@ def run_family(m: int, inertia: Sequence[int], precision: int, as_json: bool) ->
     t0 = time.monotonic()
     try:
         datum = validate(m, inertia)
-        entries = ((datum.N - 2) * modulus(m).phi) ** 2
+        entries = _gram_entries(datum)
         if m in ASSEMBLE_MODULI and entries > MAX_REPORT_ENTRIES:
             too_many = f"{entries} Gram entries, more than {MAX_REPORT_ENTRIES}"
             print(f"error: the report would hold {too_many}", file=sys.stderr)

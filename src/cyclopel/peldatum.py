@@ -26,6 +26,7 @@ __all__ = [
     "ASSEMBLE_MODULI",
     "CERTAINTY_SIMPLE",
     "CERTAINTY_FORM_UNIQUENESS",
+    "MAX_REPORT_ENTRIES",
     "Block",
     "ComponentResult",
     "FamilyResult",
@@ -41,6 +42,12 @@ __all__ = [
 # Odd primes whose full pipeline (degeneration, CM-types, beta solve) runs
 # end to end.
 ASSEMBLE_MODULI = frozenset({3, 5, 7, 11, 13, 17, 19})
+
+# A Gram entry is about 9 bytes of report text; 2^24 of them is about
+# 150 MB of text (N = 229 at m = 19).  The command line refuses a larger
+# report, and a fixture verification skips a larger assembly, before
+# degenerating.
+MAX_REPORT_ENTRIES = 2**24
 
 # For these moduli, uniqueness of the integral Hermitian form is not
 # certified by the CM-point argument alone; reports carry the caveat.
@@ -93,6 +100,12 @@ class HermitianDatum(Record):
     def dimension(self) -> int:
         """Z-rank of the lattice = 2 * genus."""
         return sum(modulus(b.modulus).phi * len(b.entries) for b in self.blocks)
+
+
+def _gram_entries(datum: MonodromyDatum) -> int:
+    """The number of entries of the Gram matrix that assemble would build
+    for datum, ((N - 2) * phi(m))^2, known before degenerating."""
+    return ((datum.N - 2) * modulus(datum.m).phi) ** 2
 
 
 def _entries(h: HermitianDatum) -> tuple[Entry, ...]:
@@ -237,10 +250,10 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
     det = prod(e.det for e in entries)
     if abs(det) != 1:
         raise InvariantViolation(f"Gram determinant {det} is not a unit")
-    form_sig = Signature(datum.m, tuple(map(sum, zip(*(e.column for e in entries)))))
-    if form_sig != sig:
+    form_values = tuple(map(sum, zip(*(e.column for e in entries))))
+    if form_values != sig.values:
         raise InvariantViolation(
-            f"assembled form has signature {form_sig.values}, not the monodromy signature {sig.values}"
+            f"assembled form has signature {form_values}, not the monodromy signature {sig.values}"
         )
     simple = all(c.simplicity.simple for c in components)
     certainty = (
@@ -248,4 +261,4 @@ def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> Fami
         if simple and datum.m not in _FORM_UNIQUENESS_CAVEAT_MODULI
         else CERTAINTY_FORM_UNIQUENESS
     )
-    return FamilyResult(datum, genus(datum), sig, tree, components, det, form_sig, certainty)
+    return FamilyResult(datum, genus(datum), sig, tree, components, det, sig, certainty)

@@ -20,7 +20,6 @@ from .errors import (
 )
 
 __all__ = [
-    "BETA_FOR_TYPE_MODULI",
     "ConditionReport",
     "DifferentGenerator",
     "Entry",
@@ -37,23 +36,16 @@ __all__ = [
     "verify_conditions",
 ]
 
-# Moduli where beta_for_type runs: a closed-form different generator exists
-# and the sign solve is guaranteed solvable.
-BETA_FOR_TYPE_MODULI = frozenset({3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 27, 32})
-
-
-class DifferentGenerator(Record, hidden=("inverse", "signs"), derived=("signs",)):
+class DifferentGenerator(Record):
     """Closed-form generator beta0 of the different D_{F/Q}, purely
     imaginary (beta0 = -conj(beta0)), with its inverse, certified by
-    element * inverse = 1, and the certified signs of Im(sigma_n(beta0)) at
-    modulus(m).reps, none of them 0."""
+    element * inverse = 1."""
 
-    __slots__ = ("m", "case", "element", "inverse", "signs")
+    __slots__ = ("m", "case", "element", "inverse")
     m: int
     case: str
     element: Cyclo
     inverse: Cyclo
-    signs: SignVector
 
     def __post_init__(self):
         if not self.element.is_integral:
@@ -64,15 +56,10 @@ class DifferentGenerator(Record, hidden=("inverse", "signs"), derived=("signs",)
             )
         if self.element * self.inverse != 1:
             raise InvariantViolation(f"given inverse of beta0 for m = {self.m} does not invert it")
-        signs = tuple(certified_sign_im(self.element, n) for n in modulus(self.m).reps)
-        if 0 in signs:
-            raise InvariantViolation(f"beta0 has an embedding sign 0 mod {self.m}")
-        object.__setattr__(self, "signs", signs)
 
 
 def beta0(m: int) -> DifferentGenerator:
-    """Different generator of modulus m with its inverse and signs, read off
-    _constants(m)."""
+    """Different generator of modulus m with its inverse, read off _constants(m)."""
     b0 = _constants(m).beta0
     if b0 is None:
         raise UnsupportedModulus(f"no closed-form different generator for m = {m}")
@@ -180,15 +167,17 @@ def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
 
 
 class _Constants(Record):
-    """Per-modulus constants of polarization: beta0 (None where no closed
-    form exists), the unit generators, their inverses, their sign vectors,
-    the span of the sign rows and its rank.  A sign row is a bit mask, bit
-    j set for a negative sign at column j; span[row] is the bit mask of
+    """Per-modulus constants of polarization: beta0 and the signs of
+    Im(sigma_n(beta0)) at modulus(m).reps (both None where no closed form
+    exists), the unit generators, their inverses, their sign vectors, the
+    span of the sign rows and its rank.  A sign row is a bit mask, bit j
+    set for a negative sign at column j; span[row] is the bit mask of
     generators whose product realizes the row, or None when no product
     does, and 2^rank rows are realized."""
 
-    __slots__ = ("beta0", "gens", "inverses", "signs", "span", "rank")
+    __slots__ = ("beta0", "beta0_signs", "gens", "inverses", "signs", "span", "rank")
     beta0: DifferentGenerator | None
+    beta0_signs: SignVector | None
     gens: tuple[Cyclo, ...]
     inverses: tuple[Cyclo, ...]
     signs: tuple[SignVector, ...]
@@ -198,18 +187,22 @@ class _Constants(Record):
 
 @lru_cache(maxsize=64)
 def _constants(m: int) -> _Constants:
-    """Build the constants of modulus m once.  Each unit generator g is
+    """Build the constants of modulus m once.  beta0's signs are certified
+    at the complex embeddings, none of them 0.  Each unit generator g is
     certified a real unit by g * g^-1 = 1 with both factors integral, so
     no inversion and no norm is needed; its signs are then certified at
     the real embeddings.  The span is the XOR closure of the sign rows,
     each reached row keeping the first generator mask that reached it."""
+    reps = modulus(m).reps
     b0 = _different_generator(m)
+    b0_signs = None if b0 is None else tuple(certified_sign_im(b0.element, n) for n in reps)
+    if b0_signs and 0 in b0_signs:
+        raise InvariantViolation(f"beta0 has an embedding sign 0 mod {m}")
     pairs = _closed_form_units(m)
     for g, h in pairs:
         if not (g.is_integral and h.is_integral and g * h == 1 and g.is_real()):
             raise InvariantViolation(f"generator {g!r} is not a real unit")
     gens = tuple(g for g, _ in pairs)
-    reps = modulus(m).reps
     signs = tuple(tuple(certified_sign_real(g, n) for n in reps) for g in gens)
     span: list[int | None] = [None] * (1 << len(reps))
     span[0], reached = 0, [0]
@@ -220,7 +213,7 @@ def _constants(m: int) -> _Constants:
                 span[row ^ bits] = span[row] | 1 << i
                 reached.append(row ^ bits)
     rank = len(reached).bit_length() - 1
-    return _Constants(b0, gens, tuple(h for _, h in pairs), signs, tuple(span), rank)
+    return _Constants(b0, b0_signs, gens, tuple(h for _, h in pairs), signs, tuple(span), rank)
 
 
 def has_independent_signs(m: int) -> bool:
@@ -240,10 +233,10 @@ def _signs_to_bits(signs: SignVector) -> int:
     return bits
 
 
-def _solve_combo(target: SignVector, m: int) -> int | Unsatisfiable:
+def _solve_combo(target: SignVector, m: int) -> int:
     """Bit mask of the unit generators of modulus m whose product has the
-    sign vector target, looked up in the span of _constants(m), or
-    Unsatisfiable carrying the cokernel dimension."""
+    sign vector target, looked up in the span of _constants(m); raises
+    Unsatisfiable, with the cokernel dimension, when no product has it."""
     ncols = len(modulus(m).reps)
     if len(target) != ncols:
         raise ValueError(f"target has {len(target)} components, expected {ncols}")
@@ -252,7 +245,7 @@ def _solve_combo(target: SignVector, m: int) -> int | Unsatisfiable:
     table = _constants(m)
     combo = table.span[_signs_to_bits(target)]
     if combo is None:
-        return Unsatisfiable(
+        raise Unsatisfiable(
             f"sign pattern {target} not realized by units for m = {m}",
             cokernel_dim=ncols - table.rank,
         )
@@ -435,7 +428,7 @@ def hermitian_entry(xi: Cyclo) -> Entry:
     return Entry(xi, phi, _entry_column(phi, xi.m))
 
 
-class PolarizedCMPoint(Record, hidden=("entry",)):
+class PolarizedCMPoint(Record):
     """beta = u0 * beta0 realizing the polarization for the CM-type Phi, with
     the Entry of xi = 1/beta, built by beta_for_type without inversion."""
 
@@ -455,20 +448,20 @@ def beta_for_type(phi: CMType) -> PolarizedCMPoint:
     unit generators; u0 is their product, and xi = 1/beta is the product
     of their closed-form inverses with 1/beta0, certified by beta * xi = 1
     without any inversion, and condition (1) is certified by xi, without a
-    norm; the point holds the Entry of xi.
-    Memoized per Phi, one point at every rendering precision; the result
-    is immutable."""
-    m = phi.m
-    if m not in BETA_FOR_TYPE_MODULI:
-        raise UnsupportedModulus(
-            f"beta construction needs a closed-form beta0 and independent signs; m = {m} has neither or only one"
-        )
+    norm; the point holds the Entry of xi.  Runs where _constants(m) has
+    a closed-form beta0 and independent unit signs, so every pattern is
+    solvable.  Memoized per Phi; the result is immutable."""
+    m, reps = phi.m, modulus(phi.m).reps
     table = _constants(m)
     b0 = table.beta0
-    target = tuple(-s if n in phi else s for n, s in zip(modulus(m).reps, b0.signs))
+    if b0 is None:
+        raise UnsupportedModulus(f"beta construction needs a closed-form beta0; m = {m} has none")
+    if not has_independent_signs(m):
+        raise UnsupportedModulus(
+            f"beta construction needs independent unit signs; m = {m} has rank {table.rank} of {len(reps)}"
+        )
+    target = tuple(-s if n in phi else s for n, s in zip(reps, table.beta0_signs))
     combo = _solve_combo(target, m)
-    if isinstance(combo, Unsatisfiable):
-        raise combo
     u0 = _product(table.gens, combo, m)
     beta = u0 * b0.element
     xi = _product(table.inverses, combo, m) * b0.inverse

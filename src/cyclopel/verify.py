@@ -15,12 +15,16 @@ from .errors import (
     CyclopelError, Indeterminate, InvariantViolation, MalformedDatum, NonIntegralForm
 )
 from .monodromy import signature, validate
-from .peldatum import ASSEMBLE_MODULI, Block, HermitianDatum, _entries, assemble, form_signature
+from .peldatum import (
+    ASSEMBLE_MODULI, MAX_REPORT_ENTRIES, Block, HermitianDatum, _entries, _gram_entries, assemble,
+    form_signature,
+)
 from .polarization import (
     ConditionReport, equivalent_beta, reference_different_generator, verify_conditions
 )
 
 __all__ = [
+    "MAX_CORPUS_BYTES",
     "BridgeResult",
     "FixtureOutcome",
     "RelativePipelineResult",
@@ -273,9 +277,10 @@ def verify_fixture(fixture: dict, *, allow_galois: bool = False) -> FixtureOutco
     accepts only purely imaginary entries); the certified embedding signs
     reproduce the expected signature (condition 3); every Gram cell is
     integral and skew; and, when the modulus supports full assembly, the
-    assembled datum is equivalent to the fixture's.  A library error or
-    ValueError (say, a malformed entry string) is reported as a failure of
-    this fixture."""
+    assembled datum is equivalent to the fixture's (a datum whose Gram
+    matrix would pass MAX_REPORT_ENTRIES fails without assembling).  A
+    library error or ValueError (say, a malformed entry string) is
+    reported as a failure of this fixture."""
     name = str(fixture.get("name", "?"))
     failures: list[str] = []
     try:
@@ -317,12 +322,22 @@ def verify_fixture(fixture: dict, *, allow_galois: bool = False) -> FixtureOutco
         except NonIntegralForm as exc:
             failures.append(f"Gram integrality: {exc}")
         if datum.m in ASSEMBLE_MODULI:
-            result = assemble(datum)
-            if not equivalent_datum(result.hermitian, h, allow_galois=allow_galois):
+            entries = _gram_entries(datum)
+            if entries > MAX_REPORT_ENTRIES:
+                failures.append(
+                    f"assembly skipped: its Gram matrix would hold {entries} entries, "
+                    f"more than {MAX_REPORT_ENTRIES}"
+                )
+            elif not equivalent_datum(assemble(datum).hermitian, h, allow_galois=allow_galois):
                 failures.append("assembled datum is not equivalent to the fixture blocks")
     except (CyclopelError, ValueError) as exc:
         failures.append(f"{type(exc).__name__}: {exc}")
     return FixtureOutcome(name, not failures, tuple(failures))
+
+
+# The shipped corpus is under 7 KB; reading stops here, so a corpus path
+# that names an endless device or pipe cannot fill memory.
+MAX_CORPUS_BYTES = 16 * 2**20
 
 
 def default_corpus_path() -> Path:
@@ -331,9 +346,13 @@ def default_corpus_path() -> Path:
 
 def load_corpus(path: str | Path) -> list[dict]:
     """Read a fixture corpus: {"fixtures": [record, ...]} with records as
-    in verify_fixture."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    in verify_fixture, of at most MAX_CORPUS_BYTES bytes of UTF-8 JSON.  A
+    longer file, pipe or device is refused after that many bytes."""
+    with open(path, "rb") as f:
+        raw = f.read(MAX_CORPUS_BYTES + 1)
+    if len(raw) > MAX_CORPUS_BYTES:
+        raise MalformedDatum(f"{path}: corpus is longer than {MAX_CORPUS_BYTES} bytes")
+    doc = json.loads(raw.decode("utf-8"))
     if not isinstance(doc, dict) or not isinstance(doc.get("fixtures"), list):
         raise MalformedDatum(f"{path}: corpus must be an object with a 'fixtures' list")
     for record in doc["fixtures"]:

@@ -41,10 +41,11 @@ def sign_vector(u: Cyclo) -> SignVector:
 
 def unit_for_signs(target: SignVector, m: int) -> Cyclo | Unsatisfiable:
     """The product of the unit generators of modulus m that the sign solve
-    picks for target, or the Unsatisfiable it returns."""
-    combo = _solve_combo(target, m)
-    if isinstance(combo, Unsatisfiable):
-        return combo
+    picks for target, or the Unsatisfiable it raises."""
+    try:
+        combo = _solve_combo(target, m)
+    except Unsatisfiable as exc:
+        return exc
     return _product(_constants(m).gens, combo, m)
 
 

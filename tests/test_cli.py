@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import cyclopel.cli
 import cyclopel.cmfield
 import cyclopel.monodromy
 import cyclopel.peldatum
+import cyclopel.verify
 from cyclopel.cli import (
     EXIT_GENERIC,
     EXIT_INVALID_DATUM,
@@ -35,11 +37,12 @@ from cyclopel.cli import (
     main,
     report_json,
 )
+from cyclopel.cyclotomic import element_str
 from cyclopel.embeddings import DEFAULT_PRECISION
 from cyclopel.errors import CyclopelError, MalformedDatum, ParseError, Unsatisfiable
 from cyclopel.peldatum import FamilyResult
 from cyclopel.polarization import Entry, PolarizedCMPoint, beta_for_type
-from cyclopel.verify import default_corpus_path, load_corpus
+from cyclopel.verify import MAX_CORPUS_BYTES, default_corpus_path, load_corpus
 from oracles import clear_memos
 
 
@@ -284,9 +287,9 @@ class _UnhashableCell(tuple):
 
 
 def _with_unhashable_cells(result):
-    """result with every point's Gram cell an _UnhashableCell: an entry is
-    hidden from its point's equality and hash, so the memos keyed on a
-    point or component take these as the ones they stand for."""
+    """result with every point's Gram cell an _UnhashableCell: a cell is
+    made by its entry, not a field of it, so the memos keyed on a point or
+    component take these as the ones they stand for."""
     components = []
     for c in result.components:
         p, e = c.point, c.point.entry
@@ -772,3 +775,70 @@ def test_corpus_unreadable(tmp_path, capsys):
     assert run(["--corpus", str(p)]) == EXIT_GENERIC
     assert "cannot read corpus" in capsys.readouterr().err
 
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_corpus_from_an_endless_device_is_refused():
+    # the reader stops one byte past the bound, so /dev/zero cannot fill memory
+    src = str(Path(cyclopel.cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclopel.cli", "--corpus", "/dev/zero"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == EXIT_GENERIC and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: cannot read corpus: /dev/zero: corpus is longer than {MAX_CORPUS_BYTES} bytes\n"
+    )
+
+
+def test_corpus_one_byte_over_the_bound_is_refused(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "corpus.json"
+    p.write_bytes(default_corpus_path().read_bytes())
+    size = p.stat().st_size
+    monkeypatch.setattr(cyclopel.verify, "MAX_CORPUS_BYTES", size)
+    assert run(["--corpus", str(p)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(cyclopel.verify, "MAX_CORPUS_BYTES", size - 1)
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read corpus: {p}: corpus is longer than {size - 1} bytes\n"
+
+
+def test_corpus_fixture_over_the_gram_bound_fails_fast(tmp_path, capsys):
+    # N = 64000 at m = 17: family mode refuses it with exit 8, and
+    # degenerating it would take seconds; the fixture skips assembly with
+    # one failure, and its other checks still run (here condition (3)
+    # fails: the blocks are those of an N = 4 family)
+    a = (1,) * 63999 + (6,)
+    expected = cyclopel.monodromy.signature(cyclopel.monodromy.validate(17, a)).values
+    small = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(17, (1, 1, 1, 14)))
+    entries = [element_str(xi) for xi in small.hermitian.blocks[0].entries]
+    fixture = {
+        "name": "m17-huge",
+        "m": 17,
+        "N": len(a),
+        "a": list(a),
+        "blocks": [[17, entries]],
+        "expected_signature": list(expected),
+    }
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"fixtures": [fixture]}))
+    start = time.perf_counter()
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    assert time.perf_counter() - start < 1
+    size = (63998 * 16) ** 2
+    assert size > MAX_REPORT_ENTRIES
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL m17-huge" and lines[-1] == "0 passed, 1 failed, 1 total"
+    assert lines[1].startswith("     condition (3): ")
+    assert lines[2:-1] == [
+        f"     assembly skipped: its Gram matrix would hold {size} entries, "
+        f"more than {MAX_REPORT_ENTRIES}"
+    ]

@@ -4,11 +4,9 @@ decisions for real and imaginary parts."""
 from __future__ import annotations
 
 import random
-import re
 import sys
 import threading
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -16,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
-import cyclopel
 from cyclopel.cyclotomic import SUPPORTED_MODULI, Cyclo, modulus
 from cyclopel.embeddings import (
     PRECISION_CAP,
@@ -480,11 +477,3 @@ def test_embed_is_thread_safe_and_leaves_mpmath_precision_alone():
         assert len(results[k]) == 40
         assert all(box == serial[p] for box in results[k])
     assert mpmath.iv.prec == before
-
-
-def test_source_never_sets_shared_interval_precision():
-    pattern = re.compile(r"\biv\.(prec|dps)\s*=|\biv\.work(prec|dps)\b")
-    sources = sorted(Path(cyclopel.__file__).resolve().parent.glob("*.py"))
-    assert sources
-    for path in sources:
-        assert not pattern.search(path.read_text(encoding="utf-8")), path.name

@@ -40,7 +40,7 @@ from cyclopel.errors import (
     NonMaximalOrder,
     UnsupportedModulus,
 )
-from cyclopel.monodromy import signature, validate
+from cyclopel.monodromy import Signature, signature, validate
 import cyclopel.peldatum as P
 import cyclopel.polarization as Q
 import cyclopel.verify as V
@@ -402,7 +402,7 @@ def test_assemble_builds_no_block_and_reading_hermitian_checks_one(monkeypatch):
         *r.components[1:],
     )
     broken = FamilyResult(*args)
-    assert broken == r
+    assert broken != r  # a point's entry is one of its fields
     with pytest.raises(InvariantViolation, match="not purely imaginary"):
         broken.hermitian
     assert len(checked) == 2
@@ -417,6 +417,24 @@ def test_component_hashes_as_its_triple():
     assert new == old and new is not old
     assert hash(new) == hash(old) == hash(old.triple)
     assert assemble(d) == r
+
+
+def test_warm_assemble_builds_one_signature(monkeypatch):
+    # the summed entry columns are compared with the monodromy signature's
+    # values, and that one record is both the family's signatures
+    datum = validate(13, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10))
+    assemble(datum)
+    built = []
+    original = Signature.__init__
+
+    def spy_init(self, *values):
+        built.append(values)
+        original(self, *values)
+
+    monkeypatch.setattr(Signature, "__init__", spy_init)
+    r = assemble(datum)
+    assert built == [(13, r.signature.values)]
+    assert r.form_sig is r.signature
 
 
 def test_warm_assemble_makes_no_inversion(monkeypatch):

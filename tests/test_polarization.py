@@ -18,13 +18,13 @@ from cyclopel.cyclotomic import (
     parse_element,
 )
 import cyclopel.polarization as Q
+from cyclopel.embeddings import certified_sign_im
 from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
 from cyclopel.peldatum import Block, HermitianDatum, form_signature, gram_matrix
 from cyclopel.polarization import (
     _constants,
     _signs_to_bits,
     _solve_combo,
-    BETA_FOR_TYPE_MODULI,
     DifferentGenerator,
     beta0,
     beta_for_type,
@@ -39,6 +39,9 @@ import oracles
 from oracles import galois_act_cm, sign_vector, unit_for_signs
 
 BETA0_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 21, 27, 32)
+# Moduli where beta_for_type runs: beta0 has a closed form and the unit
+# signs are independent (21 has beta0 but sign rank 5 of 6)
+SERVED_MODULI = frozenset({3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 27, 32})
 
 
 def pe(m, s):
@@ -141,7 +144,7 @@ def _quotient_generators(m):
 
 
 @pytest.mark.parametrize(
-    "m", sorted(BETA_FOR_TYPE_MODULI | {m for m in SUPPORTED_MODULI if m % 4 == 2})
+    "m", sorted(SERVED_MODULI | {m for m in SUPPORTED_MODULI if m % 4 == 2})
 )
 def test_closed_form_generator_inverses(m):
     table = _constants(m)
@@ -226,12 +229,12 @@ def test_span_lookup_matches_elimination(m):
     pivots = _eliminate(rows, ncols)
     for target in itertools.product((1, -1), repeat=ncols):
         expected = _back_substitute(pivots, _signs_to_bits(target), ncols)
-        got = _solve_combo(target, m)
         if expected is None:
-            assert isinstance(got, Unsatisfiable), target
-            assert got.cokernel_dim == ncols - len(pivots)
+            with pytest.raises(Unsatisfiable) as raised:
+                _solve_combo(target, m)
+            assert raised.value.cokernel_dim == ncols - len(pivots), target
         else:
-            assert got == expected, target
+            assert _solve_combo(target, m) == expected, target
 
 
 def test_solve_sign_pattern_surjective_small():
@@ -263,7 +266,7 @@ def test_independent_sign_constants():
     assert has_independent_signs(10)
     assert not has_independent_signs(21)
     assert {m for m in SUPPORTED_MODULI if has_independent_signs(m)} == SUPPORTED_MODULI - {21}
-    assert 21 not in BETA_FOR_TYPE_MODULI
+    assert 21 not in SERVED_MODULI
     with pytest.raises(UnsupportedModulus):
         has_independent_signs(23)
 
@@ -297,7 +300,7 @@ def test_certificate_by_inverse_agrees_with_the_norm_on_every_type():
     # outcome, and so are the other two conditions, for the type and for
     # its conjugate (whose signs all fail)
     count = 0
-    for m in sorted(BETA_FOR_TYPE_MODULI):
+    for m in sorted(SERVED_MODULI):
         for phi in _cm_types(m):
             point = beta_for_type(phi)
             beta, xi = point.beta, point.entry.xi
@@ -307,10 +310,10 @@ def test_certificate_by_inverse_agrees_with_the_norm_on_every_type():
             assert by_norm.generates_different and not by_norm.signs_negative
             assert point.conditions == verify_conditions(beta, phi)
             count += 1
-    assert count == sum(2 ** (modulus(m).phi // 2) for m in BETA_FOR_TYPE_MODULI)
+    assert count == sum(2 ** (modulus(m).phi // 2) for m in SERVED_MODULI)
 
 
-@pytest.mark.parametrize("m", sorted(BETA_FOR_TYPE_MODULI))
+@pytest.mark.parametrize("m", sorted(SERVED_MODULI))
 def test_certificate_refuses_a_wrong_inverse(m):
     # 2 * xi, and the xi of another type: condition (1) fails, the other
     # two stand
@@ -342,7 +345,7 @@ def test_cold_beta_for_type_takes_no_norm(monkeypatch):
     monkeypatch.setattr(Cyclo, "_norm_and_other_conjugates", counted)
     oracles.clear_memos()
     rng = random.Random(71)
-    for m in sorted(BETA_FOR_TYPE_MODULI):
+    for m in sorted(SERVED_MODULI):
         for phi in _cm_types(m, rng, 4):
             assert beta_for_type(phi).conditions.all_pass()
     assert calls == []
@@ -410,7 +413,7 @@ def test_point_inverts_beta_once(monkeypatch):
 
 
 def test_cold_beta_for_type_reads_beta0_constants_off_its_record(monkeypatch):
-    moduli = sorted(BETA_FOR_TYPE_MODULI)
+    moduli = sorted(SERVED_MODULI)
     for m in moduli:
         beta0(m)  # the per-modulus records are built before the spies
     beta_for_type.cache_clear()
@@ -500,8 +503,33 @@ def test_beta_for_type_m8():
 
 
 def test_beta_for_type_unsupported():
-    with pytest.raises(UnsupportedModulus):
-        beta_for_type(CMType(21, frozenset({1, 2, 4, 8, 10, 16})))
+    # the record of the modulus says which half is missing
+    for m, missing in (
+        (6, "closed-form beta0; m = 6 has none"),
+        (10, "closed-form beta0; m = 10 has none"),
+        (25, "closed-form beta0; m = 25 has none"),
+        (21, "independent unit signs; m = 21 has rank 5 of 6"),
+    ):
+        with pytest.raises(UnsupportedModulus, match=missing):
+            beta_for_type(CMType(m, frozenset(modulus(m).reps)))
+
+
+def test_served_moduli_are_read_off_the_constants():
+    derived = {
+        m for m in SUPPORTED_MODULI
+        if _constants(m).beta0 is not None and has_independent_signs(m)
+    }
+    assert derived == SERVED_MODULI
+    assert {m for m in SUPPORTED_MODULI if _constants(m).beta0 is None} == {6, 10, 25}
+    for m in SUPPORTED_MODULI:
+        table = _constants(m)
+        if table.beta0 is None:
+            assert table.beta0_signs is None
+        else:
+            assert table.beta0_signs == tuple(
+                certified_sign_im(table.beta0.element, n) for n in modulus(m).reps
+            )
+            assert 0 not in table.beta0_signs
 
 
 def test_beta_for_type_random_moduli():

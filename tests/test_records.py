@@ -1,6 +1,7 @@
 """The records of cyclopel share one frozen base: value equality and hash,
-no mutation, copies and pickles, a checked constructor arity, hidden
-fields and the typed errors of each validating record.  A fresh import
+no mutation, copies and pickles, a checked constructor arity, every
+field in equality, hash and repr, and the typed errors of each
+validating record.  A fresh import
 of the command line loads neither dataclasses, inspect nor typing, and
 nothing on the default path loads mpmath."""
 
@@ -111,22 +112,29 @@ def test_record_semantics(record):
             cls(*wrong)
 
 
-def test_hidden_fields_take_no_part_in_equality_or_repr():
+def test_every_field_takes_part_in_equality_hash_and_repr():
+    # a beta0's inverse and a point's entry are fields like any other
     g = beta0(5)
-    assert repr(g) == f"DifferentGenerator(m=5, case='odd-prime', element={g.element!r})"
-    for name, value in (("inverse", Cyclo.one(5)), ("signs", ())):
+    assert type(g).__slots__ == ("m", "case", "element", "inverse")
+    assert repr(g) == (
+        f"DifferentGenerator(m=5, case='odd-prime', element={g.element!r}, inverse={g.inverse!r})"
+    )
+    for name, value in (("inverse", Cyclo.one(5)), ("case", "other")):
         other = copy.copy(g)
         object.__setattr__(other, name, value)
-        assert other == g and hash(other) == hash(g) and repr(other) == repr(g)
-    other = copy.copy(g)
-    object.__setattr__(other, "case", "other")
-    assert other != g
+        assert other != g and hash(other) != hash(g) and repr(other) != repr(g)
     point = assemble(validate(5, (1, 3, 3, 3))).components[0].point
     entry = Entry(Cyclo.one(5), point.phi, (0,) * 5)
     other = PolarizedCMPoint(point.phi, point.u0, point.beta, point.conditions, entry)
-    assert other == point and hash(other) == hash(point)
-    assert "entry=" not in repr(point)
-    assert repr(other) == repr(point)
+    assert other != point and hash(other) != hash(point)
+    assert repr(point).endswith(f", entry={point.entry!r})") and repr(other) != repr(point)
+    # an entry's cell and determinant are made, not fields: an entry whose
+    # cell was read equals a fresh one, and so do their points
+    e = point.entry
+    e.cell, e.det
+    fresh = Entry(e.xi, e.phi, e.column)
+    same = PolarizedCMPoint(point.phi, point.u0, point.beta, point.conditions, fresh)
+    assert fresh == e and same == point and hash(same) == hash(point) and repr(same) == repr(point)
     assert repr(MonodromyDatum(5, (1, 3, 3, 3))) == "MonodromyDatum(m=5, a=(1, 3, 3, 3))"
 
 
