@@ -43,7 +43,6 @@ from .polarization import (
     beta0,
     beta_for_type,
     equivalent_beta,
-    reference_different_generator,
     verify_conditions,
 )
 from .verify import (

@@ -378,7 +378,9 @@ def _integer(raw: str) -> int:
 
 
 def _parse_inertia(raw: str) -> list[int]:
-    return [_integer(part) for part in raw.split(",") if part.strip() != ""]
+    """Every comma-separated field is an integer: a blank field is refused,
+    not skipped."""
+    return [_integer(part) for part in raw.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:

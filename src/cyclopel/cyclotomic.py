@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 # Moduli with full element arithmetic.  Class-number-sensitive operations
-# (beta0, sign solving, assembly) impose their own narrower lists.
+# (sign solving, assembly) impose their own narrower lists.
 SUPPORTED_MODULI = frozenset({3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 19, 21, 25, 27, 32})
 
 # modulus(m) builds m x m tables, so it serves m up to twice the largest
@@ -366,29 +366,22 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """x^-1 = prod_{u != 1} sigma_u(x) / N(x)."""
+        """x^-1: the reciprocal of a rational x, else prod_{u != 1}
+        sigma_u(x) / N(x), inverted along the Galois chain."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if self.is_rational():
+            return Cyclo(self.m, [self.den], self.num[0])
         norm, others = self._norm_and_other_conjugates()
         return others * (1 / norm)
 
     def __truediv__(self, other):
-        """A rational divisor (int, Fraction or rational Cyclo) is a product
-        with its reciprocal; any other is inverted along the Galois chain."""
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.is_rational():
-            return self * (1 / o.as_fraction())
-        return self * o.inverse()
+        return o if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self.is_rational():
-            return o * (1 / self.as_fraction())
-        return o * self.inverse()
+        return o if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, e: int):
         if not isinstance(e, int):

@@ -13,7 +13,7 @@ from operator import mul
 
 from ._record import Record
 from .cmfield import CMType
-from .cyclotomic import Cyclo, element_str, modulus
+from .cyclotomic import Cyclo, _poly_divmod_monic, element_str, modulus
 from .embeddings import SignVector, certified_sign_im, certified_sign_real, is_totally_positive
 from .errors import (
     Indeterminate, InvariantViolation, NonIntegralForm, Unsatisfiable, UnsupportedModulus
@@ -31,19 +31,16 @@ __all__ = [
     "gram_determinant",
     "has_independent_signs",
     "hermitian_entry",
-    "reference_different_generator",
-    "reference_different_inverse",
     "verify_conditions",
 ]
 
 class DifferentGenerator(Record):
-    """Closed-form generator beta0 of the different D_{F/Q}, purely
-    imaginary (beta0 = -conj(beta0)), with its inverse, certified by
-    element * inverse = 1."""
+    """Generator beta0 of the different D_{F/Q}, purely imaginary
+    (beta0 = -conj(beta0)), with its inverse, certified by element *
+    inverse = 1."""
 
-    __slots__ = ("m", "case", "element", "inverse")
+    __slots__ = ("m", "element", "inverse")
     m: int
-    case: str
     element: Cyclo
     inverse: Cyclo
 
@@ -60,61 +57,31 @@ class DifferentGenerator(Record):
 
 def beta0(m: int) -> DifferentGenerator:
     """Different generator of modulus m with its inverse, read off _constants(m)."""
-    b0 = _constants(m).beta0
-    if b0 is None:
-        raise UnsupportedModulus(f"no closed-form different generator for m = {m}")
-    return b0
+    return _constants(m).beta0
 
 
-def _different_generator(m: int) -> DifferentGenerator | None:
-    """Different generator and its inverse by closed form, or None where
-    there is none.  Cases, in match order: odd prime; 2^k; 3^k; product of
-    two distinct odd primes (the only case that divides)."""
-    if m % 2 and _is_prime(m):
-        # beta0 = m / (zeta^h - zeta^(h-1)) = sum_{k<m} k zeta^(k-h+1) with
-        # h = (m+1)/2, so the coefficient of zeta^j is (j + h - 1) mod m
-        h = (m + 1) // 2
-        el = Cyclo(m, [(j + h - 1) % m for j in range(m)])
-        inv = Cyclo(m, [0] * (h - 1) + [-1, 1], m)  # (zeta^h - zeta^(h-1)) / m
-        return DifferentGenerator(m, "odd-prime", el, inv)
-    if m >= 4 and m & (m - 1) == 0:
-        # i = zeta_m^(m/4); 1/beta0 = i/(m/2)
-        imag = Cyclo.zeta(m, m // 4)
-        return DifferentGenerator(m, "power-of-two", -(m // 2) * imag, Cyclo(m, imag.num, m // 2))
-    k, t = 0, m
-    while t % 3 == 0:
-        t //= 3
-        k += 1
-    if t == 1 and k >= 2:
-        # sqrt(-3) = zeta_3 - zeta_3^2; 1/beta0 = sqrt(-3)/m
-        root = Cyclo.zeta(m, m // 3) - Cyclo.zeta(m, 2 * m // 3)
-        return DifferentGenerator(m, "power-of-three", -(3 ** (k - 1)) * root, Cyclo(m, root.num, m))
-    for p in range(3, m, 2):
-        if m % p == 0 and p != m // p and (m // p) % 2 == 1 and _is_prime(p) and _is_prime(m // p):
-            q = m // p
-            z = Cyclo.zeta(m)
-            num = z ** ((m + 1) // 2) - z ** ((m - 1) // 2)
-            d1 = z ** ((q * (p + 1) // 2) % m) - z ** ((q * (p - 1) // 2) % m)
-            d2 = z ** ((p * (q + 1) // 2) % m) - z ** ((p * (q - 1) // 2) % m)
-            el = m * num / (d1 * d2)
-            return DifferentGenerator(m, "two-odd-primes", el, el.inverse())
-    return None
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
-def reference_different_generator(m: int) -> Cyclo:
-    """beta0 as an element over modulus m, from the odd part's record when
-    m = 2 * (odd): the field and its different are unchanged there and no
-    direct closed form exists."""
-    return beta0(m // 2 if m % 4 == 2 else m).element.to_modulus(m)
-
-
-def reference_different_inverse(m: int) -> Cyclo:
-    """1 / reference_different_generator(m), read off the same beta0 record."""
-    return beta0(m // 2 if m % 4 == 2 else m).inverse.to_modulus(m)
+def _different_generator(m: int) -> DifferentGenerator:
+    """beta0 = s zeta^(1-h) Phi_m'(zeta) and 1/beta0 = s zeta^h g(zeta)/m,
+    with h = phi(m)/2 and g = (x^m - 1)/Phi_m.  Z[zeta] = Z[x]/(Phi_m) is
+    monogenic, so Phi_m'(zeta) generates the different (Washington,
+    Introduction to Cyclotomic Fields, Prop. 2.1); differentiating
+    x^m - 1 = Phi_m g at zeta gives Phi_m'(zeta) g(zeta) = m zeta^-1.
+    Phi_m is palindromic of degree 2h, so zeta^(1-h) Phi_m'(zeta) is
+    purely imaginary.  The sign s is 1 for squarefree m and -1 otherwise:
+    it keeps beta0, and so every beta built on it, the classical closed
+    form at odd primes, 2^k, 3^k and products of two odd primes, e.g.
+    sum_{k<p} k zeta^(k-(p-1)/2) at a prime p, -(m/2) i at m = 2^k and
+    -3^(k-1) sqrt(-3) at m = 3^k."""
+    facts = modulus(m)
+    h = facts.phi // 2
+    s = 1 if all(m % (p * p) for p in range(2, m)) else -1
+    g, _ = _poly_divmod_monic([-1] + [0] * (m - 1) + [1], facts.poly)
+    element, inverse = [0] * m, [0] * m  # lifts mod x^m - 1, as zeta^m = 1
+    for j, c in enumerate(facts.poly):  # zeta^(1-h) Phi_m'(zeta) = sum_j j c_j zeta^(j-h)
+        element[(j - h) % m] += s * j * c
+    for j, c in enumerate(g):
+        inverse[(j + h) % m] += s * c
+    return DifferentGenerator(m, Cyclo(m, element), Cyclo(m, inverse, m))
 
 
 def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
@@ -168,16 +135,15 @@ def _closed_form_units(m: int) -> list[tuple[Cyclo, Cyclo]]:
 
 class _Constants(Record):
     """Per-modulus constants of polarization: beta0 and the signs of
-    Im(sigma_n(beta0)) at modulus(m).reps (both None where no closed form
-    exists), the unit generators, their inverses, their sign vectors, the
-    span of the sign rows and its rank.  A sign row is a bit mask, bit j
-    set for a negative sign at column j; span[row] is the bit mask of
-    generators whose product realizes the row, or None when no product
-    does, and 2^rank rows are realized."""
+    Im(sigma_n(beta0)) at modulus(m).reps, the unit generators, their
+    inverses, their sign vectors, the span of the sign rows and its rank.
+    A sign row is a bit mask, bit j set for a negative sign at column j;
+    span[row] is the bit mask of generators whose product realizes the
+    row, or None when no product does, and 2^rank rows are realized."""
 
     __slots__ = ("beta0", "beta0_signs", "gens", "inverses", "signs", "span", "rank")
-    beta0: DifferentGenerator | None
-    beta0_signs: SignVector | None
+    beta0: DifferentGenerator
+    beta0_signs: SignVector
     gens: tuple[Cyclo, ...]
     inverses: tuple[Cyclo, ...]
     signs: tuple[SignVector, ...]
@@ -195,8 +161,8 @@ def _constants(m: int) -> _Constants:
     each reached row keeping the first generator mask that reached it."""
     reps = modulus(m).reps
     b0 = _different_generator(m)
-    b0_signs = None if b0 is None else tuple(certified_sign_im(b0.element, n) for n in reps)
-    if b0_signs and 0 in b0_signs:
+    b0_signs = tuple(certified_sign_im(b0.element, n) for n in reps)
+    if 0 in b0_signs:
         raise InvariantViolation(f"beta0 has an embedding sign 0 mod {m}")
     pairs = _closed_form_units(m)
     for g, h in pairs:
@@ -284,11 +250,12 @@ def verify_conditions(beta: Cyclo, phi: CMType, *, inverse: Cyclo | None = None)
     inverse fails (1).  Without it, (1) takes the norm of beta/beta0."""
     if beta.m != phi.m:
         raise ValueError("beta and Phi live over different moduli")
-    ratio = beta * reference_different_inverse(beta.m)
+    b0 = beta0(beta.m)
+    ratio = beta * b0.inverse
     if inverse is None:
         generates = ratio.is_integral and ratio.is_unit()
     else:
-        back = inverse * reference_different_generator(beta.m)
+        back = inverse * b0.element
         generates = ratio.is_integral and back.is_integral and ratio * back == 1
     anti = beta == -beta.conj()
     signs = all(certified_sign_im(beta, n) == -1 for n in sorted(phi.members))
@@ -449,13 +416,10 @@ def beta_for_type(phi: CMType) -> PolarizedCMPoint:
     of their closed-form inverses with 1/beta0, certified by beta * xi = 1
     without any inversion, and condition (1) is certified by xi, without a
     norm; the point holds the Entry of xi.  Runs where _constants(m) has
-    a closed-form beta0 and independent unit signs, so every pattern is
-    solvable.  Memoized per Phi; the result is immutable."""
+    independent unit signs, so every pattern is solvable.  Memoized per
+    Phi; the result is immutable."""
     m, reps = phi.m, modulus(phi.m).reps
     table = _constants(m)
-    b0 = table.beta0
-    if b0 is None:
-        raise UnsupportedModulus(f"beta construction needs a closed-form beta0; m = {m} has none")
     if not has_independent_signs(m):
         raise UnsupportedModulus(
             f"beta construction needs independent unit signs; m = {m} has rank {table.rank} of {len(reps)}"
@@ -463,8 +427,8 @@ def beta_for_type(phi: CMType) -> PolarizedCMPoint:
     target = tuple(-s if n in phi else s for n, s in zip(reps, table.beta0_signs))
     combo = _solve_combo(target, m)
     u0 = _product(table.gens, combo, m)
-    beta = u0 * b0.element
-    xi = _product(table.inverses, combo, m) * b0.inverse
+    beta = u0 * table.beta0.element
+    xi = _product(table.inverses, combo, m) * table.beta0.inverse
     if beta * xi != 1:
         raise InvariantViolation(
             f"xi is not 1/beta for the CM-type {phi.sorted_members()} mod {m}"

@@ -20,7 +20,7 @@ from .peldatum import (
     form_signature,
 )
 from .polarization import (
-    ConditionReport, equivalent_beta, reference_different_generator, verify_conditions
+    ConditionReport, beta0, equivalent_beta, verify_conditions
 )
 
 __all__ = [
@@ -190,7 +190,7 @@ def m17_pipeline() -> RelativePipelineResult:
     alpha_inv = alpha.inverse()
     conditions = verify_conditions(pol, phi, inverse=-(alpha_inv * (z21**6 - z21**15) / 7))
     _require(conditions.all_pass(), "z fails its polarization conditions")
-    _require(pol == -reference_different_generator(21).galois(4), "z is not -sigma_4(beta0)")
+    _require(pol == -beta0(21).element.galois(4), "z is not -sigma_4(beta0)")
 
     # degree-2 relative Galois generator: fixes zeta_7, inverts zeta_3
     tau = _relative_conjugator(21)
@@ -300,7 +300,7 @@ def verify_fixture(fixture: dict, *, allow_galois: bool = False) -> FixtureOutco
             )
         h = _fixture_datum(fixture)
         for block in h.blocks:
-            ref = reference_different_generator(block.modulus)
+            ref = beta0(block.modulus).element
             for j, xi in enumerate(block.entries):
                 # beta/beta0 is a unit iff its inverse xi * beta0 is one
                 ratio = xi * ref

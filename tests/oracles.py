@@ -49,6 +49,42 @@ def unit_for_signs(target: SignVector, m: int) -> Cyclo | Unsatisfiable:
     return _product(_constants(m).gens, combo, m)
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def different_generator(m: int) -> tuple[Cyclo, Cyclo] | None:
+    """(beta0, 1/beta0) from the classical closed forms, or None where none
+    applies.  Cases, in match order: odd prime; 2^k; 3^k; product of two
+    distinct odd primes, inverted along the Galois chain."""
+    if m % 2 and _is_prime(m):
+        # beta0 = m / (zeta^h - zeta^(h-1)) = sum_{k<m} k zeta^(k-h+1), h = (m+1)/2
+        h = (m + 1) // 2
+        return Cyclo(m, [(j + h - 1) % m for j in range(m)]), Cyclo(m, [0] * (h - 1) + [-1, 1], m)
+    if m >= 4 and m & (m - 1) == 0:
+        # i = zeta_m^(m/4); 1/beta0 = i/(m/2)
+        imag = Cyclo.zeta(m, m // 4)
+        return -(m // 2) * imag, Cyclo(m, imag.num, m // 2)
+    k, t = 0, m
+    while t % 3 == 0:
+        t //= 3
+        k += 1
+    if t == 1 and k >= 2:
+        # sqrt(-3) = zeta_3 - zeta_3^2; 1/beta0 = sqrt(-3)/m
+        root = Cyclo.zeta(m, m // 3) - Cyclo.zeta(m, 2 * m // 3)
+        return -(3 ** (k - 1)) * root, Cyclo(m, root.num, m)
+    for p in range(3, m, 2):
+        q = m // p
+        if m % p == 0 and p != q and q % 2 == 1 and _is_prime(p) and _is_prime(q):
+            z = Cyclo.zeta(m)
+            num = z ** ((m + 1) // 2) - z ** ((m - 1) // 2)
+            d1 = z ** ((q * (p + 1) // 2) % m) - z ** ((q * (p - 1) // 2) % m)
+            d2 = z ** ((p * (q + 1) // 2) % m) - z ** ((p * (q - 1) // 2) % m)
+            el = m * num / (d1 * d2)
+            return el, el.inverse()
+    return None
+
+
 def mpf_fraction(raw) -> Fraction:
     """The exact value of an mpf endpoint from its (sign, man, exp, bc) tuple."""
     sign, man, exp, _ = raw

@@ -469,6 +469,15 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_a_blank_inertia_field_is_a_usage_error(capsys):
+    # a blank field is refused, not skipped: 1,,1,1 is not the family 1,1,1
+    for inertia in ("1,,1,1", "1,1,1,", ",1,1,1", "1, ,1,1", ""):
+        assert run(["--m", "3", "--inertia", inertia]) == EXIT_USAGE, inertia
+        assert "expected an integer, got" in capsys.readouterr().err
+    assert run(["--m", "3", "--inertia", " 1 , 1,1 "]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_unsatisfiable_mapping():
     # no CLI-reachable family trips the sign solver, so check the mapping
     assert EXIT_UNSATISFIABLE == 6

@@ -250,7 +250,13 @@ def test_rational_divisors_skip_the_norm_chain(monkeypatch):
     assert x / -4 == Cyclo(19, [-2, -1], 4)
     assert 3 / Cyclo.from_int(19, 6) == Cyclo.from_fraction(19, Fraction(1, 2))
     assert Fraction(1, 2) / Cyclo.from_fraction(19, Fraction(-3, 4)) == Cyclo(19, [-2], 3)
+    assert Cyclo.from_int(19, 6).inverse() == Cyclo(19, [1], 6)
+    assert Cyclo.from_fraction(19, Fraction(-3, 4)).inverse() == Cyclo(19, [-4], 3)
+    q = Cyclo.from_fraction(19, Fraction(2, 3))
+    assert q**-2 == Cyclo(19, [9], 4) and q**-1 == Cyclo(19, [3], 2)
     assert calls == []
+    with pytest.raises(ZeroDivisionError):
+        Cyclo.zero(19).inverse()
     for zero in (0, Fraction(0), Cyclo.zero(19)):
         with pytest.raises(ZeroDivisionError):
             x / zero

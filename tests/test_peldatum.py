@@ -64,7 +64,6 @@ from cyclopel.polarization import (
     beta0,
     beta_for_type,
     equivalent_beta,
-    reference_different_generator,
 )
 from cyclopel.verify import (
     default_corpus_path,
@@ -161,7 +160,7 @@ def test_gram_matches_numeric_trace():
 def test_gram_skew_and_integral():
     rng = random.Random(103)
     for m in (3, 5, 7, 9):
-        b0 = reference_different_generator(m)
+        b0 = beta0(m).element
         for _ in range(5):
             entries = tuple(
                 (b0 if rng.random() < 0.5 else -b0).inverse() for _ in range(rng.randint(1, 3))
@@ -476,7 +475,7 @@ def test_cold_assemble_makes_no_inversion(monkeypatch):
 _BROKEN_INVARIANTS = {
     "cell skew": (
         "from types import SimpleNamespace; Q.modulus = lambda m, facts=Q.modulus: "
-        "SimpleNamespace(phi=facts(m).phi, reps=facts(m).reps, units=facts(m).units, "
+        "SimpleNamespace(phi=facts(m).phi, poly=facts(m).poly, reps=facts(m).reps, units=facts(m).units, "
         "traces=(5,) + (0,) * (m - 1))",
         "is not skew",
     ),
@@ -836,7 +835,7 @@ def test_m17_pipeline_closed_forms():
     assert r.beta3 == 7 / (z21**6 - z21**15)
     assert r.alpha == (z21**7 - z21**14) * (z21**2 - z21**19)
     assert r.z == -(r.beta3 * r.alpha)
-    assert r.z == -reference_different_generator(21).galois(4)
+    assert r.z == -beta0(21).element.galois(4)
     assert r.z_conditions.all_pass()
 
     assert r.a11 == pe("z^4 + z^3 + 1", 7)

@@ -31,17 +31,18 @@ from cyclopel.polarization import (
     equivalent_beta,
     gram_determinant,
     has_independent_signs,
-    reference_different_generator,
-    reference_different_inverse,
     verify_conditions,
 )
 import oracles
 from oracles import galois_act_cm, sign_vector, unit_for_signs
 
-BETA0_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 21, 27, 32)
-# Moduli where beta_for_type runs: beta0 has a closed form and the unit
-# signs are independent (21 has beta0 but sign rank 5 of 6)
-SERVED_MODULI = frozenset({3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 27, 32})
+BETA0_MODULI = (3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 19, 21, 25, 27, 32)
+# Moduli where beta_for_type runs: the unit signs are independent (21 has
+# sign rank 5 of 6)
+SERVED_MODULI = frozenset({3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 19, 25, 27, 32})
+# The moduli of the classical closed forms of beta0: odd primes, 2^k, 3^k
+# and products of two odd primes
+CLOSED_FORM_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 21, 27, 32)
 
 
 def pe(m, s):
@@ -51,27 +52,23 @@ def pe(m, s):
 def test_different_generator_rejects_bad_elements():
     z = Cyclo.zeta(5)
     with pytest.raises(InvariantViolation):
-        DifferentGenerator(5, "odd-prime", (z - z**4) / 2, 2 / (z - z**4))
+        DifferentGenerator(5, (z - z**4) / 2, 2 / (z - z**4))
     with pytest.raises(InvariantViolation):
-        DifferentGenerator(5, "odd-prime", z + z**4, 1 / (z + z**4))
+        DifferentGenerator(5, z + z**4, 1 / (z + z**4))
     with pytest.raises(InvariantViolation, match="does not invert it"):
-        DifferentGenerator(5, "odd-prime", beta0(5).element, Cyclo.one(5))
+        DifferentGenerator(5, beta0(5).element, Cyclo.one(5))
 
 
 def test_beta0_cases_and_values():
-    assert beta0(3).case == "odd-prime"
     assert beta0(3).element == pe(3, "2*z + 1")
-    assert beta0(4).case == "power-of-two"
     assert beta0(4).element == pe(4, "-2*z")
     assert beta0(5).element == pe(5, "-z^3 + 3*z^2 + 2*z + 1")
     assert beta0(5).element == pe(5, "5/(z^3 - z^2)")
     assert beta0(7).element == pe(7, "-z^5 - 2*z^4 + 4*z^3 + 3*z^2 + 2*z + 1")
     assert beta0(7).element == pe(7, "7/(z^4 - z^3)")
     assert beta0(8).element == pe(8, "-4*z^2")
-    assert beta0(9).case == "power-of-three"
     assert beta0(9).element == pe(9, "-6*z^3 - 3")
     assert beta0(16).element == pe(16, "-8*z^4")
-    assert beta0(21).case == "two-odd-primes"
     assert beta0(21).element == pe(
         21,
         "z^11 - 3*z^9 + 4*z^8 + 8*z^6 - 7*z^5 + z^4 + 5*z^3 - 7*z^2 + 4*z + 2",
@@ -80,9 +77,27 @@ def test_beta0_cases_and_values():
 
 
 def test_beta0_unsupported():
-    for m in (12, 23, 25):
+    for m in (12, 23):
         with pytest.raises(UnsupportedModulus):
             beta0(m)
+
+
+def test_beta0_matches_the_classical_closed_forms():
+    # the one formula gives the element and inverse of each case formula
+    assert [m for m in BETA0_MODULI if oracles.different_generator(m)] == list(CLOSED_FORM_MODULI)
+    for m in CLOSED_FORM_MODULI:
+        element, inverse = oracles.different_generator(m)
+        assert beta0(m).element == element and beta0(m).inverse == inverse, m
+
+
+def test_beta0_norm_is_the_discriminant():
+    # |N(beta0)| = |disc Q(zeta_m)| = m^phi / prod_{p | m} p^(phi/(p-1))
+    for m in BETA0_MODULI:
+        phi = modulus(m).phi
+        disc = m**phi
+        for p in sympy.primefactors(m):
+            disc //= p ** (phi // (p - 1))
+        assert abs(beta0(m).element.norm()) == disc, m
 
 
 def test_beta0_generates_different_oracle():
@@ -104,16 +119,19 @@ def test_beta0_is_purely_imaginary():
         assert not el.is_zero()
 
 
-def test_reference_generator_covers_twice_odd():
-    assert reference_different_generator(6) == beta0(3).element.to_modulus(6)
-    assert reference_different_generator(10) == beta0(5).element.to_modulus(10)
-    assert reference_different_generator(7) == beta0(7).element
+def test_beta0_at_twice_odd_moduli():
+    # Q(zeta_2n) = Q(zeta_n) for odd n: at 6 the formula gives beta0(3)
+    # itself, at 10 a unit multiple of beta0(5)
+    assert beta0(6).element == beta0(3).element.to_modulus(6)
+    assert beta0(6).inverse == beta0(3).inverse.to_modulus(6)
+    ratio = beta0(10).element * beta0(5).inverse.to_modulus(10)
+    assert ratio != 1 and ratio.is_integral and ratio.is_unit()
 
 
-def test_reference_inverse_is_cached_per_modulus():
-    for m in BETA0_MODULI + (6, 10):
-        inv = reference_different_inverse(m)
-        assert inv * reference_different_generator(m) == 1
+def test_beta0_inverse_inverts_it():
+    for m in BETA0_MODULI:
+        assert beta0(m).inverse * beta0(m).element == 1
+        assert beta0(m).inverse == beta0(m).element.inverse()
 
 
 def test_unit_generators_shapes():
@@ -503,33 +521,31 @@ def test_beta_for_type_m8():
 
 
 def test_beta_for_type_unsupported():
-    # the record of the modulus says which half is missing
-    for m, missing in (
-        (6, "closed-form beta0; m = 6 has none"),
-        (10, "closed-form beta0; m = 10 has none"),
-        (25, "closed-form beta0; m = 25 has none"),
-        (21, "independent unit signs; m = 21 has rank 5 of 6"),
-    ):
-        with pytest.raises(UnsupportedModulus, match=missing):
-            beta_for_type(CMType(m, frozenset(modulus(m).reps)))
+    # the record of the modulus says what is missing
+    with pytest.raises(UnsupportedModulus, match="independent unit signs; m = 21 has rank 5 of 6"):
+        beta_for_type(CMType(21, frozenset(modulus(21).reps)))
 
 
 def test_served_moduli_are_read_off_the_constants():
-    derived = {
-        m for m in SUPPORTED_MODULI
-        if _constants(m).beta0 is not None and has_independent_signs(m)
-    }
-    assert derived == SERVED_MODULI
-    assert {m for m in SUPPORTED_MODULI if _constants(m).beta0 is None} == {6, 10, 25}
+    assert {m for m in SUPPORTED_MODULI if has_independent_signs(m)} == SERVED_MODULI
     for m in SUPPORTED_MODULI:
         table = _constants(m)
-        if table.beta0 is None:
-            assert table.beta0_signs is None
-        else:
-            assert table.beta0_signs == tuple(
-                certified_sign_im(table.beta0.element, n) for n in modulus(m).reps
-            )
-            assert 0 not in table.beta0_signs
+        assert table.beta0 is beta0(m)
+        assert table.beta0_signs == tuple(
+            certified_sign_im(table.beta0.element, n) for n in modulus(m).reps
+        )
+        assert 0 not in table.beta0_signs
+
+
+@pytest.mark.parametrize("m", [6, 10, 25])
+def test_beta_for_type_serves_every_type_at_the_new_moduli(m):
+    # no closed form of beta0 existed at 6, 10 and 25
+    types = _cm_types(m)
+    for phi in types:
+        point = beta_for_type(phi)
+        assert point.conditions.all_pass(), phi
+        assert point.entry.phi == phi and abs(point.entry.det) == 1, phi
+    assert len(types) == 2 ** (modulus(m).phi // 2)
 
 
 def test_beta_for_type_random_moduli():

@@ -8,7 +8,9 @@
   results do not depend on its caller's contexts;
 - every public module-level function is used or imported somewhere in
   the package, or is in the __all__ of the command-line module, which the
-  package does not import.
+  package does not import;
+- every name in the __all__ of a module, the package's own included, is
+  bound at the top level of that module, so each export resolves.
 
 The CI workflow runs this file as its own step."""
 
@@ -34,12 +36,23 @@ def _breaches(sources: dict[str, str]) -> list[tuple[str, str]]:
     found, used, api, public = [], set(), set(), []
     for name, text in sorted(sources.items()):
         tree = ast.parse(text, name)
+        bound, exports = set(), []
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 public.append((f"{name}:{node.lineno}", node.name))
-            if (name == "cli.py" and isinstance(node, ast.Assign)
-                    and [ast.unparse(t) for t in node.targets] == ["__all__"]):
-                api.update(ast.literal_eval(node.value))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+                if [ast.unparse(t) for t in targets] == ["__all__"]:
+                    exports = [(f"{name}:{node.lineno}", e) for e in ast.literal_eval(node.value)]
+        found += [("export", f"{where}: __all__ names {e}, which the module does not bind")
+                  for where, e in exports if e not in bound]
+        if name == "cli.py":
+            api.update(e for _, e in exports)
         for node in ast.walk(tree):
             where = f"{name}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Name):
@@ -89,6 +102,10 @@ def test_every_public_function_is_used(package_breaches):
     assert [where for rule, where in package_breaches if rule == "unused"] == []
 
 
+def test_every_export_resolves(package_breaches):
+    assert [where for rule, where in package_breaches if rule == "export"] == []
+
+
 @pytest.mark.parametrize(
     "text, rule",
     [
@@ -100,9 +117,10 @@ def test_every_public_function_is_used(package_breaches):
         ("import decimal\ndecimal.getcontext().prec = 50\n", "numeric state"),
         ("from decimal import Context, setcontext\nsetcontext(Context())\n", "numeric state"),
         ("def helper():\n    return 1\n", "unused"),
+        ("from .other import kept\n__all__ = ['kept', 'gone']\n", "export"),
     ],
     ids=["assert", "mp-prec", "iv-dps", "iv-workprec", "mp-workdps", "getcontext", "setcontext",
-         "unused"],
+         "unused", "export"],
 )
 def test_each_rule_finds_its_breach(text, rule):
     sources = {"cli.py": "__all__ = ['main']\n\n\ndef main():\n    return 0\n", "module.py": text}
