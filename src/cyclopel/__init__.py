@@ -49,7 +49,6 @@ from .verify import (
     equivalent_datum,
     load_corpus,
     m17_pipeline,
-    twice_prime_bridge,
     verify_fixture,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "m17_pipeline",
     "parse_element",
     "signature",
-    "twice_prime_bridge",
     "validate",
     "verify_fixture",
     "__version__",

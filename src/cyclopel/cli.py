@@ -290,15 +290,17 @@ def _print_text_report(report: dict) -> None:
     print(f"genus: {report['genus']}")
     print(f"signature: {tuple(report['signature'])}")
     print("degeneration triples:", " + ".join(str(tuple(t)) for t in report["degeneration"]["triples"]))
+    # every beta and entry is certified purely imaginary, so the midpoint of
+    # its real part is rounding noise and only the imaginary part is shown
     for k, comp in enumerate(report["components"]):
         tag = "simple" if comp["simple"] else "not simple"
         print(f"component {k}: triple {tuple(comp['triple'])}  CM-type {set(comp['cm_type'])}  ({tag})")
         print(f"  beta = {comp['beta']['exact']}")
-        print(f"       ~ {comp['beta']['re']} + {comp['beta']['im']}*I")
+        print(f"       ~ {comp['beta']['im']}*I")
         print(f"  u0 = {comp['u0']}")
     print("matrix entries (diagonal):")
     for e in report["matrix_entries"]:
-        print(f"  {e['exact']}  ~ {e['re']} + {e['im']}*I")
+        print(f"  {e['exact']}  ~ {e['im']}*I")
     print("gram matrix:")
     for row in report["gram"]:
         print("  [" + " ".join(f"{v:3d}" for v in row) + "]")

@@ -29,9 +29,9 @@ __all__ = [
 # (sign solving, assembly) impose their own narrower lists.
 SUPPORTED_MODULI = frozenset({3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 19, 21, 25, 27, 32})
 
-# modulus(m) builds m x m tables, so it serves m up to twice the largest
-# supported modulus (the twice-prime bridge reaches 54) and no further.
-_MAX_MODULUS = 2 * max(SUPPORTED_MODULI)
+# modulus(m) builds m x m tables, so it serves m up to the largest
+# supported modulus and no further.
+_MAX_MODULUS = max(SUPPORTED_MODULI)
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +80,12 @@ class Modulus(Record):
     poly: tuple[int, ...]  # the coefficients of Phi_m, ascending
     chain: tuple[tuple[int, int], ...]  # the Galois chain, see _chain
     traces: tuple[int, ...]  # tr(zeta^j) for every residue j mod m
-    columns: tuple[tuple[int, ...], ...]  # x -> (-n * x) mod m for n < m, see monodromy.signature
+    columns: tuple[int, ...]  # x -> (-n * x) mod m for n < m in 64-bit fields, see monodromy.signature
     admissible: tuple[tuple[bool, ...], ...]  # x, y -> gcd(x + y, m) == 1: x and y join at one node
     subgroups: tuple[tuple[int, ...], ...]  # each subgroup of (Z/mZ)^* sorted, by size then entries
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=32)
 def modulus(m: int) -> Modulus:
     """The Modulus record of m, 1 <= m <= _MAX_MODULUS, built once per
     modulus and process."""
@@ -115,7 +115,7 @@ def modulus(m: int) -> Modulus:
         poly,
         _chain(m, units),
         tuple(by_gcd[gcd(j, m)] for j in range(m)),
-        tuple(tuple((-n * x) % m for n in range(m)) for x in range(m)),
+        tuple(sum(((-n * x) % m) << (64 * n) for n in range(m)) for x in range(m)),
         tuple(tuple(gcd(x + y, m) == 1 for y in range(m)) for x in range(m)),
         _subgroups(m, units),
     )
@@ -476,25 +476,15 @@ class Cyclo:
     # change of modulus --------------------------------------------------
 
     def to_modulus(self, big_m: int) -> "Cyclo":
-        """Rewrite over Q(zeta_M).  Supports m | M (zeta_m = zeta_M^(M/m))
-        and the equal-field descent M odd, m = 2M (zeta_m = -zeta_M^((M+1)/2))."""
+        """Rewrite over Q(zeta_M) for m | M, by zeta_m = zeta_M^(M/m)."""
+        if big_m % self.m:
+            raise ValueError(f"no supported identification of Q(zeta_{self.m}) inside Q(zeta_{big_m})")
         if big_m == self.m:
             return self
-        if big_m % self.m == 0:
-            k = big_m // self.m
-            lift = [0] * big_m
-            for a, c in enumerate(self.num):
-                lift[(a * k) % big_m] += c
-            return Cyclo(big_m, lift, self.den)
-        if self.m == 2 * big_m and big_m % 2 == 1:
-            k = (big_m + 1) // 2
-            lift = [0] * big_m
-            for a, c in enumerate(self.num):
-                if c:
-                    s = -1 if a % 2 else 1
-                    lift[(a * k) % big_m] += s * c
-            return Cyclo(big_m, lift, self.den)
-        raise ValueError(f"no supported identification of Q(zeta_{self.m}) inside Q(zeta_{big_m})")
+        k = big_m // self.m
+        lift = [0] * big_m
+        lift[:len(self.num) * k:k] = self.num
+        return Cyclo(big_m, lift, self.den)
 
 
 # ---------------------------------------------------------------------------

@@ -115,12 +115,16 @@ class Signature(Record):
 def signature(datum: MonodromyDatum) -> Signature:
     """Eigenspace dimensions by the fractional-part formula
     f(n) = sum_i <-n a(i) / m> - 1, in integers: m <x / m> = x mod m,
-    summed over the per-modulus columns of the inertia values."""
+    summed over the per-modulus columns of the inertia values.  A column
+    packs its m values into one int, value n in bits 64n to 64n + 63, so
+    one big-int sum adds every n at once.  A field sums at most N (m - 1),
+    under 2^64 for any N whose values fit in memory, so no field carries
+    into the next."""
     m = datum.m
-    sums = map(sum, zip(*map(modulus(m).columns.__getitem__, datum.a)))
-    next(sums)  # f(0) = 0
-    vals = [0]
-    for n, s in enumerate(sums, 1):
+    total = sum(map(modulus(m).columns.__getitem__, datum.a))
+    vals = [0]  # f(0) = 0
+    for n in range(1, m):
+        s = (total >> (64 * n)) & 0xFFFF_FFFF_FFFF_FFFF
         if s % m:
             raise InvariantViolation(f"signature value {s}/{m} at n = {n} is not integral")
         vals.append(s // m - 1)

@@ -1,6 +1,6 @@
-"""Verification of Hermitian data: equivalence of two data, the
-twice-prime bridge, the relative pipeline for the m = 7 family with a
-distinguished point over Q(zeta_21), and fixture corpora."""
+"""Verification of Hermitian data: equivalence of two data, the relative
+pipeline for the m = 7 family with a distinguished point over
+Q(zeta_21), and fixture corpora."""
 
 from __future__ import annotations
 
@@ -25,14 +25,12 @@ from .polarization import (
 
 __all__ = [
     "MAX_CORPUS_BYTES",
-    "BridgeResult",
     "FixtureOutcome",
     "RelativePipelineResult",
     "default_corpus_path",
     "equivalent_datum",
     "load_corpus",
     "m17_pipeline",
-    "twice_prime_bridge",
     "verify_fixture",
 ]
 
@@ -96,36 +94,6 @@ def equivalent_datum(h1: HermitianDatum, h2: HermitianDatum, *, allow_galois: bo
             "entry comparison is only sufficient at this modulus and failed to decide"
         )
     return False
-
-
-# ---------------------------------------------------------------------------
-# twice an odd prime
-
-
-class BridgeResult(Record):
-    __slots__ = ("phi", "beta", "conditions")
-    phi: CMType
-    beta: Cyclo
-    conditions: ConditionReport
-
-
-def twice_prime_bridge(phi: CMType, beta: Cyclo) -> BridgeResult:
-    """Carry a polarized CM-type from Q(zeta_m') to Q(zeta_2m') (same
-    field, rewritten): the type lifts to the odd units congruent to a
-    member mod m', beta is rewritten verbatim, and the three conditions
-    are re-verified on the lifted side."""
-    m0 = phi.m
-    if m0 % 2 == 0:
-        raise ValueError("source modulus must be odd")
-    if not verify_conditions(beta, phi).all_pass():
-        raise ValueError("input beta fails its own conditions")
-    m2 = 2 * m0
-    lifted = CMType(m2, frozenset(j for j in modulus(m2).units if j % m0 in phi.members))
-    beta2 = beta.to_modulus(m2)
-    report = verify_conditions(beta2, lifted)
-    if not report.all_pass():
-        raise InvariantViolation("conditions do not survive the rewriting")
-    return BridgeResult(lifted, beta2, report)
 
 
 # ---------------------------------------------------------------------------

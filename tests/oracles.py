@@ -173,6 +173,16 @@ def relative_trace(x: Cyclo) -> Cyclo:
     return 2 * x1 - x2
 
 
+def twice_prime_transport(phi: CMType, beta: Cyclo) -> tuple[CMType, Cyclo]:
+    """Carry a polarized CM-type from Q(zeta_p), p odd, to the same field
+    written as Q(zeta_2p): sigma_j of Q(zeta_2p) acts on zeta_p = zeta_2p^2
+    as sigma_(j mod p), so the type lifts to the units mod 2p congruent to
+    a member mod p, and beta is rewritten by zeta_p = zeta_2p^2."""
+    p = phi.m
+    lifted = frozenset(j for j in modulus(2 * p).units if j % p in phi.members)
+    return CMType(2 * p, lifted), beta.to_modulus(2 * p)
+
+
 def galois_act_signature(i: int, sig: Signature) -> Signature:
     """Transport of signature under sigma_i: f'(n) = f(n * i^-1)."""
     m = sig.m
@@ -327,9 +337,13 @@ def trace_table(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def signature_columns(m: int) -> tuple[tuple[int, ...], ...]:
-    """Column x holds (-n * x) mod m for n = 0, ..., m-1."""
-    return tuple(tuple((-n * x) % m for n in range(m)) for x in range(m))
+def signature_columns(m: int) -> tuple[int, ...]:
+    """Column x holds (-n * x) mod m for n = 0, ..., m-1, value n in the
+    n-th 8-byte little-endian field of one int."""
+    return tuple(
+        int.from_bytes(b"".join(((-n * x) % m).to_bytes(8, "little") for n in range(m)), "little")
+        for x in range(m)
+    )
 
 
 def admissible(m: int) -> tuple[tuple[bool, ...], ...]:

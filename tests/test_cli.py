@@ -447,6 +447,20 @@ def test_json_report_keeps_decimal_context(capsys):
     capsys.readouterr()
 
 
+def test_text_report_prints_only_the_imaginary_part(capsys):
+    # beta and the entries are certified purely imaginary: the midpoint of
+    # a real part is rounding noise such as -8.13E-20
+    assert run(["--m", "3", "--inertia", "1,1,1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "       ~ -1.7320508075688772935*I\n" in out
+    assert "  (2*z + 1)/3  ~ 0.57735026918962576451*I\n" in out
+    assert "E-20" not in out and "+ -" not in out
+    for m, inertia in ((5, "1,3,3,3"), (7, "2,4,4,4")):
+        assert run(["--m", str(m), "--inertia", inertia]) == EXIT_OK
+        boxes = [s.split("~")[1] for s in capsys.readouterr().out.splitlines() if "~" in s]
+        assert len(boxes) >= 3 and all(b.endswith("*I") and " + " not in b for b in boxes)
+
+
 def test_usage_errors(capsys):
     assert run(["--m", "5"]) == EXIT_USAGE == 2
     assert run(["--m", "5", "--inertia", "abc"]) == EXIT_USAGE

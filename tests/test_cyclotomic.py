@@ -1,5 +1,5 @@
 """Exact arithmetic in Q(zeta_m): ring ops, Galois action, traces, norms,
-inversion, the relative degree-2 split, and the m <-> 2m identification."""
+inversion, the relative degree-2 split, and the ascent from m to a multiple."""
 
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ def test_cyclotomic_poly_matches_sympy_everywhere():
 
 @pytest.mark.parametrize("m", sorted(SUPPORTED_MODULI | {1, 2, 14}))
 def test_modulus_record_matches_reference_facts(m):
-    # 14 is the modulus twice_prime_bridge reaches from 7
+    # 1, 2 and 14 are no supported modulus, yet the record is defined there
     facts = modulus(m)
     assert {f: getattr(facts, f) for f in Modulus.__slots__} == {
         "m": m,
@@ -507,14 +507,25 @@ def test_modulus_doubling_of_cube_root():
     assert element_str(up) == "z - 1"
 
 
+def test_to_modulus_refuses_a_non_multiple():
+    # Q(zeta_6) = Q(zeta_3), yet only the ascent from m to a multiple of m
+    # is written
+    for x, big_m in ((Cyclo.zeta(6), 3), (Cyclo.zeta(10), 5), (Cyclo.zeta(4), 6), (Cyclo.zeta(9), 3)):
+        with pytest.raises(ValueError):
+            x.to_modulus(big_m)
+    assert Cyclo.zeta(6).to_modulus(6) == Cyclo.zeta(6)
+
+
 def test_modulus_doubling_fixes_one():
     assert Cyclo.one(5).to_modulus(10) == Cyclo.one(10)
 
 
-def test_modulus_doubling_round_trip_of_sqrt_minus_three():
+def test_modulus_doubling_of_sqrt_minus_three():
+    # sqrt(-3) = zeta_3 - zeta_3^2 = zeta_6^2 - zeta_6^4 = 2*zeta_6 - 1
     z3 = Cyclo.zeta(3)
     s = z3 - z3**2
-    assert s.to_modulus(6).to_modulus(3) == s
+    assert s.to_modulus(6) == 2 * Cyclo.zeta(6) - 1
+    assert s.to_modulus(6) ** 2 == -3
 
 
 def test_modulus_doubling_is_ring_homomorphism():
@@ -525,7 +536,6 @@ def test_modulus_doubling_is_ring_homomorphism():
             y = random_element(rng, m)
             assert (x * y).to_modulus(2 * m) == x.to_modulus(2 * m) * y.to_modulus(2 * m)
             assert (x + y).to_modulus(2 * m) == x.to_modulus(2 * m) + y.to_modulus(2 * m)
-            assert x.to_modulus(2 * m).to_modulus(m) == x
 
 
 def test_parse_print_round_trip_random():

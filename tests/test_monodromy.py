@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import chain
 from fractions import Fraction
@@ -184,7 +185,21 @@ def test_signature_reads_each_modulus_table_once():
         signature(validate(m, (1, 2, m - 3)))
     info = modulus.cache_info()
     assert (info.misses, info.hits) == (3, 3)
-    assert modulus(7).columns[3] == tuple((-n * 3) % 7 for n in range(7))
+    assert modulus(7).columns[3] == oracles.signature_columns(7)[3]
+
+
+def test_signature_allocates_nothing_per_value():
+    # one packed column per value: the sum holds m 64-bit fields, whatever N
+    d = validate(17, (1,) * 199999 + (6,))
+    expected = oracles.signature(d)
+    tracemalloc.start()
+    try:
+        got = signature(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 2**20
 
 
 def test_signature_rejects_malformed_values():

@@ -70,7 +70,6 @@ from cyclopel.verify import (
     equivalent_datum,
     load_corpus,
     m17_pipeline,
-    twice_prime_bridge,
     verify_fixture,
     _fixture_datum,
 )
@@ -588,14 +587,14 @@ def test_arithmetic_checks_survive_optimize(patch, call, fragment):
     assert fragment in message
 
 
-def test_bridge_check_survives_optimize():
+def test_twice_odd_condition_check_survives_optimize():
+    # beta_for_type re-verifies the beta it solves for at 6 as at any modulus
     kinds, message = _invariant_violation_under_optimize(
-        "V.verify_conditions = lambda beta, phi: "
-        "Q.ConditionReport(True, True, beta.m % 2 == 1)",
-        'V.twice_prime_bridge(CMType(3, frozenset({2})), parse_element("2*z + 1", 3))',
+        "Q.verify_conditions = lambda beta, phi, inverse: Q.ConditionReport(True, True, False)",
+        "Q.beta_for_type(CMType(6, frozenset({5})))",
     )
     assert kinds == "True True"
-    assert "do not survive the rewriting" in message
+    assert "fails its own conditions for the CM-type (5,) mod 6" in message
 
 
 def test_form_signature_values():
@@ -866,44 +865,6 @@ def test_m17_remark_ratio():
     xi = pe("(z^4 + z^3 + 2*z^2 + 2*z + 1)/7", 7)
     xi2 = (z7**3 - z7**4) / 7
     assert (-xi2) / xi == pe("-z^6 - z + 1", 7)
-
-
-def test_twice_prime_bridge_cases():
-    cases = [
-        (3, frozenset({2}), pe("2*z + 1", 3), frozenset({5}), "2*z - 1"),
-        (
-            5,
-            frozenset({2, 4}),
-            pe("5/(z^3 - z^2)", 5),
-            frozenset({7, 9}),
-            "3*z^3 - z^2 + 4*z - 2",
-        ),
-        (
-            5,
-            frozenset({1, 2}),
-            pe("5/(z - z^4)", 5),
-            frozenset({1, 7}),
-            "-z^3 - 3*z^2 + 2*z - 1",
-        ),
-    ]
-    for m, members, beta, lifted_members, beta_str in cases:
-        res = twice_prime_bridge(CMType(m, members), beta)
-        assert res.phi.m == 2 * m
-        assert res.phi.members == lifted_members
-        assert res.beta == pe(beta_str, 2 * m)
-        assert res.beta == beta.to_modulus(2 * m)
-        assert res.conditions.all_pass()
-
-
-def test_twice_prime_bridge_rejects_bad_input():
-    phi = CMType(3, frozenset({2}))
-    sqrtm3 = pe("2*z + 1", 3)
-    with pytest.raises(ValueError):
-        twice_prime_bridge(CMType(4, frozenset({1})), pe("-2*z", 4))
-    with pytest.raises(ValueError):
-        twice_prime_bridge(phi, pe("-2*z", 4))
-    with pytest.raises(ValueError):
-        twice_prime_bridge(phi, -sqrtm3)  # wrong sign: fails its own conditions
 
 
 def test_verify_fixture_corpus_all_pass():

@@ -128,6 +128,30 @@ def test_beta0_at_twice_odd_moduli():
     assert ratio != 1 and ratio.is_integral and ratio.is_unit()
 
 
+def test_twice_odd_beta_for_type_matches_transport():
+    # every polarized CM-type at 3 and 5, carried to the same field written
+    # over 6 and 10, is in the class that beta_for_type solves for there
+    for m in (3, 5):
+        for phi in _cm_types(m):
+            lifted, moved = oracles.twice_prime_transport(phi, beta_for_type(phi).beta)
+            assert verify_conditions(moved, lifted).all_pass(), phi
+            point = beta_for_type(lifted)
+            assert point.conditions.all_pass()
+            assert verify_conditions(point.beta, lifted).all_pass(), lifted
+            assert equivalent_beta(point.beta, moved), lifted
+    # the transport by hand: zeta_3 = zeta_6^2 = zeta_6 - 1, and zeta_5 =
+    # zeta_10^2 with zeta_10^4 = zeta_10^3 - zeta_10^2 + zeta_10 - 1
+    cases = [
+        (3, {2}, "2*z + 1", {5}, "2*z - 1"),
+        (5, {2, 4}, "5/(z^3 - z^2)", {7, 9}, "3*z^3 - z^2 + 4*z - 2"),
+        (5, {1, 2}, "5/(z - z^4)", {1, 7}, "-z^3 - 3*z^2 + 2*z - 1"),
+    ]
+    for m, members, beta, lifted_members, moved in cases:
+        lifted, got = oracles.twice_prime_transport(CMType(m, frozenset(members)), parse_element(beta, m))
+        assert lifted == CMType(2 * m, frozenset(lifted_members))
+        assert got == parse_element(moved, 2 * m)
+
+
 def test_beta0_inverse_inverts_it():
     for m in BETA0_MODULI:
         assert beta0(m).inverse * beta0(m).element == 1
