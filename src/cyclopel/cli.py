@@ -142,7 +142,12 @@ def _point_json(
     precision).  The entry's dict carries the text of each row of its
     Gram cell in a report, without the zeros around it."""
     entry = _element_json(point.entry.xi, precision)
-    rows = tuple(_GRAM_SEP.join(map(str, row)) for row in point.entry.cell)
+    cell = point.entry.cell
+    # the cell is Toeplitz, (a, b) -> tr(xi zeta^(a-b)), so row a is the
+    # window at d - 1 - a of its last row followed by its first row's tail
+    d = len(cell)
+    traces = list(map(str, cell[-1] + cell[0][1:]))
+    rows = tuple(_GRAM_SEP.join(traces[d - 1 - a:2 * d - 1 - a]) for a in range(d))
     object.__setattr__(entry, "rows", rows)
     return _element_json(point.beta, precision), entry, element_str(point.u0)
 
@@ -207,20 +212,21 @@ def report_json(report: _ReadOnlyDict) -> str:
             "write other values with json.dumps(x, indent=2, sort_keys=True, default=list)"
         )
     out: list[str] = []
-    _write(report, out.append)
+    _write(report, out.append, out.extend)
     return "".join(out)
 
 
 def write_report(result: FamilyResult, precision: int, elapsed_ms: int, write) -> None:
     """Write report_json(build_report(result, precision, elapsed_ms)) through
-    write; the Gram matrix goes a row at a time."""
-    _write(build_report(result, precision, elapsed_ms), write)
+    write; the Gram matrix goes one cell's rows at a time."""
+    _write(build_report(result, precision, elapsed_ms), write, lambda pieces: write("".join(pieces)))
 
 
-def _write(report: _ReadOnlyDict, write) -> None:
+def _write(report: _ReadOnlyDict, write, put_cell) -> None:
     """Write a report of build_report through write, in the sorted-key
     layout of json.dumps: components and matrix entries by their own text,
-    the Gram matrix a row at a time."""
+    the Gram matrix by put_cell, which takes the list of the text pieces of
+    one cell's rows."""
     degeneration, inp = report["degeneration"], report["input"]
     write(
         f'{{\n  "certainty": {encode_basestring_ascii(report["certainty"])},\n'
@@ -233,7 +239,7 @@ def _write(report: _ReadOnlyDict, write) -> None:
         f'  "form_signature": {_int_list(report["form_signature"], 1)},\n'
         f'  "genus": {report["genus"]},\n  "gram": '
     )
-    _write_gram(report["matrix_entries"], len(report["gram"]), write)
+    _write_gram(report["matrix_entries"], len(report["gram"]), write, put_cell)
     write(
         f',\n  "input": {{\n    "N": {inp["N"]},\n    "a": {_ints(inp["a"], 2)},\n'
         f'    "m": {inp["m"]}\n  }},\n'
@@ -265,23 +271,23 @@ def _int_list(values: tuple[int, ...], depth: int) -> str:
     return _ints(values, depth)
 
 
-def _write_gram(entries: Sequence[_ReadOnlyDict], n: int, write) -> None:
-    """The report's n x n Gram matrix, one row at a time through write:
-    the rows of cell i are the rows that matrix entry i carries, and the
-    zeros around them are repeated constant strings."""
-    write("[")
-    skip, start = 1, 0  # the first row takes no comma
+def _write_gram(entries: Sequence[_ReadOnlyDict], n: int, write, put_cell) -> None:
+    """The report's n x n Gram matrix: the rows of cell i are the rows that
+    matrix entry i carries, put_cell takes them as one list of pieces, each
+    row after the text that closes the row before it and opens its own
+    (repeated constant strings of the zeros around the cell), and write
+    takes the text that closes the last row and the matrix."""
+    close, start = "[", 0  # the text before the first row's opening
     for entry in entries:
         rows = entry.rows
-        left = ",\n    [\n      " + ("0" + _GRAM_SEP) * start
+        left = "\n    [\n      " + ("0" + _GRAM_SEP) * start
         right = (_GRAM_SEP + "0") * (n - start - len(rows)) + "\n    ]"
-        for row in rows:
-            write(left[skip:])
-            write(row)
-            write(right)
-            skip = 0
-        start += len(rows)
-    write("\n  ]")
+        pieces = [right + "," + left, None] * len(rows)
+        pieces[0] = close + left
+        pieces[1::2] = rows
+        put_cell(pieces)
+        close, start = right + ",", start + len(rows)
+    write(close[:-1] + "\n  ]" if start else "[\n  ]")
 
 
 def _print_text_report(report: dict) -> None:

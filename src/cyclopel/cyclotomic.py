@@ -8,9 +8,10 @@ integer denominator.  All operations are exact.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from ._record import Record
 from .errors import InvariantViolation, ParseError, UnsupportedModulus
@@ -335,35 +336,63 @@ class Cyclo:
         return (-self) + other
 
     def __mul__(self, other):
-        """The product mod x^m - 1 by Kronecker substitution: each
-        coefficient vector is packed into one integer in signed fields
-        wide enough for any product coefficient, the two integers are
-        multiplied once, and field k of the result is added into slot
-        k mod m; Cyclo._reduced then reduces mod Phi_m."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        a, b, m = self.num, o.num, self.m
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        bits = bound.bit_length() + 1
-        pa = pb = 0
-        for c in reversed(a):
-            pa = (pa << bits) + c
-        for c in reversed(b):
-            pb = (pb << bits) + c
-        p = pa * pb
-        mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
-        out = [0] * m
-        for k in range(len(a) + len(b) - 1):
-            c = p & mask
-            p >>= bits
-            if c >= half:
-                c -= full
-                p += 1
-            out[k % m] += c
-        return Cyclo._reduced(m, out, self.den * o.den)
+        return Cyclo._kronecker(self.m, (self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def product(cls, m: int, factors: Sequence["Cyclo"]) -> "Cyclo":
+        """The product of the factors, each over modulus m, in one
+        Kronecker pass; 1 for no factors."""
+        for f in factors:
+            if f.m != m:
+                raise ValueError(f"modulus mismatch: {m} vs {f.m}")
+        if not factors:
+            return cls.one(m)
+        return cls._kronecker(m, [f.num for f in factors], prod(f.den for f in factors))
+
+    @staticmethod
+    def _kronecker(m: int, nums: Sequence[tuple[int, ...]], den: int) -> "Cyclo":
+        """prod(nums) / den by Kronecker substitution: each coefficient
+        vector is packed into one integer in signed fields of width w, the
+        integers are multiplied, the product is folded mod x^m - 1 on the
+        integer itself, as 2^(w m) = 1 mod 2^(w m) - 1, and only its m
+        fields are unpacked; Cyclo._reduced then reduces mod Phi_m.  A
+        folded coefficient is at most prod ||f_i||_1 in absolute value,
+        under 2^(w - 1), so the folded product is the residue of least
+        absolute value mod 2^(w m) - 1."""
+        bound = 1
+        for f in nums:
+            bound *= sum(map(abs, f))
+        bits = bound.bit_length() + 1
+        p = 1
+        for f in nums:
+            packed = 0
+            for c in reversed(f):
+                packed = (packed << bits) + c
+            p *= packed
+        width = bits * m
+        modulus_ = (1 << width) - 1
+        folded = 0
+        while not -1 <= p <= modulus_:
+            folded += p & modulus_
+            p >>= width
+        folded = (folded + p) % modulus_
+        if folded > modulus_ >> 1:
+            folded -= modulus_
+        mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+        out = []
+        for _ in range(m):
+            c = folded & mask
+            folded >>= bits
+            if c >= half:
+                c -= full
+                folded += 1
+            out.append(c)
+        return Cyclo._reduced(m, out, den)
 
     def inverse(self) -> "Cyclo":
         """x^-1: the reciprocal of a rational x, else prod_{u != 1}

@@ -22,10 +22,11 @@ is imported only then.  No shared numeric state is read or written.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from ._record import Record
 from .cyclotomic import Cyclo, modulus
@@ -37,7 +38,7 @@ __all__ = [
     "ComplexInterval",
     "SignVector",
     "certified_sign_im",
-    "certified_sign_real",
+    "certified_signs_real",
     "embed",
     "is_totally_positive",
 ]
@@ -108,11 +109,14 @@ def _cos_sin(t: int, r: int, w: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=256)
-def _trig_table(m: int, prec: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(cos, sin): for every residue k mod m, integer bounds (lo, hi) with
-    lo <= 2^prec cos(2 pi k / m) <= hi, and the same for sin, rounded
-    outward from balls at prec + _TRIG_GUARD_BITS bits whose radius stays
-    under half a unit of 2^-prec, so hi - lo <= 2.  pi is computed once;
+def _trig_table(m: int, prec: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(cos, sin), each a pair (sums, widths): for integer bounds
+    lo <= 2^prec cos(2 pi k / m) <= hi, sums[k] = lo + hi and
+    widths[k] = hi - lo, and the same for sin, rounded outward from balls
+    at prec + _TRIG_GUARD_BITS bits whose radius stays under half a unit
+    of 2^-prec, so hi - lo <= 2.  Both lists run over k < m^2, residue
+    k mod m at index k, so that the entries at i * n mod m for i < phi(m)
+    and 0 < n < m are the slice [:phi(m) * n:n].  pi is computed once;
     the angles 2 pi k / m for k <= m/2 step by angle addition from k = 1.
     Residues above m/2 are mirrored: cos(2 pi (m-k) / m) = cos(2 pi k / m)
     and sin(2 pi (m-k) / m) = -sin(2 pi k / m)."""
@@ -136,36 +140,36 @@ def _trig_table(m: int, prec: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         lo, hi = sin[m - k]
         cos.append(cos[m - k])
         sin.append((-hi, -lo))
-    return tuple(cos), tuple(sin)
+    return tuple(
+        (tuple(lo + hi for lo, hi in part) * m, tuple(hi - lo for lo, hi in part) * m)
+        for part in (cos, sin)
+    )
 
 
 def _fixed_point_sign(x: Cyclo, n: int, part: int, is_zero: Callable[[], bool]) -> int:
     """Certified sign of Re (part 0) or Im (part 1) of sigma_n(x): den *
-    2^prec times it lies in the integer interval sum_i c_i [lo, hi] over
-    the table entries at residues i * n, with the bounds swapped where
-    c_i < 0.  The exact zero test is_zero runs only when the interval at
-    DEFAULT_PRECISION contains 0; if it fails, the precision doubles until
-    the interval excludes 0."""
+    2^prec times it lies in the integer interval [lo, hi], with
+    2 lo = S - W and 2 hi = S + W for the two dot products
+    S = sum_i c_i (lo_i + hi_i) and W = sum_i |c_i| (hi_i - lo_i) over
+    the table entries at residues i * n, the interval of summing c_i
+    [lo_i, hi_i] with the bounds swapped where c_i < 0.  It excludes 0
+    exactly when |S| > W; as hi_i - lo_i <= 2, W <= 2 ||c||_1, so W is
+    summed only when |S| does not exceed that.  The exact zero test
+    is_zero runs only when the interval at DEFAULT_PRECISION contains 0;
+    if it fails, the precision doubles until the interval excludes 0."""
     m = x.m
     if gcd(n, m) != 1:
         raise ValueError(f"sigma_{n} is not an embedding of Q(zeta_{m})")
+    step = n % m
+    num = x.num
+    end = len(num) * step
+    width_bound = 2 * sum(map(abs, num))
     prec = DEFAULT_PRECISION
     while prec <= PRECISION_CAP:
-        bounds = _trig_table(m, prec)[part]
-        lo = hi = 0
-        for i, c in enumerate(x.num):
-            if c > 0:
-                b_lo, b_hi = bounds[(i * n) % m]
-                lo += c * b_lo
-                hi += c * b_hi
-            elif c < 0:
-                b_lo, b_hi = bounds[(i * n) % m]
-                lo += c * b_hi
-                hi += c * b_lo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+        sums, widths = _trig_table(m, prec)[part]
+        mid = sum(map(mul, num, sums[:end:step]))
+        if abs(mid) > width_bound or abs(mid) > sum(map(mul, map(abs, num), widths[:end:step])):
+            return 1 if mid > 0 else -1
         if prec == DEFAULT_PRECISION and is_zero():
             return 0
         prec *= 2
@@ -304,7 +308,7 @@ def _outward(a, prec: int):
 
 def embed(x: Cyclo, n: int, prec: int = DEFAULT_PRECISION) -> ComplexInterval:
     """Enclosure of sigma_n(x) at the given working precision (bits), for
-    rendering; signs are certified by certified_sign_im/certified_sign_real.
+    rendering; signs are certified by certified_sign_im/certified_signs_real.
 
     Horner's rule on the root's enclosure, acc <- acc * root + c, then
     acc / den, with the roundings of complex interval arithmetic at prec:
@@ -398,14 +402,19 @@ def certified_sign_im(x: Cyclo, n: int) -> int:
     return _fixed_point_sign(x, n, 1, lambda: x == x.conj())
 
 
-def certified_sign_real(x: Cyclo, n: int) -> int:
-    """Sign of the real embedding tau_n of a conjugation-fixed element."""
+def certified_signs_real(x: Cyclo, ns: Sequence[int]) -> SignVector:
+    """Signs of the real embeddings tau_n, n in ns, of a conjugation-fixed
+    element, its reality checked once."""
     if not x.is_real():
         raise NotRealElement("element is not fixed by conjugation")
-    return _fixed_point_sign(x, n, 0, x.is_zero)
+    return tuple(_fixed_point_sign(x, n, 0, x.is_zero) for n in ns)
 
 
 def is_totally_positive(u: Cyclo) -> bool:
+    """Whether the conjugation-fixed u is positive at every real
+    embedding, its reality checked once."""
+    if not u.is_real():
+        raise NotRealElement("element is not fixed by conjugation")
     if u.is_zero():
         return False
-    return all(certified_sign_real(u, n) > 0 for n in modulus(u.m).reps)
+    return all(_fixed_point_sign(u, n, 0, u.is_zero) > 0 for n in modulus(u.m).reps)

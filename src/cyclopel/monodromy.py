@@ -41,22 +41,24 @@ class MonodromyDatum(Record):
     a: tuple[int, ...]
 
     def __post_init__(self):
+        """The checks, in this order: the modulus, at least 3 values, none
+        0 mod m, each in [1, m-1], their sum 0 mod m and their gcd with m
+        1.  Each value check is one pass of a builtin over a, so no value
+        is copied."""
         m, a = self.m, self.a
         if m not in SUPPORTED_MODULI:
             raise UnsupportedModulus(f"modulus {m} is outside the supported list")
         if len(a) < 3:
             raise MalformedDatum("a monodromy datum needs at least 3 branch points")
-        if any(x % m == 0 for x in a):
-            raise ZeroInertia("every inertia value must be nonzero mod m")
-        if any(not 0 < x < m for x in a):
+        if not (0 < min(a) and max(a) < m):
+            if any(x % m == 0 for x in a):
+                raise ZeroInertia("every inertia value must be nonzero mod m")
             raise MalformedDatum("inertia values must be reduced to [1, m-1]; use validate()")
         if sum(a) % m != 0:
             raise UnbalancedInertia("inertia values must sum to 0 mod m")
-        g = 0
-        for x in a:
-            g = gcd(g, x % m)
-        if gcd(g, m) != 1:
-            raise DisconnectedCover(f"gcd of inertia values with m is {gcd(g, m)}, cover is disconnected")
+        g = gcd(gcd(*a), m)
+        if g != 1:
+            raise DisconnectedCover(f"gcd of inertia values with m is {g}, cover is disconnected")
 
     @property
     def N(self) -> int:
@@ -67,15 +69,20 @@ def validate(m: int, a) -> MonodromyDatum:
     """Normalize raw inertia values into [1, m-1] and enforce the datum
     invariants, the modulus first since the reduction divides by it.  m and
     the values must be ints: int() would truncate a float, parse a str and
-    take a bool."""
-    a = tuple(a)
-    for v in (m, *a):
-        if type(v) is not int:
-            what = f"{type(v).__name__} {v!r}"
-            raise MalformedDatum(f"m and the inertia values must be ints, not {what}")
+    take a bool.  A list or tuple is not copied to be checked, and the
+    reduced values are built once, by one builtin pass when some value
+    lies outside [1, m-1]."""
+    if type(a) is not tuple and type(a) is not list:
+        a = tuple(a)
+    if type(m) is not int or not set(map(type, a)) <= {int}:
+        v = m if type(m) is not int else next(v for v in a if type(v) is not int)
+        what = f"{type(v).__name__} {v!r}"
+        raise MalformedDatum(f"m and the inertia values must be ints, not {what}")
     if m not in SUPPORTED_MODULI:
         raise UnsupportedModulus(f"modulus {m} is outside the supported list")
-    return MonodromyDatum(m, tuple(x % m for x in a))
+    if a and (min(a) < 1 or max(a) >= m):
+        return MonodromyDatum(m, tuple(map(m.__rmod__, a)))
+    return MonodromyDatum(m, tuple(a))
 
 
 def genus(datum: MonodromyDatum) -> int:

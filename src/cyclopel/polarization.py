@@ -8,15 +8,17 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from ._record import Record
 from .cmfield import CMType
 from .cyclotomic import Cyclo, _poly_divmod_monic, element_str, modulus
-from .embeddings import SignVector, certified_sign_im, certified_sign_real, is_totally_positive
+from .embeddings import SignVector, certified_sign_im, certified_signs_real, is_totally_positive
 from .errors import (
-    Indeterminate, InvariantViolation, NonIntegralForm, Unsatisfiable, UnsupportedModulus
+    Indeterminate, InvariantViolation, NonIntegralForm, NotRealElement, Unsatisfiable,
+    UnsupportedModulus,
 )
 
 __all__ = [
@@ -165,11 +167,15 @@ def _constants(m: int) -> _Constants:
     if 0 in b0_signs:
         raise InvariantViolation(f"beta0 has an embedding sign 0 mod {m}")
     pairs = _closed_form_units(m)
+    signs = []
     for g, h in pairs:
-        if not (g.is_integral and h.is_integral and g * h == 1 and g.is_real()):
+        if not (g.is_integral and h.is_integral and g * h == 1):
             raise InvariantViolation(f"generator {g!r} is not a real unit")
+        try:
+            signs.append(certified_signs_real(g, reps))
+        except NotRealElement:
+            raise InvariantViolation(f"generator {g!r} is not a real unit") from None
     gens = tuple(g for g, _ in pairs)
-    signs = tuple(tuple(certified_sign_real(g, n) for n in reps) for g in gens)
     span: list[int | None] = [None] * (1 << len(reps))
     span[0], reached = 0, [0]
     for i, s in enumerate(signs):
@@ -179,7 +185,9 @@ def _constants(m: int) -> _Constants:
                 span[row ^ bits] = span[row] | 1 << i
                 reached.append(row ^ bits)
     rank = len(reached).bit_length() - 1
-    return _Constants(b0, b0_signs, gens, tuple(h for _, h in pairs), signs, tuple(span), rank)
+    return _Constants(
+        b0, b0_signs, gens, tuple(h for _, h in pairs), tuple(signs), tuple(span), rank
+    )
 
 
 def has_independent_signs(m: int) -> bool:
@@ -216,15 +224,6 @@ def _solve_combo(target: SignVector, m: int) -> int:
             cokernel_dim=ncols - table.rank,
         )
     return combo
-
-
-def _product(factors: Sequence[Cyclo], combo: int, m: int) -> Cyclo:
-    """The product of the factors picked by the bits of combo, 1 if none."""
-    picked = [f for i, f in enumerate(factors) if combo >> i & 1]
-    out = picked[0] if picked else Cyclo.one(m)
-    for f in picked[1:]:
-        out = out * f
-    return out
 
 
 class ConditionReport(Record):
@@ -320,29 +319,55 @@ def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
 
 
 def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    """Exact determinant of a skew-symmetric integer matrix, the square of
+    its Pfaffian; any other matrix raises ValueError.
+
+    Fraction-free Pfaffian elimination over the upper triangle, two
+    indices per step: with pivot p = b[k][k+1] and the previous pivot q
+    (1 at the first step), b[i][j] <- (p b[i][j] - b[k][i] b[k+1][j]
+    + b[k+1][i] b[k][j]) / q for k+1 < i < j, a division that is exact by
+    the Pfaffian analogue of Sylvester's identity (Knuth, Overlapping
+    Pfaffians, Electron. J. Combin. 3(2), 1996).  A zero pivot swaps
+    index k+1 with the first j where b[k][j] != 0, which flips the
+    Pfaffian's sign; with no such j the Pfaffian is 0.  The last pivot is
+    the Pfaffian.  Row i is held as b[i][n-1], ..., b[i][i+1], so the
+    entries of rows k and k+1 in the columns of row i are their first
+    n-1-i entries."""
     n = len(gram)
-    if n == 0:
-        return 1
-    m = [list(row) for row in gram]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
+    # b + b^T = 0, a row and its column at a time, with no Python-level loop
+    if not set(map(len, gram)) <= {n} or any(map(any, map(map, repeat(add), gram, zip(*gram)))):
+        raise ValueError("gram_determinant takes a skew-symmetric matrix")
+    if n % 2:
+        return 0
+    rows = [list(row[:i:-1]) for i, row in enumerate(gram)]
+    q = 1
+    for k in range(0, n, 2):
+        top, nxt = rows[k], rows[k + 1]
+        p = top[-1]
+        if p == 0:
+            j = next((j for j in range(k + 2, n) if top[n - 1 - j]), None)
+            if j is None:
                 return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        row = m[k]
-        p = row[k]
-        for i in range(k + 1, n):
-            r = m[i]
-            c = r[k]
-            for j in range(k + 1, n):
-                r[j] = (r[j] * p - c * row[j]) // prev
-        prev = p
-    return sign * m[n - 1][n - 1]
+            # swap index s = k + 1 with j in the upper triangle: b[k][s] and
+            # b[k][j] trade places, b[s][x] and b[x][j] trade places negated
+            # for s < x < j, b[s][j] is negated, and the entries right of j
+            # of rows s and j trade places
+            s, lead = k + 1, nxt
+            top[-1], top[n - 1 - j] = top[n - 1 - j], top[-1]
+            for x in range(s + 1, j):
+                mid = rows[x]
+                lead[n - 1 - x], mid[n - 1 - j] = -mid[n - 1 - j], -lead[n - 1 - x]
+            lead[n - 1 - j] = -lead[n - 1 - j]
+            lead[:n - 1 - j], rows[j] = rows[j], lead[:n - 1 - j]
+            p = top[-1]
+        for i in range(k + 2, n):
+            x, y = top[n - 1 - i], nxt[n - 1 - i]
+            if q == 1:
+                rows[i] = [p * v - x * w + y * u for v, w, u in zip(rows[i], nxt, top)]
+            else:
+                rows[i] = [(p * v - x * w + y * u) // q for v, w, u in zip(rows[i], nxt, top)]
+        q = p
+    return q * q
 
 
 class _Made:
@@ -426,9 +451,10 @@ def beta_for_type(phi: CMType) -> PolarizedCMPoint:
         )
     target = tuple(-s if n in phi else s for n, s in zip(reps, table.beta0_signs))
     combo = _solve_combo(target, m)
-    u0 = _product(table.gens, combo, m)
+    picked = [i for i in range(len(table.gens)) if combo >> i & 1]
+    u0 = Cyclo.product(m, [table.gens[i] for i in picked])
     beta = u0 * table.beta0.element
-    xi = _product(table.inverses, combo, m) * table.beta0.inverse
+    xi = Cyclo.product(m, [table.inverses[i] for i in picked] + [table.beta0.inverse])
     if beta * xi != 1:
         raise InvariantViolation(
             f"xi is not 1/beta for the CM-type {phi.sorted_members()} mod {m}"

@@ -18,11 +18,11 @@ import cyclopel.monodromy as M
 from cyclopel.cmfield import CMType
 from cyclopel.cyclotomic import Cyclo, _poly_divmod_monic, modulus, relative_split
 from cyclopel import embeddings
-from cyclopel.embeddings import ComplexInterval, SignVector, certified_sign_real
+from cyclopel.embeddings import ComplexInterval, SignVector, certified_signs_real
 from cyclopel.errors import CyclopelError, InvariantViolation, NonCompactType, Unsatisfiable
 from cyclopel.monodromy import DegenerationTree, MonodromyDatum, Signature
 from cyclopel.peldatum import HermitianDatum, entry_cm_type
-from cyclopel.polarization import _constants, _product, _solve_combo
+from cyclopel.polarization import _constants, _solve_combo
 
 
 class NotUnit(CyclopelError):
@@ -36,7 +36,7 @@ def sign_vector(u: Cyclo) -> SignVector:
         raise ZeroDivisionError("sign vector of zero")
     if not u.is_unit():
         raise NotUnit("sign vectors are defined for units of the real subfield")
-    return tuple(certified_sign_real(u, n) for n in modulus(u.m).reps)
+    return certified_signs_real(u, modulus(u.m).reps)
 
 
 def unit_for_signs(target: SignVector, m: int) -> Cyclo | Unsatisfiable:
@@ -46,7 +46,8 @@ def unit_for_signs(target: SignVector, m: int) -> Cyclo | Unsatisfiable:
         combo = _solve_combo(target, m)
     except Unsatisfiable as exc:
         return exc
-    return _product(_constants(m).gens, combo, m)
+    gens = _constants(m).gens
+    return Cyclo.product(m, [g for i, g in enumerate(gens) if combo >> i & 1])
 
 
 def _is_prime(n: int) -> bool:
@@ -397,3 +398,91 @@ def clear_memos() -> None:
     """Empty every memo of the cyclopel modules."""
     for memo in memos():
         memo.cache_clear()
+
+
+def bareiss_determinant(rows) -> int:
+    """Exact determinant of any square integer matrix by fraction-free
+    Bareiss elimination, swapping rows at a zero pivot."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        row = m[k]
+        p = row[k]
+        for i in range(k + 1, n):
+            r = m[i]
+            c = r[k]
+            for j in range(k + 1, n):
+                r[j] = (r[j] * p - c * row[j]) // prev
+        prev = p
+    return sign * m[n - 1][n - 1]
+
+
+def table_bounds(m: int, prec: int, part: int) -> list[tuple[int, int]]:
+    """(lo, hi) per residue k mod m of the trig table's part (0 cos, 1 sin),
+    from its sums lo + hi and widths hi - lo."""
+    sums, widths = embeddings._trig_table(m, prec)[part]
+    return [((s - w) // 2, (s + w) // 2) for s, w in zip(sums[:m], widths[:m])]
+
+
+def per_coefficient_sign(x: Cyclo, n: int, part: int) -> tuple[int, list[int]]:
+    """The sign of Re (part 0) or Im (part 1) of sigma_n(x) by summing
+    c_i [lo_i, hi_i], bounds swapped where c_i < 0, one coefficient at a
+    time, with the exact zero test only at DEFAULT_PRECISION and the
+    precision doubling; and the precisions it read."""
+    read = []
+    prec = embeddings.DEFAULT_PRECISION
+    while True:
+        read.append(prec)
+        bounds = table_bounds(x.m, prec, part)
+        lo = hi = 0
+        for i, c in enumerate(x.num):
+            b_lo, b_hi = bounds[(i * n) % x.m]
+            if c > 0:
+                lo += c * b_lo
+                hi += c * b_hi
+            elif c < 0:
+                lo += c * b_hi
+                hi += c * b_lo
+        if lo > 0:
+            return 1, read
+        if hi < 0:
+            return -1, read
+        if prec == embeddings.DEFAULT_PRECISION and ((x == x.conj()) if part else x.is_zero()):
+            return 0, read
+        prec *= 2
+
+
+def validate(m, a) -> MonodromyDatum:
+    """cyclopel.monodromy.validate as it was before it checked in one
+    pass: copy the values, check the types (m first), the modulus, then
+    reduce and run the datum checks one after another."""
+    a = tuple(a)
+    for v in (m, *a):
+        if type(v) is not int:
+            what = f"{type(v).__name__} {v!r}"
+            raise M.MalformedDatum(f"m and the inertia values must be ints, not {what}")
+    if m not in M.SUPPORTED_MODULI:
+        raise M.UnsupportedModulus(f"modulus {m} is outside the supported list")
+    a = tuple(x % m for x in a)
+    if len(a) < 3:
+        raise M.MalformedDatum("a monodromy datum needs at least 3 branch points")
+    if any(x % m == 0 for x in a):
+        raise M.ZeroInertia("every inertia value must be nonzero mod m")
+    if sum(a) % m != 0:
+        raise M.UnbalancedInertia("inertia values must sum to 0 mod m")
+    g = 0
+    for x in a:
+        g = gcd(g, x)
+    if gcd(g, m) != 1:
+        raise M.DisconnectedCover(f"gcd of inertia values with m is {gcd(g, m)}, cover is disconnected")
+    return MonodromyDatum(m, a)

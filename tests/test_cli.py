@@ -545,8 +545,20 @@ def test_json_report(capsys):
     assert json.dumps(report, indent=2, sort_keys=True) == out.rstrip("\n")
 
 
+@pytest.mark.parametrize("m", [3, 5, 7, 11, 13, 17, 19])
+def test_cell_row_text_is_the_joined_row(m):
+    # each row text is a window of the cell's 2 phi - 1 traces
+    reps = cyclopel.cyclotomic.modulus(m).reps
+    for bits in range(0, 1 << len(reps), max(1, (1 << len(reps)) // 40)):
+        members = frozenset(n if bits >> i & 1 else m - n for i, n in enumerate(reps))
+        point = beta_for_type(cyclopel.cmfield.CMType(m, members))
+        _, entry, _ = cyclopel.cli._point_json(point, DEFAULT_PRECISION)
+        cell = point.entry.cell
+        assert entry.rows == tuple(cyclopel.cli._GRAM_SEP.join(map(str, row)) for row in cell)
+
+
 def test_json_report_is_streamed_from_the_result(monkeypatch, capsys):
-    # --json writes the report as it goes, a Gram row at a time; the bytes
+    # --json writes the report as it goes, a Gram cell at a time; the bytes
     # are report_json's
     m, a = 19, (1,) * 23 + (15,)
     writes = []
@@ -558,9 +570,9 @@ def test_json_report_is_streamed_from_the_result(monkeypatch, capsys):
     result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(m, a))
     elapsed_ms = json.loads(out)["timing_ms"]
     assert out == report_json(build_report(result, DEFAULT_PRECISION, elapsed_ms)) + "\n"
-    # 22 components of phi(19) = 18 rows each: no write holds many rows
-    assert len(result.gram) == 396
-    assert len(writes) > len(result.gram) and max(writes) < len(out) / 20
+    # 22 components of phi(19) = 18 rows each: no write holds more than a cell
+    assert len(result.gram) == 396 and len(result.components) == 22
+    assert len(writes) > len(result.components) and max(writes) < len(out) / 20
 
 
 def test_report_json_rejects_other_types():

@@ -138,6 +138,35 @@ def test_product_matches_schoolbook_on_every_modulus():
                 assert (p.num, p.den) == _schoolbook_product(x, y)
 
 
+def test_product_of_many_factors_is_the_fold_of_pairwise_products():
+    # k = 1..10 factors with mixed signs, zeros and denominators, one
+    # Kronecker pass against the pairwise fold and the schoolbook product
+    rng = random.Random(223)
+
+    def element(m):
+        bound = rng.choice((1, 9, 2**20, 2**90))
+        num = [rng.randint(-bound, bound) for _ in range(modulus(m).phi)]
+        if rng.random() < 0.3:
+            num = [c if rng.random() < 0.3 else 0 for c in num]
+        return Cyclo(m, num, rng.choice((1, 1, 2, m, rng.randint(1, 3**10))))
+
+    for m in sorted(SUPPORTED_MODULI):
+        assert Cyclo.product(m, []) == Cyclo.one(m)
+        for k in range(1, 11):
+            factors = [element(m) for _ in range(k)]
+            if k > 2 and rng.random() < 0.2:
+                factors[rng.randrange(k)] = Cyclo.zero(m)
+            folded = factors[0]
+            school = (folded.num, folded.den)
+            for f in factors[1:]:
+                folded = folded * f
+                school = _schoolbook_product(Cyclo(m, school[0], school[1]), f)
+            p = Cyclo.product(m, factors)
+            assert (p.num, p.den) == (folded.num, folded.den) == school, (m, k)
+    with pytest.raises(ValueError):
+        Cyclo.product(5, [Cyclo.zeta(5), Cyclo.zeta(7)])
+
+
 def test_arithmetic_results_equal_the_generic_constructor_on_every_modulus():
     # mul, galois, + and - build their results from vectors they made
     # themselves, without the generic constructor's checks; each result

@@ -26,13 +26,15 @@ from cyclopel.embeddings import (
     _round,
     _trig_table,
     certified_sign_im,
-    certified_sign_real,
+    certified_signs_real,
     embed,
     is_totally_positive,
 )
 from cyclopel.errors import NotRealElement
 import cyclopel.embeddings
-from oracles import NotUnit, context_horner, exact_horner, rounded, sign_vector
+from oracles import (
+    NotUnit, context_horner, exact_horner, per_coefficient_sign, rounded, sign_vector, table_bounds
+)
 
 
 def random_element(rng, m, bound=8):
@@ -231,7 +233,7 @@ def test_near_cancelling_sign_climbs_the_precision_ladder(monkeypatch):
     assert read == [DEFAULT_PRECISION, 128, 256]
     read.clear()
     r = Cyclo(7, [a]) + b * (Cyclo.zeta(7) + Cyclo.zeta(7, -1))
-    assert certified_sign_real(r, 1) == _sign(mp_value(r, 1, dps=200).real) != 0
+    assert certified_signs_real(r, (1,))[0] == _sign(mp_value(r, 1, dps=200).real) != 0
     assert read == [DEFAULT_PRECISION, 128, 256]
 
 
@@ -283,9 +285,11 @@ def test_exact_zero_detection_for_real_combinations():
 def test_certified_sign_real_spot_checks():
     z = Cyclo.zeta(5)
     w = z + z**4  # 2cos(72) > 0, image under sigma_2 is 2cos(144) < 0
-    assert certified_sign_real(w, 1) == 1
-    assert certified_sign_real(w, 2) == -1
-    assert certified_sign_real(Cyclo.zero(5), 1) == 0
+    assert certified_signs_real(w, (1, 2)) == (1, -1)
+    assert certified_signs_real(w, ()) == ()
+    assert certified_signs_real(Cyclo.zero(5), (1, 2)) == (0, 0)
+    with pytest.raises(NotRealElement):
+        certified_signs_real(Cyclo.zeta(5), (1,))
 
 
 def test_totally_positive_constants():
@@ -385,7 +389,7 @@ def test_fixed_point_signs_match_high_precision_evaluation(case):
     expected = 0 if r.is_zero() else _sign(w)
     if expected:
         assert abs(w) > mpmath.mpf(10) ** -150
-    assert certified_sign_real(r, n) == expected
+    assert certified_signs_real(r, (n,)) == (expected,)
 
 
 def _sign_with_zero_test_first(x, n, part):
@@ -395,7 +399,7 @@ def _sign_with_zero_test_first(x, n, part):
         return 0
     prec = DEFAULT_PRECISION
     while True:
-        bounds = _trig_table(x.m, prec)[part]
+        bounds = table_bounds(x.m, prec, part)
         lo = hi = 0
         for i, c in enumerate(x.num):
             b_lo, b_hi = bounds[(i * n) % x.m]
@@ -416,14 +420,46 @@ def test_interval_first_signs_match_zero_test_first(case):
     for y in (x, r, x - x.conj(), Cyclo.zero(x.m)):
         assert certified_sign_im(y, n) == _sign_with_zero_test_first(y, n, 1)
     assert certified_sign_im(r, n) == 0
-    assert certified_sign_real(r, n) == _sign_with_zero_test_first(r, n, 0)
+    assert certified_signs_real(r, (n,)) == (_sign_with_zero_test_first(r, n, 0),)
+
+
+def test_dot_product_signs_match_the_per_coefficient_loop(monkeypatch):
+    # near-cancelling elements stop the precision ladder at each rung from
+    # 64 to 1024 bits; real elements, imaginary ones and zero take the
+    # exact zero test at the parts where their value is 0
+    read = _spy_on_tables(monkeypatch)
+    rng = random.Random(61)
+    rungs = set()
+    for m in sorted(SUPPORTED_MODULI):
+        for n in modulus(m).units:
+            for bits in (0, 40, 100, 200, 400, 800):
+                b = 1 << bits
+                with mpmath.workdps(bits // 3 + 40):
+                    a = -int(mpmath.nint(2 * b * mpmath.cos(2 * mpmath.pi * n / m)))
+                den = rng.randint(1, 6)
+                x = Cyclo(m, [0, a, b], den)
+                r = Cyclo(m, [a], den) + b * (Cyclo.zeta(m) + Cyclo.zeta(m, -1)) / den
+                y = Cyclo(m, [rng.randint(-9, 9) for _ in range(modulus(m).phi)], den)
+                zero = Cyclo.zero(m)
+                for z, part in ((x, 1), (r, 0), (r, 1), (y, 1), (y + y.conj(), 0),
+                                (y - y.conj(), 1), (zero, 0), (zero, 1)):
+                    read.clear()
+                    got = certified_sign_im(z, n) if part else certified_signs_real(z, (n,))[0]
+                    got_read = list(read)
+                    assert (got, got_read) == per_coefficient_sign(z, n, part), (m, n, bits, part)
+                    rungs.add(got_read[-1])
+    assert rungs == {64, 128, 256, 512, 1024}
 
 
 @pytest.mark.parametrize("prec", [8, 64, 128, 1024, 4096])
 def test_trig_table_brackets_cos_and_sin(prec):
     for m in sorted(SUPPORTED_MODULI):
-        cos, sin = _trig_table(m, prec)
-        assert len(cos) == len(sin) == m
+        table = _trig_table(m, prec)
+        # residue k mod m at every index k < m^2
+        for sums, widths in table:
+            assert len(sums) == len(widths) == m * m
+            assert sums == sums[:m] * m and widths == widths[:m] * m
+        cos, sin = table_bounds(m, prec, 0), table_bounds(m, prec, 1)
         with mpmath.workprec(prec + 128):
             for k in range(m):
                 t = 2 * mpmath.pi * k / m

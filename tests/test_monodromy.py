@@ -202,6 +202,63 @@ def test_signature_allocates_nothing_per_value():
     assert peak < 2**20
 
 
+def test_validate_copies_no_values():
+    # the types are checked without a copy and the reduced values are built
+    # once; the reduced tuple alone is 1.6 MB
+    values = [1] * 199999 + [6]
+    tracemalloc.start()
+    try:
+        d = validate(17, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == oracles.validate(17, values)
+    assert peak < 2.5e6
+    # values outside [1, m-1] are reduced in the same one pass
+    values = [18] * 199999 + [-11]
+    tracemalloc.start()
+    try:
+        d = validate(17, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == oracles.validate(17, values) and d.a[0] == 1 and d.a[-1] == 6
+    assert peak < 2.5e6
+
+
+def _validated(f, m, a):
+    """f(m, a), or the type and message of what it raised."""
+    try:
+        return f(m, a)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def test_validate_keeps_the_order_of_its_checks():
+    # inputs with several faults raise what the check-by-check reference
+    # raises: the types (m first, then the values in order), the modulus,
+    # the count, a zero, the sum and the gcd
+    cases = [
+        ("3", [1, 1.0, 1]), (3.0, [1, 1, 1]), (True, [1, 1, 1]), (3, [1, "a", 2.0]),
+        (3, [1, True, 1]), (2, [1, "x"]), (12, [1, 1]), (64, [1, 2, 3]), (-3, [1, 1, 1]),
+        (3, [3, 3]), (3, []), (3, [3, 1, 1]), (9, [3, 3, 6, 3]), (9, [3, 3, 3]),
+        (9, [0, 3, 6]), (6, [2, 4, 2, 4]), (6, [-1, -1, 2]), (19, [-37, 20, 17]),
+        (5, lambda: (x for x in (1, 2, 2))), (5, range(1, 4)), (5, (1, 2, 2)), (5, [6, 7, 7]),
+        (5, 5), (None, None), (5, [2**70, 1, 4 - 2**70 % 5]), (13, [0] * 5),
+    ]
+    for m, a in cases:
+        make = a if callable(a) else lambda: a  # a generator is consumed once
+        assert _validated(validate, m, make()) == _validated(oracles.validate, m, make()), (m, a)
+    rng = random.Random(29)
+    pool = (0, 1, 2, 3, 4, 5, 6, 7, 9, 12, -1, -6, 2**65, True, 1.0, "1", None)
+    for _ in range(3000):
+        m = rng.choice((3, 4, 6, 7, 9, 12, 4.0))
+        a = [rng.choice(pool) if rng.random() < 0.2 else rng.randint(-20, 20)
+             for _ in range(rng.randint(0, 7))]
+        for seq in (a, tuple(a)):
+            assert _validated(validate, m, seq) == _validated(oracles.validate, m, seq), (m, seq)
+
+
 def test_signature_rejects_malformed_values():
     with pytest.raises(InvariantViolation):
         Signature(5, (0, 1, 1, 1))

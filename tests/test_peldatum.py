@@ -203,10 +203,27 @@ def _view(h):
     return GramView(tuple(e.cell for e in P._entries(h)))
 
 
+def _skew(rng, n, choices):
+    """A random n x n skew-symmetric matrix whose upper entries are drawn
+    from choices, each a value or a callable giving one."""
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = rng.choice(choices)
+            v = v() if callable(v) else v
+            mat[i][j], mat[j][i] = v, -v
+    return mat
+
+
 def test_gram_determinant_oracle():
     assert gram_determinant(()) == 1
     assert gram_determinant(((0, 0), (0, 0))) == 0
-    assert gram_determinant(((2, 0), (0, 3))) == 6
+    assert gram_determinant(((0, 3), (-3, 0))) == 9
+    assert gram_determinant(((0, 1, 2), (-1, 0, 3), (-2, -3, 0))) == 0
+    # the Pfaffian takes skew matrices only
+    for bad in (((2, 0), (0, 3)), ((0, 1), (1, 0)), ((1,),), ((0, 1), (-1,)), ((0, 1, 0), (-1, 0, 0))):
+        with pytest.raises(ValueError, match="skew-symmetric"):
+            gram_determinant(bad)
     rng = random.Random(107)
 
     def gauss_det(rows):
@@ -228,49 +245,46 @@ def test_gram_determinant_oracle():
         assert det.denominator == 1
         return int(det)
 
-    for _ in range(30):
+    # the oracle is Bareiss on any square matrix
+    for _ in range(100):
         n = rng.randint(1, 6)
-        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert gram_determinant(mat) == gauss_det(mat)
-    # sparse matrices force zero-pivot swaps; a repeated or zero row or
-    # column makes the matrix singular
-    singular = 0
-    for _ in range(400):
-        n = rng.randint(1, 12)
-        mat = [[rng.choice((0, 0, 0, rng.randint(-30, 30))) for _ in range(n)] for _ in range(n)]
-        if n > 1 and rng.random() < 0.3:
+        mat = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        assert oracles.bareiss_determinant(mat) == gauss_det(mat)
+    # sparse skew matrices up to 20 x 20 force zero-pivot swaps; a repeated
+    # or zero index makes one singular, and an odd order gives 0
+    singular = swaps = 0
+    for _ in range(1500):
+        n = rng.randint(1, 20)
+        mat = _skew(rng, n, (0, 0, 0, 0, lambda: rng.randint(-30, 30)))
+        if n > 2 and rng.random() < 0.3:
             i, j = rng.sample(range(n), 2)
-            mat[i] = list(mat[j]) if rng.random() < 0.5 else [0] * n
-            if rng.random() < 0.5:
-                mat = [list(col) for col in zip(*mat)]
-        want = _triple_loop_bareiss(mat)
+            dup = rng.random() < 0.5  # index j becomes a copy of index i, or zero
+            for k in range(n):
+                v = mat[k][i] if dup and k not in (i, j) else 0
+                mat[k][j], mat[j][k] = v, -v
+        want = oracles.bareiss_determinant(mat)
         singular += want == 0
-        assert gram_determinant(mat) == want
+        swaps += n % 2 == 0 and mat[0][1] == 0
+        assert gram_determinant(mat) == want, mat
         if n <= 6:
             assert want == gauss_det(mat)
-    assert singular > 100
+        if n % 2:
+            assert want == 0
+    assert singular > 300 and swaps > 300
 
 
-def _triple_loop_bareiss(rows):
-    """Fraction-free Bareiss elimination, one entry at a time."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(row) for row in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+@pytest.mark.parametrize("m", [13, 17, 19])
+def test_pfaffian_is_bareiss_on_every_cell(m):
+    # the cell of every CM-type's entry, 2^(phi/2) of them
+    reps = modulus(m).reps
+    dets = set()
+    for bits in range(1 << len(reps)):
+        phi = CMType(m, frozenset(n if bits >> i & 1 else m - n for i, n in enumerate(reps)))
+        cell = beta_for_type(phi).entry.cell
+        det = gram_determinant(cell)
+        assert det == oracles.bareiss_determinant(cell), phi
+        dets.add(det)
+    assert dets == {1}
 
 
 def test_trace_table_matches_ramanujan_sums():
@@ -310,11 +324,13 @@ def test_assembled_determinant_matches_dense_bareiss():
     data += [validate(19, (1,) * (n - 1) + (-(n - 1) % 19,)) for n in (6, 12)]
     for datum in data:
         r = assemble(datum)
-        assert r.gram_det == gram_determinant(r.gram)
+        assert r.gram_det == gram_determinant(r.gram) == oracles.bareiss_determinant(r.gram)
     # the fixture data, multi-block ones included, are principally polarized
     hs = [_fixture_datum(f) for f in fixtures]
     assert any(len(h.blocks) > 1 for h in hs)
-    assert all(abs(gram_determinant(gram_matrix(h))) == 1 for h in hs)
+    for h in hs:
+        g = gram_matrix(h)
+        assert abs(gram_determinant(g)) == abs(oracles.bareiss_determinant(g)) == 1
 
 
 def test_assemble_derives_each_entry_fact_once(monkeypatch):
