@@ -142,11 +142,8 @@ def _point_json(
     precision).  The entry's dict carries the text of each row of its
     Gram cell in a report, without the zeros around it."""
     entry = _element_json(point.entry.xi, precision)
-    cell = point.entry.cell
-    # the cell is Toeplitz, (a, b) -> tr(xi zeta^(a-b)), so row a is the
-    # window at d - 1 - a of its last row followed by its first row's tail
-    d = len(cell)
-    traces = list(map(str, cell[-1] + cell[0][1:]))
+    traces = list(map(str, point.entry.traces))  # row a is the window at d - 1 - a
+    d = (len(traces) + 1) // 2
     rows = tuple(_GRAM_SEP.join(traces[d - 1 - a:2 * d - 1 - a]) for a in range(d))
     object.__setattr__(entry, "rows", rows)
     return _element_json(point.beta, precision), entry, element_str(point.u0)
@@ -308,8 +305,15 @@ def _print_text_report(report: dict) -> None:
     for e in report["matrix_entries"]:
         print(f"  {e['exact']}  ~ {e['im']}*I")
     print("gram matrix:")
-    for row in report["gram"]:
-        print("  [" + " ".join(f"{v:3d}" for v in row) + "]")
+    # a cell at a time: each row is a window of the cell's formatted trace
+    # row between constant strings of the zeros around the cell
+    n, start = len(report["gram"]), 0
+    for traces in report["gram"].traces:
+        texts, d = list(map("{:3d}".format, traces)), (len(traces) + 1) // 2
+        left, right = "  [" + "  0 " * start, "   0" * (n - start - d) + "]"
+        for a in range(d):
+            print(left + " ".join(texts[d - 1 - a:2 * d - 1 - a]) + right)
+        start += d
     print(f"determinant: {report['determinant']}")
     match = "matches" if report["signature_match"] else "MISMATCH"
     print(f"signature cross-check: {tuple(report['form_signature'])} ({match})")

@@ -114,46 +114,48 @@ def _entries(h: HermitianDatum) -> tuple[Entry, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Gram matrix of the trace pairing: a view over the cells of the entries'
-# records, which a family reads off its components' points
+# Gram matrix of the trace pairing: a view over the cells' trace rows of the
+# entries' records, which a family reads off its components' points
 
 
 class GramView(Sequence):
-    """Read-only view of the block-diagonal Gram matrix: the cells of the
-    entries in block order on the diagonal, zeros elsewhere.  Row i is
-    laid out when it is asked for; tuple(view) is the dense matrix."""
+    """Read-only view of the block-diagonal Gram matrix: the entries' cells,
+    as trace rows, on the diagonal in block order, zeros elsewhere.  Rows
+    are laid out when asked for, a slice's only; tuple(view) is the matrix."""
 
-    __slots__ = ("cells", "_starts", "_n")
+    __slots__ = ("traces", "_starts", "_n")
 
-    def __init__(self, cells: tuple[tuple[tuple[int, ...], ...], ...]):
-        self.cells = cells
-        self._starts = tuple(accumulate((len(cell) for cell in cells), initial=0))
+    def __init__(self, traces: tuple[tuple[int, ...], ...]):
+        self.traces = traces
+        self._starts = tuple(accumulate(((len(t) + 1) // 2 for t in traces), initial=0))
         self._n = self._starts[-1]
 
     def __len__(self) -> int:
         return self._n
 
-    def _row(self, k: int, cell: tuple[tuple[int, ...], ...], r: int) -> tuple[int, ...]:
-        start = self._starts[k]
-        return (0,) * start + cell[r] + (0,) * (self._n - start - len(cell))
+    def _row(self, k: int, r: int) -> tuple[int, ...]:
+        start, d = self._starts[k], self._starts[k + 1] - self._starts[k]
+        return (0,) * start + self.traces[k][d - 1 - r:2 * d - 1 - r] + (0,) * (self._n - start - d)
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(self._n)[i]))
         if not -self._n <= i < self._n:
             raise IndexError("Gram row index out of range")
         i %= self._n
         k = bisect_right(self._starts, i) - 1
-        return self._row(k, self.cells[k], i - self._starts[k])
+        return self._row(k, i - self._starts[k])
 
     def __iter__(self):
-        for k, cell in enumerate(self.cells):
-            for r in range(len(cell)):
-                yield self._row(k, cell, r)
+        for k in range(len(self.traces)):
+            for r in range(self._starts[k + 1] - self._starts[k]):
+                yield self._row(k, r)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GramView) and self.cells == other.cells
+        return isinstance(other, GramView) and self.traces == other.traces
 
     def __hash__(self) -> int:
-        return hash(self.cells)
+        return hash(self.traces)
 
 
 def gram_matrix(h: HermitianDatum) -> tuple[tuple[int, ...], ...]:
@@ -162,7 +164,7 @@ def gram_matrix(h: HermitianDatum) -> tuple[tuple[int, ...], ...]:
     (a, b) entry of the cell for entry xi is tr(xi zeta^(a-b)), and every
     entry outside the cells is zero.  Raises NonIntegralForm when any
     pairing value is not a rational integer."""
-    return tuple(GramView(tuple(e.cell for e in _entries(h))))
+    return tuple(GramView(tuple(e.traces for e in _entries(h))))
 
 
 def form_signature(h: HermitianDatum) -> Signature:
@@ -223,9 +225,9 @@ class FamilyResult(Record):
 
     @property
     def gram(self) -> GramView:
-        """The Gram view over the cells of the components' entries, built
-        when read."""
-        return GramView(tuple(c.point.entry.cell for c in self.components))
+        """The Gram view over the trace rows of the components' entries,
+        built when read."""
+        return GramView(tuple(c.point.entry.traces for c in self.components))
 
 
 def assemble(datum: MonodromyDatum, start_prec: int = DEFAULT_PRECISION) -> FamilyResult:

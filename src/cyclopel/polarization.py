@@ -1,7 +1,7 @@
 """Polarization elements beta: different generators, unit sign solving,
 construction of beta for a CM-type, the three polarization conditions, and
 the record of an entry xi = 1/beta of the Hermitian form: its CM-type,
-signature column, Gram cell and the cell's determinant."""
+signature column, its Gram cell's trace row and that cell's determinant."""
 
 from __future__ import annotations
 
@@ -291,12 +291,13 @@ def _entry_column(phi: CMType, m: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
-    """Cell of the entry xi: the (a, b) entry is tr(xi zeta^(a-b)) =
-    sum_i c_i tr(zeta^(i+a-b)) / den over the coefficients c_i of xi, read
-    off the trace table of the modulus.  Raises NonIntegralForm when a
-    value is not a rational integer and InvariantViolation when the cell
-    is not skew."""
+def _gram_traces(xi: Cyclo) -> tuple[int, ...]:
+    """Trace row of the entry xi: tr(xi zeta^k) = sum_i c_i tr(zeta^(i+k))
+    / den for k = phi - 1 down to 1 - phi, over the coefficients c_i of xi,
+    read off the trace table of the modulus; row a of the cell of xi,
+    (a, b) -> tr(xi zeta^(a-b)), is its window of phi at phi - 1 - a.
+    Raises NonIntegralForm when a value is not a rational integer and
+    InvariantViolation when the cell is not skew."""
     m = xi.m
     facts = modulus(m)
     d, wrapped = facts.phi, facts.traces * 2
@@ -310,12 +311,17 @@ def _gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
                 f"{element_str(xi)} at modulus {m}"
             )
         values.append(num // xi.den)
-    down = values[::-1]  # from k = d - 1: row a is k = a, ..., a - d + 1
-    if values != [-v for v in down]:
+    if values != [-v for v in reversed(values)]:
         raise InvariantViolation(
             f"pairing is not skew on the cell of entry {element_str(xi)} at modulus {m}"
         )
-    return tuple(tuple(down[d - 1 - a:2 * d - 1 - a]) for a in range(d))
+    return tuple(reversed(values))
+
+
+class _SkewCell(tuple):
+    """Rows laid out from a certified trace row: gram_determinant skips their skew check."""
+
+    __slots__ = ()
 
 
 def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
@@ -334,8 +340,9 @@ def gram_determinant(gram: Sequence[Sequence[int]]) -> int:
     entries of rows k and k+1 in the columns of row i are their first
     n-1-i entries."""
     n = len(gram)
-    # b + b^T = 0, a row and its column at a time, with no Python-level loop
-    if not set(map(len, gram)) <= {n} or any(map(any, map(map, repeat(add), gram, zip(*gram)))):
+    # b + b^T = 0, a row and its column at a time, no Python loop; a _SkewCell is certified
+    sums = map(any, map(map, repeat(add), gram, zip(*gram)))
+    if type(gram) is not _SkewCell and (not set(map(len, gram)) <= {n} or any(sums)):
         raise ValueError("gram_determinant takes a skew-symmetric matrix")
     if n % 2:
         return 0
@@ -374,16 +381,16 @@ class _Made:
     """Slots of the values an Entry makes when they are first read; they
     are not fields of the record."""
 
-    __slots__ = ("_cell", "_det")
+    __slots__ = ("_traces", "_det")
 
 
 class Entry(Record, _Made):
     """A diagonal entry xi of a Hermitian form with what it gives the form:
     its CM-type phi, certified on the embeddings of xi itself, and column,
     what it adds to the signature of a form over Q(zeta_m), m = xi.m.  The
-    Gram cell of xi and that cell's determinant are made when first read,
-    so an entry whose traces are not integral still has its CM-type, and
-    its cell raises on every read."""
+    trace row of xi's Gram cell and that cell's determinant are made when
+    first read, so an entry whose traces are not integral still has its
+    CM-type, and its trace row raises on every read."""
 
     __slots__ = ("xi", "phi", "column")
     xi: Cyclo
@@ -391,14 +398,14 @@ class Entry(Record, _Made):
     column: tuple[int, ...]
 
     @property
-    def cell(self) -> tuple[tuple[int, ...], ...]:
-        """The Gram cell of xi on Z[zeta_m], made by _gram_cell."""
+    def traces(self) -> tuple[int, ...]:
+        """The trace row of the Gram cell of xi on Z[zeta_m], made by _gram_traces."""
         try:
-            return self._cell
+            return self._traces
         except AttributeError:
-            cell = _gram_cell(self.xi)
-            object.__setattr__(self, "_cell", cell)
-            return cell
+            traces = _gram_traces(self.xi)
+            object.__setattr__(self, "_traces", traces)
+            return traces
 
     @property
     def det(self) -> int:
@@ -406,7 +413,8 @@ class Entry(Record, _Made):
         try:
             return self._det
         except AttributeError:
-            det = gram_determinant(self.cell)
+            t, h = self.traces, len(self.xi.num) - 1  # row a is the window at phi - 1 - a
+            det = gram_determinant(_SkewCell(t[h - a:len(t) - a] for a in range(h + 1)))
             object.__setattr__(self, "_det", det)
             return det
 

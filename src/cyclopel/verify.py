@@ -10,7 +10,9 @@ from pathlib import Path
 
 from ._record import Record
 from .cmfield import CMType, SimplicityReport, cm_type_from_triple, is_simple
-from .cyclotomic import Cyclo, _relative_conjugator, modulus, parse_element, relative_split
+from .cyclotomic import (
+    SUPPORTED_MODULI, Cyclo, _relative_conjugator, modulus, parse_element, relative_split
+)
 from .errors import (
     CyclopelError, Indeterminate, InvariantViolation, MalformedDatum, NonIntegralForm
 )
@@ -245,8 +247,9 @@ def verify_fixture(fixture: dict, *, allow_galois: bool = False) -> FixtureOutco
     accepts only purely imaginary entries); the certified embedding signs
     reproduce the expected signature (condition 3); every Gram cell is
     integral and skew; and, when the modulus supports full assembly, the
-    assembled datum is equivalent to the fixture's (a datum whose Gram
-    matrix would pass MAX_REPORT_ENTRIES fails without assembling).  A
+    assembled datum is equivalent to the fixture's.  A datum whose Gram
+    matrix would pass MAX_REPORT_ENTRIES fails without assembling, and
+    blocks whose Gram matrix would pass it fail without being parsed.  A
     library error or ValueError (say, a malformed entry string) is
     reported as a failure of this fixture."""
     name = str(fixture.get("name", "?"))
@@ -266,6 +269,13 @@ def verify_fixture(fixture: dict, *, allow_galois: bool = False) -> FixtureOutco
             failures.append(
                 f"monodromy signature {sig.values} differs from expected {expected}"
             )
+        rank = sum(modulus(d).phi * len(xs) for d, xs in fixture["blocks"] if d in SUPPORTED_MODULI)
+        if rank * rank > MAX_REPORT_ENTRIES:
+            failures.append(
+                f"blocks skipped: their Gram matrix would hold {rank * rank} entries, "
+                f"more than {MAX_REPORT_ENTRIES}"
+            )
+            return FixtureOutcome(name, False, tuple(failures))
         h = _fixture_datum(fixture)
         for block in h.blocks:
             ref = beta0(block.modulus).element
@@ -286,7 +296,7 @@ def verify_fixture(fixture: dict, *, allow_galois: bool = False) -> FixtureOutco
             )
         try:
             for e in _entries(h):
-                e.cell  # made and checked on first read
+                e.traces  # made and checked on first read
         except NonIntegralForm as exc:
             failures.append(f"Gram integrality: {exc}")
         if datum.m in ASSEMBLE_MODULI:

@@ -10,16 +10,19 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import mul
 
 from mpmath.ctx_iv import MPIntervalContext
 
 import cyclopel
 import cyclopel.monodromy as M
 from cyclopel.cmfield import CMType
-from cyclopel.cyclotomic import Cyclo, _poly_divmod_monic, modulus, relative_split
+from cyclopel.cyclotomic import Cyclo, _poly_divmod_monic, element_str, modulus, relative_split
 from cyclopel import embeddings
 from cyclopel.embeddings import ComplexInterval, SignVector, certified_signs_real
-from cyclopel.errors import CyclopelError, InvariantViolation, NonCompactType, Unsatisfiable
+from cyclopel.errors import (
+    CyclopelError, InvariantViolation, NonCompactType, NonIntegralForm, Unsatisfiable
+)
 from cyclopel.monodromy import DegenerationTree, MonodromyDatum, Signature
 from cyclopel.peldatum import HermitianDatum, entry_cm_type
 from cyclopel.polarization import _constants, _solve_combo
@@ -486,3 +489,36 @@ def validate(m, a) -> MonodromyDatum:
     if gcd(g, m) != 1:
         raise M.DisconnectedCover(f"gcd of inertia values with m is {gcd(g, m)}, cover is disconnected")
     return MonodromyDatum(m, a)
+
+
+def gram_cell(xi: Cyclo) -> tuple[tuple[int, ...], ...]:
+    """The Gram cell of the entry xi laid out as a phi x phi matrix, (a, b)
+    -> tr(xi zeta^(a-b)), each trace read off the trace table, in the
+    library's former layout: NonIntegralForm at the first trace, from
+    k = 1 - phi up, that is not an integer, then InvariantViolation when
+    the cell is not skew."""
+    m = xi.m
+    facts = modulus(m)
+    d, wrapped = facts.phi, facts.traces * 2
+    values = []  # tr(xi zeta^k) for k = -(d - 1), ..., d - 1
+    for k in range(-(d - 1), d):
+        start = k % m
+        num = sum(map(mul, xi.num, wrapped[start:start + d]))
+        if num % xi.den:
+            raise NonIntegralForm(
+                f"tr(xi * zeta^{k}) = {Fraction(num, xi.den)} is not integral for entry "
+                f"{element_str(xi)} at modulus {m}"
+            )
+        values.append(num // xi.den)
+    down = values[::-1]  # from k = d - 1: row a is k = a, ..., a - d + 1
+    if values != [-v for v in down]:
+        raise InvariantViolation(
+            f"pairing is not skew on the cell of entry {element_str(xi)} at modulus {m}"
+        )
+    return tuple(tuple(down[d - 1 - a:2 * d - 1 - a]) for a in range(d))
+
+
+def text_gram_rows(gram) -> list[str]:
+    """The lines of the text report's Gram matrix, formatted one entry at a
+    time from the dense rows."""
+    return ["  [" + " ".join(f"{v:3d}" for v in row) + "]" for row in gram]

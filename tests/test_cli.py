@@ -8,6 +8,7 @@ import decimal
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -43,6 +44,7 @@ from cyclopel.errors import CyclopelError, MalformedDatum, ParseError, Unsatisfi
 from cyclopel.peldatum import FamilyResult
 from cyclopel.polarization import Entry, PolarizedCMPoint, beta_for_type
 from cyclopel.verify import MAX_CORPUS_BYTES, default_corpus_path, load_corpus
+import oracles
 from oracles import clear_memos
 
 
@@ -279,22 +281,22 @@ def test_warm_report_writes_short_integer_lists_from_their_memo(monkeypatch):
     assert written == [report["degeneration"]["merged_values"], report["input"]["a"]]
 
 
-class _UnhashableCell(tuple):
-    """A Gram cell that fails the test when it is hashed."""
+class _UnhashableTraces(tuple):
+    """The trace row of a Gram cell that fails the test when it is hashed."""
 
     def __hash__(self):
-        raise AssertionError("a Gram cell was hashed")
+        raise AssertionError("a Gram cell's trace row was hashed")
 
 
-def _with_unhashable_cells(result):
-    """result with every point's Gram cell an _UnhashableCell: a cell is
-    made by its entry, not a field of it, so the memos keyed on a point or
-    component take these as the ones they stand for."""
+def _with_unhashable_traces(result):
+    """result with every point's trace row an _UnhashableTraces: a trace
+    row is made by its entry, not a field of it, so the memos keyed on a
+    point or component take these as the ones they stand for."""
     components = []
     for c in result.components:
         p, e = c.point, c.point.entry
         entry = Entry(e.xi, e.phi, e.column)
-        object.__setattr__(entry, "_cell", _UnhashableCell(e.cell))
+        object.__setattr__(entry, "_traces", _UnhashableTraces(e.traces))
         point = PolarizedCMPoint(p.phi, p.u0, p.beta, p.conditions, entry)
         components.append(cyclopel.peldatum.ComponentResult(c.triple, c.phi, c.simplicity, point))
     args = list(result.__reduce__()[1])
@@ -306,9 +308,9 @@ def test_report_hashes_no_gram_cell():
     # hashing a cell would read every value of it on every report
     result = cyclopel.peldatum.assemble(cyclopel.monodromy.validate(17, (1, 2, 3, 4, 5, 6, 13)))
     text = report_json(build_report(result, DEFAULT_PRECISION, 0))
-    unhashable = _with_unhashable_cells(result)
+    unhashable = _with_unhashable_traces(result)
     assert unhashable == result
-    assert all(type(cell) is _UnhashableCell for cell in unhashable.gram.cells)
+    assert all(type(traces) is _UnhashableTraces for traces in unhashable.gram.traces)
     cyclopel.cli._component_json.cache_clear()
     cyclopel.cli._point_json.cache_clear()
     for _ in range(2):  # first-seen cells, then warm ones
@@ -553,7 +555,7 @@ def test_cell_row_text_is_the_joined_row(m):
         members = frozenset(n if bits >> i & 1 else m - n for i, n in enumerate(reps))
         point = beta_for_type(cyclopel.cmfield.CMType(m, members))
         _, entry, _ = cyclopel.cli._point_json(point, DEFAULT_PRECISION)
-        cell = point.entry.cell
+        cell = oracles.gram_cell(point.entry.xi)
         assert entry.rows == tuple(cyclopel.cli._GRAM_SEP.join(map(str, row)) for row in cell)
 
 
@@ -618,6 +620,30 @@ def test_text_report(capsys):
     assert "determinant: 1" in out
     assert "signature cross-check: (0, 1, 1) (matches)" in out
     assert "certainty: all-components-simple" in out
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 11, 13, 17, 19])
+def test_text_report_gram_is_the_per_entry_reference(m, capsys):
+    # the text report writes its Gram matrix a cell at a time; its lines are
+    # the former per-entry formatting of the dense rows
+    rng = random.Random(137 + m)
+    families = 0
+    while families < 4:
+        head = [rng.randint(1, m - 1) for _ in range(rng.randint(2, 9))]
+        if not sum(head) % m:
+            continue
+        datum = cyclopel.monodromy.validate(m, (*head, -sum(head) % m))
+        try:
+            result = cyclopel.peldatum.assemble(datum)
+        except CyclopelError:
+            continue
+        families += 1
+        report = build_report(result, DEFAULT_PRECISION, 0)
+        cyclopel.cli._print_text_report(report)
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("gram matrix:") + 1
+        end = lines.index(f"determinant: {result.gram_det}")
+        assert lines[start:end] == oracles.text_gram_rows(tuple(result.gram)), datum
 
 
 def test_corpus_default(capsys):
@@ -877,3 +903,43 @@ def test_corpus_fixture_over_the_gram_bound_fails_fast(tmp_path, capsys):
         f"     assembly skipped: its Gram matrix would hold {size} entries, "
         f"more than {MAX_REPORT_ENTRIES}"
     ]
+
+
+def test_corpus_fixture_with_blocks_over_the_gram_bound_fails_fast(tmp_path):
+    # blocks of rank 16 * 257 at m = 32 would make a Gram matrix of
+    # 16908544 > 2^24 entries: the fixture fails with one line before any
+    # entry is parsed, typed or given its traces, however many there are;
+    # 256 entries (2^24 entries) are still verified one by one
+    a = [1, 1, 30]
+    expected = cyclopel.monodromy.signature(cyclopel.monodromy.validate(32, a)).values
+
+    def fixture(count):
+        entries = [f"{k}*z - {k}*z^31" for k in range(1, count + 1)]
+        return {"name": f"m32-{count}", "m": 32, "N": 3, "a": a, "blocks": [[32, entries]],
+                "expected_signature": list(expected)}
+
+    for count in (257, 20000):
+        start = time.perf_counter()
+        outcome = cyclopel.verify.verify_fixture(fixture(count))
+        assert time.perf_counter() - start < 1
+        size = (16 * count) ** 2
+        assert size > MAX_REPORT_ENTRIES and not outcome.passed
+        assert outcome.failures == (
+            f"blocks skipped: their Gram matrix would hold {size} entries, "
+            f"more than {MAX_REPORT_ENTRIES}",
+        )
+    assert (16 * 256) ** 2 == MAX_REPORT_ENTRIES
+    outcome = cyclopel.verify.verify_fixture(fixture(256))
+    assert len(outcome.failures) == 257 and not any("skipped" in f for f in outcome.failures)
+    # an unsupported block modulus counts for nothing and still fails at its parse
+    over = fixture(257)
+    over["blocks"].insert(0, [12, ["z"] * 300])
+    assert cyclopel.verify.verify_fixture(over).failures == (
+        "blocks skipped: their Gram matrix would hold 16908544 entries, "
+        f"more than {MAX_REPORT_ENTRIES}",
+    )
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"fixtures": [fixture(20000)]}))
+    start = time.perf_counter()
+    assert run(["--corpus", str(p)]) == EXIT_GENERIC
+    assert time.perf_counter() - start < 1

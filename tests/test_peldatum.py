@@ -188,7 +188,7 @@ def test_gram_view_rows():
     for h, view in zip(hs, views):
         dense = gram_matrix(h)
         n = len(dense)
-        assert len(view) == n == sum(len(cell) for cell in view.cells)
+        assert len(view) == n == sum(len(traces) // 2 + 1 for traces in view.traces)
         assert tuple(view) == dense
         assert [view[i] for i in range(n)] == list(dense)
         assert [view[i - n] for i in range(n)] == list(dense)
@@ -198,9 +198,36 @@ def test_gram_view_rows():
         assert view == _view(h)
 
 
+def test_gram_view_slices(monkeypatch):
+    # a slice is tuple(view)[s], and lays out only the rows in it
+    r = assemble(validate(5, (1, 3, 3, 3)))
+    assert r.gram[0:2] == ((0, 1, 0, 0, 0, 0, 0, 0), (-1, 0, 1, 0, 0, 0, 0, 0))
+    views = [r.gram, _view(_fixture_datum(load_corpus(default_corpus_path())[-1])), GramView(())]
+    laid = []
+    original = GramView._row
+    monkeypatch.setattr(GramView, "_row", lambda self, k, i: laid.append(i) or original(self, k, i))
+    rng = random.Random(131)
+    for view in views:
+        dense = tuple(view)
+        n = len(dense)
+        cases = [slice(None), slice(0, 2), slice(-3, None), slice(None, -1), slice(5, 1),
+                 slice(n, None), slice(-n - 5, n + 5), slice(None, None, -1), slice(1, None, 3),
+                 slice(-1, -n, -2), slice(2, 2)]
+        cases += [slice(rng.randint(-n - 2, n + 2), rng.randint(-n - 2, n + 2),
+                        rng.choice((None, 1, 2, -1, -3))) for _ in range(30)]
+        for s in cases:
+            laid.clear()
+            got = view[s]
+            assert type(got) is tuple and got == dense[s], s
+            assert len(laid) == len(got), s
+        with pytest.raises(ValueError):
+            view[::0]
+    assert any(len(v) > 8 for v in views) and len(views[-1]) == 0
+
+
 def _view(h):
-    """The Gram view over the cells of the entries of h."""
-    return GramView(tuple(e.cell for e in P._entries(h)))
+    """The Gram view over the trace rows of the entries of h."""
+    return GramView(tuple(e.traces for e in P._entries(h)))
 
 
 def _skew(rng, n, choices):
@@ -280,9 +307,10 @@ def test_pfaffian_is_bareiss_on_every_cell(m):
     dets = set()
     for bits in range(1 << len(reps)):
         phi = CMType(m, frozenset(n if bits >> i & 1 else m - n for i, n in enumerate(reps)))
-        cell = beta_for_type(phi).entry.cell
+        entry = beta_for_type(phi).entry
+        cell = oracles.gram_cell(entry.xi)
         det = gram_determinant(cell)
-        assert det == oracles.bareiss_determinant(cell), phi
+        assert det == entry.det == oracles.bareiss_determinant(cell), phi
         dets.add(det)
     assert dets == {1}
 
@@ -334,7 +362,7 @@ def test_assembled_determinant_matches_dense_bareiss():
 
 
 def test_assemble_derives_each_entry_fact_once(monkeypatch):
-    calls = {"_gram_cell": 0, "entry_cm_type": 0, "gram_determinant": 0}
+    calls = {"_gram_traces": 0, "entry_cm_type": 0, "gram_determinant": 0}
     for name in calls:
         def spy(*args, _f=getattr(Q, name), _name=name):
             calls[_name] += 1
@@ -347,12 +375,13 @@ def test_assemble_derives_each_entry_fact_once(monkeypatch):
     r = assemble(datum)
     assert len(r.components) == 22
     assert len(set(r.hermitian.blocks[0].entries)) == 11
-    assert calls == {"_gram_cell": 11, "entry_cm_type": 11, "gram_determinant": 11}
-    # cells, their determinants and what the entry types add to the form
-    # signature are kept in the components' points for the rest of the process
-    calls.update(_gram_cell=0, entry_cm_type=0, gram_determinant=0)
+    assert calls == {"_gram_traces": 11, "entry_cm_type": 11, "gram_determinant": 11}
+    # trace rows, their cells' determinants and what the entry types add to
+    # the form signature are kept in the components' points for the rest of
+    # the process
+    calls.update(_gram_traces=0, entry_cm_type=0, gram_determinant=0)
     assert assemble(datum) == r
-    assert calls == {"_gram_cell": 0, "entry_cm_type": 0, "gram_determinant": 0}
+    assert calls == {"_gram_traces": 0, "entry_cm_type": 0, "gram_determinant": 0}
 
 
 def test_warm_assemble_redoes_no_triple_or_entry_work(monkeypatch):

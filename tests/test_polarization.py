@@ -19,8 +19,11 @@ from cyclopel.cyclotomic import (
 )
 import cyclopel.polarization as Q
 from cyclopel.embeddings import certified_sign_im
-from cyclopel.errors import Indeterminate, InvariantViolation, Unsatisfiable, UnsupportedModulus
-from cyclopel.peldatum import Block, HermitianDatum, form_signature, gram_matrix
+from cyclopel.errors import (
+    Indeterminate, InvariantViolation, NonIntegralForm, Unsatisfiable, UnsupportedModulus
+)
+from cyclopel.monodromy import validate
+from cyclopel.peldatum import Block, HermitianDatum, assemble, form_signature, gram_matrix
 from cyclopel.polarization import (
     _constants,
     _signs_to_bits,
@@ -424,8 +427,9 @@ def test_point_xi_is_inverse_of_beta_for_every_type(m):
 
 
 def test_point_cell_det_and_column_match_the_fixture_path():
-    # the fixture path reads the point's own entry record, whose cell,
-    # determinant and column are those of the one-entry datum
+    # the fixture path reads the point's own entry record, whose cell (laid
+    # out from its trace row), determinant and column are those of the
+    # one-entry datum
     rng = random.Random(97)
     phis = [phi for m in (3, 5, 7, 11, 13) for phi in _cm_types(m)]
     phis += [phi for m in (17, 19) for phi in _cm_types(m, rng, 40)]
@@ -433,10 +437,99 @@ def test_point_cell_det_and_column_match_the_fixture_path():
         entry = beta_for_type(phi).entry
         assert Q.hermitian_entry(entry.xi) is entry
         h = HermitianDatum(phi.m, (Block(phi.m, (entry.xi,)),))
-        assert entry.cell == gram_matrix(h), phi
-        assert entry.det == gram_determinant(entry.cell) and abs(entry.det) == 1, phi
+        assert oracles.gram_cell(entry.xi) == gram_matrix(h), phi
+        assert entry.det == gram_determinant(gram_matrix(h)) and abs(entry.det) == 1, phi
         assert entry.column == form_signature(h).values == oracles.form_signature(h).values, phi
     assert len(phis) == 2 + 4 + 8 + 32 + 64 + 2 * 40
+
+
+def _cell(traces):
+    """The cell laid out from a trace row: row a is its window at phi - 1 - a."""
+    d = (len(traces) + 1) // 2
+    return tuple(tuple(traces[d - 1 - a:2 * d - 1 - a]) for a in range(d))
+
+
+def test_trace_row_lays_out_the_cell_of_cyclo_products(monkeypatch):
+    # every CM-type at the served moduli up to 13 and 40 at 17 and 19: the
+    # cell laid out from the entry's trace row is (a, b) -> tr(xi
+    # zeta^(a-b)) by Cyclo products, and the entry's determinant, taken
+    # without a second skew check, is Bareiss's on that cell
+    rng = random.Random(113)
+    phis = [phi for m in sorted(SERVED_MODULI) if m <= 13 for phi in _cm_types(m)]
+    phis += list(dict.fromkeys(phi for m in (17, 19) for phi in _cm_types(m, rng, 40)))
+    seen = []
+    original = Q.gram_determinant
+    monkeypatch.setattr(Q, "gram_determinant", lambda gram: seen.append(gram) or original(gram))
+    oracles.clear_memos()
+    cells = set()
+    for phi in phis:
+        entry = beta_for_type(phi).entry
+        zeta, d = Cyclo.zeta(phi.m), modulus(phi.m).phi
+        traces = {k: (entry.xi * zeta ** (k % phi.m)).trace() for k in range(1 - d, d)}
+        cell = _cell(entry.traces)
+        assert len(entry.traces) == 2 * d - 1, phi
+        assert cell == tuple(tuple(traces[a - b] for b in range(d)) for a in range(d)), phi
+        assert entry.det == oracles.bareiss_determinant(cell) == 1, phi
+        cells.add(cell)
+    assert len(phis) > 2 + 2 + 4 + 2 + 8 + 4 + 8 + 4 + 32 + 64 + 70
+    # each first-seen determinant took its cell as a certified _SkewCell
+    assert len(seen) == len(phis)
+    assert all(type(gram) is Q._SkewCell and tuple(gram) in cells for gram in seen)
+
+
+def test_gram_traces_fail_as_the_former_cell():
+    # random entries at every supported modulus, purely imaginary ones with
+    # denominators (some traces not integral) and arbitrary ones (not
+    # skew): the trace row lays out the former cell, or raises its error
+    # with its message
+    rng = random.Random(127)
+    kinds = set()
+    for m in sorted(SUPPORTED_MODULI):
+        for k in range(40):
+            x = Cyclo(m, [rng.randint(-3, 3) for _ in range(m)], rng.choice((1, 1, 2, 3, m)))
+            xi = x - x.conj() if k % 4 else x
+            if xi.is_zero():
+                continue
+            try:
+                want = oracles.gram_cell(xi)
+            except (InvariantViolation, NonIntegralForm) as exc:
+                with pytest.raises(type(exc)) as got:
+                    Q._gram_traces(xi)
+                assert str(got.value) == str(exc), (m, xi)
+                kinds.add(type(exc))
+                continue
+            assert _cell(Q._gram_traces(xi)) == want, (m, xi)
+            kinds.add(tuple)
+    assert kinds == {tuple, InvariantViolation, NonIntegralForm}
+
+
+def test_gram_determinant_checks_every_other_matrix():
+    # only the cell of a certified trace row skips the check: a plain
+    # matrix, even one laid out from a trace row, is checked
+    entry = beta_for_type(CMType(7, frozenset({1, 2, 4}))).entry
+    cell = _cell(entry.traces)
+    assert gram_determinant(cell) == gram_determinant([list(row) for row in cell]) == 1
+    bent = list(entry.traces)
+    bent[0] += 1
+    for bad in (_cell(bent), [list(row) for row in _cell(bent)], ((1, 0), (0, 1))):
+        with pytest.raises(ValueError, match="skew-symmetric"):
+            gram_determinant(bad)
+
+
+def test_no_entry_holds_a_matrix():
+    # after every CM-type at m = 19 is built, with its trace row and
+    # determinant read, and a family assembled, each entry holds its
+    # trace row, a flat tuple of 2 phi - 1 ints, and no tuple of tuples
+    entries = [beta_for_type(phi).entry for phi in _cm_types(19)]
+    r = assemble(validate(19, (1,) * 23 + (15,)))
+    entries += [c.point.entry for c in r.components]
+    assert len(entries) == 512 + 22
+    for entry in entries:
+        entry.traces, entry.det
+        values = [getattr(entry, slot) for slot in type(entry).__slots__ + Q._Made.__slots__]
+        assert not any(type(v) is tuple and any(type(x) is tuple for x in v) for v in values)
+        assert type(entry._traces) is tuple and len(entry._traces) == 35
+        assert all(type(t) is int for t in entry._traces)
 
 
 def test_point_inverts_beta_once(monkeypatch):

@@ -124,10 +124,10 @@ def test_every_field_takes_part_in_equality_hash_and_repr():
     other = PolarizedCMPoint(point.phi, point.u0, point.beta, point.conditions, entry)
     assert other != point and hash(other) != hash(point)
     assert repr(point).endswith(f", entry={point.entry!r})") and repr(other) != repr(point)
-    # an entry's cell and determinant are made, not fields: an entry whose
-    # cell was read equals a fresh one, and so do their points
+    # an entry's trace row and determinant are made, not fields: an entry
+    # whose trace row was read equals a fresh one, and so do their points
     e = point.entry
-    e.cell, e.det
+    e.traces, e.det
     fresh = Entry(e.xi, e.phi, e.column)
     same = PolarizedCMPoint(point.phi, point.u0, point.beta, point.conditions, fresh)
     assert fresh == e and same == point and hash(same) == hash(point) and repr(same) == repr(point)
